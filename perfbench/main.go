@@ -367,11 +367,12 @@ func (s *session) fillEndToEnd(r *result) {
 	r.notes = append(r.notes, s.st.failMsgs...)
 	r.notes = append(r.notes, fmt.Sprintf("open loop: %d ops (%d reads, %d writes after warm-up), %d late votes; closed loop: %d ops; %d durability and JER checks",
 		len(s.open), len(reads), len(writes), s.st.late, len(s.closed), s.checked))
+	r.notes = append(r.notes, fmt.Sprintf("set-ups: %.3f s", durations(s.setup)),
+		fmt.Sprintf("restarts after SIGKILL: %.3f s", durations(s.recov)))
 
 	r.set("setup_s", median(durations(s.setup)), "s")
 	r.set("read_p50_ms", quantile(reads, 0.50), "ms")
 	r.set("peak_rss_mb", float64(s.hwm)/(1<<20), "MB")
-	r.set("recover_s", median(durations(s.recov)), "s")
 	r.set("votes_per_verdict", s.votesPerVerdict(), "count")
 }
 

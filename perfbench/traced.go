@@ -294,6 +294,7 @@ func (a *partA) fill(r *result, s *session) error {
 	r.set("client.writes", float64(len(writes)), "count")
 	r.set("loadgen.send_lag_p99_ms", quantile(lags, 0.99), "ms")
 	r.set("loadgen.cpu_ms_per_op", ratio(ms(a.selfCPU[1]-a.selfCPU[0]), ops), "ms")
+	r.set("juryd.recover_s", median(durations(s.recov)), "s")
 	r.set("juryd.cpu_ms_per_op", ratio(ms(a.jurydCPU[1]-a.jurydCPU[0]), ops), "ms")
 	r.set("runtime.gc_per_kop", ratio(float64(a.after.Runtime.NumGC-a.before.Runtime.NumGC), ops/1000), "count")
 

@@ -250,6 +250,14 @@ func findWorkload(name string) (*workload, error) {
 	return nil, fmt.Errorf("unknown workload %q", name)
 }
 
+// crowdSeed draws every workload's pools. The crowd is the same for
+// every --seed, as a service's juror population is; the seed draws the
+// traffic on it. A pay jury's size hangs on the few cheap reliable
+// jurors a pool holds, so pools drawn per seed made votes_per_verdict
+// and juryd's memory move from seed to seed with the crowd rather than
+// with the code.
+const crowdSeed = 1
+
 // gen holds one run's seeded inputs: the pools and the root-op streams.
 type gen struct {
 	seed  int64
@@ -262,8 +270,9 @@ type gen struct {
 func newGen(w *workload, seed int64) *gen {
 	g := &gen{seed: seed, src: randx.New(seed), w: w,
 		pools: map[string][]dataio.JurorJSON{}, trueE: map[string]map[string]float64{}}
+	crowd := randx.New(crowdSeed)
 	for _, p := range w.pools {
-		js := candidates(g.src.Split("pool-"+p), poolSize, "j")
+		js := candidates(crowd.Split("pool-"+p), poolSize, "j")
 		g.pools[p] = js
 		m := make(map[string]float64, len(js))
 		for _, j := range js {
