@@ -24,6 +24,7 @@ import (
 	"juryselect/internal/jer"
 	"juryselect/internal/lifecycle"
 	"juryselect/internal/obs"
+	"juryselect/internal/pool"
 	"juryselect/internal/randx"
 	"juryselect/internal/server"
 	"juryselect/internal/simul"
@@ -480,18 +481,7 @@ func taskBenches() []namedBench {
 				}
 			}
 		}},
-		{"TaskHammer/global/g8", taskHammer(func(dir string) tasks.Config {
-			// PR 6's concurrency model: one shard (a single store-wide
-			// mutex) and the timer-driven group commit. Compaction is
-			// off in both variants — its stop-the-world snapshot marshal
-			// would otherwise dominate and mask the write-path contrast.
-			return tasks.Config{Dir: dir, Sync: tasks.SyncBatch, Shards: 1, TimerCommit: true,
-				CompactEvery: -1}
-		})},
-		{"TaskHammer/sharded/g8", taskHammer(func(dir string) tasks.Config {
-			// PR 7 defaults: sharded store, pipelined group commit.
-			return tasks.Config{Dir: dir, Sync: tasks.SyncBatch, CompactEvery: -1}
-		})},
+		{"TaskHammer/sharded/g8", taskHammer},
 		{"WALAppend/off", func(b *testing.B) {
 			w, _, err := tasks.OpenWAL(filepath.Join(b.TempDir(), "wal.log"), tasks.WALOptions{Sync: tasks.SyncOff})
 			if err != nil {
@@ -509,14 +499,10 @@ func taskBenches() []namedBench {
 		}},
 		{"WALAppend/batch", func(b *testing.B) {
 			// Group commit only pays off under fan-in: a serial loop
-			// would measure one full fsync wait per append — SyncAlways'
-			// cost profile wearing batch's name (the pre-PR 7 shape of
-			// this benchmark, which read as a misleading ~1.3ms/op).
-			// Eight concurrent appenders share each fsync, so ns/op is
-			// the amortized durable-append cost at realistic fan-in.
-			w, _, err := tasks.OpenWAL(filepath.Join(b.TempDir(), "wal.log"), tasks.WALOptions{
-				Sync: tasks.SyncBatch, BatchInterval: 500 * time.Microsecond,
-			})
+			// would measure one full fsync wait per append. Eight
+			// concurrent appenders share each fsync, so ns/op is the
+			// amortized durable-append cost at realistic fan-in.
+			w, _, err := tasks.OpenWAL(filepath.Join(b.TempDir(), "wal.log"), tasks.WALOptions{Sync: tasks.SyncBatch})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -584,54 +570,51 @@ func taskBenches() []namedBench {
 }
 
 // taskHammer is the mixed concurrent write workload behind the
-// TaskHammer benchmarks: 8 goroutines (regardless of a 1-core
+// TaskHammer benchmark: 8 goroutines (regardless of a 1-core
 // GOMAXPROCS — the workload is fsync-bound, not CPU-bound), each
 // creating its own fixed-jury tasks and voting them through, every
 // mutation durable at fsync=batch. One op is one mutation (create or
-// vote); the votes/s extra metric is the ISSUE's acceptance axis. The
-// two variants differ only in store configuration, so their ratio
-// isolates the concurrency model: global mutex + timer commit versus
-// sharded store + pipelined commit.
-func taskHammer(conf func(dir string) tasks.Config) func(b *testing.B) {
-	return func(b *testing.B) {
-		store, err := tasks.Open(conf(b.TempDir()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer store.Close() //nolint:errcheck
-		if _, err := store.PutPool("crowd", benchPoolJurors(101)); err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		var votes atomic.Int64
-		b.ReportAllocs()
-		b.SetParallelism(8) // 8×GOMAXPROCS hammer goroutines
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			var id string
-			var jurors []tasks.JurorView
-			next := 0
-			for pb.Next() {
-				if next == len(jurors) {
-					v, err := store.Create(ctx, tasks.Spec{Pool: "crowd", TargetConfidence: 1})
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					id, jurors, next = v.ID, v.Jurors, 0
-					continue
-				}
-				if _, err := store.Vote(context.Background(), id, jurors[next].ID, next%2 == 0); err != nil {
+// vote); the votes/s extra metric is the durable write throughput.
+// Compaction is off: its stop-the-world snapshot marshal would otherwise
+// dominate and mask the write path.
+func taskHammer(b *testing.B) {
+	store, err := tasks.Open(tasks.Config{Dir: b.TempDir(), Sync: tasks.SyncBatch, CompactEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close() //nolint:errcheck
+	if _, err := store.PutPool("crowd", benchPoolJurors(101)); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var votes atomic.Int64
+	b.ReportAllocs()
+	b.SetParallelism(8) // 8×GOMAXPROCS hammer goroutines
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var id string
+		var jurors []tasks.JurorView
+		next := 0
+		for pb.Next() {
+			if next == len(jurors) {
+				v, err := store.Create(ctx, tasks.Spec{Pool: "crowd", TargetConfidence: 1})
+				if err != nil {
 					b.Error(err)
 					return
 				}
-				next++
-				votes.Add(1)
+				id, jurors, next = v.ID, v.Jurors, 0
+				continue
 			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(votes.Load())/b.Elapsed().Seconds(), "votes/s")
-	}
+			if _, err := store.Vote(context.Background(), id, jurors[next].ID, next%2 == 0); err != nil {
+				b.Error(err)
+				return
+			}
+			next++
+			votes.Add(1)
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(votes.Load())/b.Elapsed().Seconds(), "votes/s")
 }
 
 // benchPoolJurors converts the shared juror generator to the public type
@@ -854,7 +837,7 @@ func serverBenches() []namedBench {
 		{"ServerSelectBatch/http/n101x16", httpBench("/v1/select/batch", batchBody(16), withPool(101))},
 		{"ServerJER/n101", httpBench("/v1/jer", string(jerBody), nil)},
 		{"PoolSnapshot/n1001", func(b *testing.B) {
-			store := server.NewStore()
+			store := pool.NewStore()
 			if _, err := store.Put("crowd", benchPoolJurors(1001)); err != nil {
 				b.Fatal(err)
 			}
@@ -868,11 +851,11 @@ func serverBenches() []namedBench {
 			}
 		}},
 		{"PoolPatch/n101", func(b *testing.B) {
-			store := server.NewStore()
+			store := pool.NewStore()
 			if _, err := store.Put("crowd", benchPoolJurors(101)); err != nil {
 				b.Fatal(err)
 			}
-			up := []server.JurorUpdate{{ID: "j0050", Votes: &server.VoteObservation{Wrong: 1, Total: 4}}}
+			up := []pool.JurorUpdate{{ID: "j0050", Votes: &pool.VoteObservation{Wrong: 1, Total: 4}}}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

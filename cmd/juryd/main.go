@@ -62,13 +62,16 @@
 // no sweeper progress into /healthz ("degraded" + stall block).
 //
 // Durability: with -wal-dir set, every pool and task mutation is
-// journaled to a CRC-framed write-ahead log (fsync policy per -fsync:
-// "always" = fsync before acknowledging each write, "batch" = group
-// commit on a short timer, "off" = kernel-paced) and periodically folded
-// into a snapshot (-compact-every records). On boot juryd replays
-// snapshot + log — truncating a torn tail from a crash mid-write — to
-// the exact pre-crash state, so a kill -9 loses nothing acknowledged
-// under -fsync always. Without -wal-dir the task store is ephemeral.
+// journaled to a CRC-framed write-ahead log and periodically folded into
+// a snapshot (-compact-every records). -fsync batch (the default; "always"
+// is another name for it) fsyncs before acknowledging a write, with
+// concurrent writes sharing one group-commit fsync; -fsync off leaves
+// flushing to the kernel. On boot juryd replays snapshot + log —
+// truncating a torn tail from a crash mid-write — to the exact pre-crash
+// state, so under -fsync batch a kill -9 or a machine crash loses
+// nothing acknowledged. A log written in the pre-v2 JSON record framing
+// is refused: juryd exits with an error naming the file. Without
+// -wal-dir the task store is ephemeral.
 //
 // A background sweeper (period -sweep) releases invited jurors who have
 // not answered within -juror-timeout — inviting the next-best candidate
@@ -205,7 +208,7 @@ func main() {
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "grace period for in-flight requests on shutdown")
 	flag.DurationVar(&cfg.drainDelay, "drain-delay", 0, "serve 503 on /healthz for this long before closing listeners, so load balancers observe the drain and deregister (0 = shut down immediately)")
 	flag.StringVar(&cfg.walDir, "wal-dir", "", "directory for the task/pool write-ahead log (empty = ephemeral store)")
-	flag.StringVar(&cfg.fsync, "fsync", "batch", "WAL durability: always, batch, or off")
+	flag.StringVar(&cfg.fsync, "fsync", "batch", "WAL durability: batch (fsync before acknowledging, group-committed; always is another name for it) or off (no fsync)")
 	flag.IntVar(&cfg.compactEvery, "compact-every", 0, "WAL records between snapshot compactions (0 = default, negative = never)")
 	flag.IntVar(&cfg.taskShards, "task-shards", 0, "task store shard count, rounded up to a power of two (0 = default)")
 	flag.DurationVar(&cfg.sweep, "sweep", time.Second, "juror-timeout/expiry sweep period (0 = no sweeper)")
@@ -254,9 +257,9 @@ func main() {
 func run(ctx context.Context, cfg config, logger *slog.Logger, ready chan<- string, hurry <-chan os.Signal) error {
 	var syncMode tasks.SyncMode
 	switch cfg.fsync {
-	case "always":
-		syncMode = tasks.SyncAlways
-	case "batch", "":
+	case "always", "batch", "":
+		// Both fsync before acknowledging a write; "always" is kept as a
+		// name for batch.
 		syncMode = tasks.SyncBatch
 	case "off":
 		syncMode = tasks.SyncOff

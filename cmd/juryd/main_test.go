@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -326,6 +327,40 @@ func TestRunFailsOnBadPoolFlag(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "broken") {
 		t.Errorf("error does not name the flag: %v", err)
+	}
+}
+
+// TestRunRefusesPreV2WAL points juryd at a WAL holding a record in the
+// pre-v2 JSON framing: run must fail before serving, with an error that
+// names the log file and the format (main logs it and exits 1).
+func TestRunRefusesPreV2WAL(t *testing.T) {
+	walDir := t.TempDir()
+	path := filepath.Join(walDir, "wal-000000.log") // the first epoch's log
+	w, _, err := tasks.OpenWAL(path, tasks.WALOptions{Sync: tasks.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte(`{"t":"pool_delete","pool":"crowd"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ready := make(chan string, 1)
+	err = run(context.Background(), config{
+		addr:   "127.0.0.1:0",
+		walDir: walDir,
+		fsync:  "batch",
+		drain:  time.Second,
+	}, slog.New(slog.NewTextHandler(io.Discard, nil)), ready, nil)
+	if !errors.Is(err, tasks.ErrPreV2WAL) {
+		t.Fatalf("run = %v, want tasks.ErrPreV2WAL", err)
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "pre-v2") {
+		t.Errorf("error %q does not name the log file and the pre-v2 format", err)
+	}
+	if len(ready) != 0 {
+		t.Error("juryd started serving on a log it cannot replay")
 	}
 }
 

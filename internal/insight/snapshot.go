@@ -1,9 +1,6 @@
 package insight
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"math"
 	"sort"
 
@@ -151,12 +148,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		Calibration:       e.calibrationReport(),
 		Agreement:         e.agreementReport(),
 	}
-	raw, err := json.Marshal(s)
-	if err != nil { // struct of scalars/slices/maps: cannot fail
-		panic("insight: snapshot marshal: " + err.Error())
-	}
-	sum := sha256.Sum256(raw)
-	s.Fingerprint = hex.EncodeToString(sum[:])
+	s.Fingerprint = obs.Fingerprint(s)
 	return s
 }
 

@@ -1,9 +1,6 @@
 package lifecycle
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"sort"
 
 	"juryselect/internal/obs"
@@ -139,11 +136,6 @@ func (e *Engine) Snapshot() *Snapshot {
 			InviteToVote:    iv.Summary(),
 		})
 	}
-	raw, err := json.Marshal(s)
-	if err != nil { // struct of scalars/slices: cannot fail
-		panic("lifecycle: snapshot marshal: " + err.Error())
-	}
-	sum := sha256.Sum256(raw)
-	s.Fingerprint = hex.EncodeToString(sum[:])
+	s.Fingerprint = obs.Fingerprint(s)
 	return s
 }

@@ -1,10 +1,9 @@
 package lifecycle
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"time"
+
+	"juryselect/internal/obs"
 )
 
 // Span is one step of a task's life. DurationNS is span-specific: the
@@ -151,11 +150,6 @@ func renderTimeline(r *taskRecord) *Timeline {
 		})
 	}
 
-	raw, err := json.Marshal(tl)
-	if err != nil { // struct of scalars/slices: cannot fail
-		panic("lifecycle: timeline marshal: " + err.Error())
-	}
-	sum := sha256.Sum256(raw)
-	tl.Fingerprint = hex.EncodeToString(sum[:])
+	tl.Fingerprint = obs.Fingerprint(tl)
 	return tl
 }

@@ -2,7 +2,7 @@
 // latency histograms, a pooled per-request span recorder with a ring of
 // recent traces, and a Prometheus text-exposition writer/parser. It sits
 // below every serving package (server, tasks, simul) and allocates
-// nothing on the recording paths — an Observe is three atomic adds and a
+// nothing on the recording paths — an Observe is two atomic adds and a
 // CAS loop, a span mark is an append into a preallocated array — so the
 // warm select path and the durable vote path stay on their allocation
 // diets with instrumentation compiled in.
@@ -26,7 +26,6 @@ const NumBuckets = 64
 // ready to use, which is what lets servers embed arrays of histograms
 // without constructor plumbing.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [NumBuckets]atomic.Int64
@@ -42,7 +41,6 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
@@ -53,23 +51,22 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
 }
 
-// Snapshot returns a point-in-time copy of the counters. Buckets are
-// loaded individually, so a snapshot taken under concurrent writes is
-// approximately — not transactionally — consistent, which is the usual
+// Snapshot returns a point-in-time copy of the counters. Count is the
+// sum of the bucket loads, so the buckets always add up to Count (and a
+// Prometheus +Inf bucket always equals _count). Sum, Max and the
+// buckets are loaded individually, so under concurrent writes Sum and
+// Max may run a few samples ahead of or behind Count — the usual
 // scrape-time contract.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	s.Max = h.max.Load()
 	for i := range s.Buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }
-
-// Count returns the number of samples observed so far.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // HistSnapshot is an immutable copy of a Histogram, mergeable and
 // queryable for quantiles.

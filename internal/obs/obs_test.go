@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
@@ -305,6 +307,26 @@ func TestHistogramExamplePercentiles(t *testing.T) {
 		if v < 1024 || v > 4095 {
 			t.Fatalf("q%.2f = %d escaped the occupied buckets", q, v)
 		}
+	}
+}
+
+// TestFingerprint pins the view stamp: the hex SHA-256 of the value's
+// JSON, equal for equal states and different when any field differs.
+func TestFingerprint(t *testing.T) {
+	type view struct {
+		Tasks int      `json:"tasks"`
+		IDs   []string `json:"ids"`
+	}
+	a := Fingerprint(&view{Tasks: 2, IDs: []string{"t0", "t1"}})
+	if b := Fingerprint(view{Tasks: 2, IDs: []string{"t0", "t1"}}); a != b {
+		t.Errorf("equal states fingerprint differently: %s vs %s", a, b)
+	}
+	if c := Fingerprint(&view{Tasks: 3, IDs: []string{"t0", "t1"}}); c == a {
+		t.Error("different states share a fingerprint")
+	}
+	sum := sha256.Sum256([]byte(`{"tasks":2,"ids":["t0","t1"]}`))
+	if want := hex.EncodeToString(sum[:]); a != want {
+		t.Errorf("fingerprint = %s, want SHA-256 of the JSON %s", a, want)
 	}
 }
 

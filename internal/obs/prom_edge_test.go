@@ -27,8 +27,8 @@ func TestHistogramShardedMergeUnderLoad(t *testing.T) {
 			}
 		}(w)
 	}
-	// Mid-flight merges must stay internally sane: bucket increments
-	// trail the count increment, so bucketed mass never exceeds Count.
+	// Mid-flight merges must stay internally sane: Count is derived from
+	// the buckets, so the bucketed mass equals Count in every snapshot.
 	var rg sync.WaitGroup
 	rg.Add(1)
 	go func() {
@@ -42,8 +42,8 @@ func TestHistogramShardedMergeUnderLoad(t *testing.T) {
 			for _, c := range m.Buckets {
 				bucketed += c
 			}
-			if bucketed > m.Count {
-				t.Errorf("mid-flight merge: %d bucketed > count %d", bucketed, m.Count)
+			if bucketed != m.Count {
+				t.Errorf("mid-flight merge: %d bucketed != count %d", bucketed, m.Count)
 				return
 			}
 		}

@@ -5,14 +5,12 @@
 // that moment (cf. Cao et al., PVLDB 2012, and the serving framing of
 // Mahmud et al., arXiv:1404.2013).
 //
-// The pieces:
+// Pools live in internal/pool — the versioned directory of juror pools
+// with copy-on-write snapshots behind one atomic pointer, so selections
+// read a consistent pool without taking locks on the hot path while
+// PUT/PATCH writers publish new versions (observed votes re-estimate
+// error rates via estimate.PosteriorRate). The pieces here:
 //
-//   - poolstore.go: aliases to internal/pool — the versioned directory
-//     of juror pools with copy-on-write snapshots behind one atomic
-//     pointer, so selections read a consistent pool without taking locks
-//     on the hot path while PUT/PATCH writers publish new versions
-//     (observed votes re-estimate error rates via
-//     estimate.PosteriorRate).
 //   - server.go: the handlers (POST /v1/jer, POST /v1/select, pool CRUD
 //     under /v1/pools), bounded-queue admission with 429 load-shedding,
 //     and per-request deadlines propagated as context.
@@ -35,6 +33,7 @@ import (
 	"time"
 
 	"juryselect/internal/dataio"
+	"juryselect/internal/pool"
 )
 
 // errorResponse is the JSON body of every non-2xx response.
@@ -166,7 +165,7 @@ type PatchJurorsRequest struct {
 }
 
 // poolResponse builds the wire form of a snapshot.
-func poolResponse(p *Pool, includeJurors bool) PoolResponse {
+func poolResponse(p *pool.Pool, includeJurors bool) PoolResponse {
 	out := PoolResponse{
 		Name:      p.Name,
 		Version:   p.Version,

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"juryselect/internal/pool"
 	"juryselect/jury"
 )
 
@@ -37,7 +38,7 @@ func postSelect(h http.Handler, path string, body any) (int, []byte) {
 // the only invalidation mechanism under test: no entry is ever purged.
 func TestSelectCacheParityUnderMutation(t *testing.T) {
 	eng := jury.NewEngine(jury.BatchOptions{})
-	store := NewStore()
+	store := pool.NewStore()
 	cached := New(Config{Store: store, Engine: eng})
 	uncached := New(Config{Store: store, Engine: eng, SelectCacheEntries: -1})
 
@@ -85,8 +86,8 @@ func TestSelectCacheParityUnderMutation(t *testing.T) {
 			}
 			members := p.Jurors()
 			rate := 0.02 + 0.46*rng.Float64()
-			up := JurorUpdate{ID: members[rng.Intn(len(members))].ID, ErrorRate: &rate}
-			if _, err := store.Patch(name, []JurorUpdate{up}); err != nil {
+			up := pool.JurorUpdate{ID: members[rng.Intn(len(members))].ID, ErrorRate: &rate}
+			if _, err := store.Patch(name, []pool.JurorUpdate{up}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -125,7 +126,7 @@ func TestSelectCacheStalenessUnderRace(t *testing.T) {
 	s := New(Config{})
 	store := s.Store()
 	expected := make(map[uint64][]byte) // version -> uncached altr response bytes
-	record := func(p *Pool) {
+	record := func(p *pool.Pool) {
 		raw, err := s.computeSelectRaw(context.Background(),
 			selectPlan{req: &SelectRequest{Pool: "crowd"}, model: "altr", kind: kindAltr, pool: p})
 		if err != nil {
@@ -179,7 +180,7 @@ func TestSelectCacheStalenessUnderRace(t *testing.T) {
 	close(start)
 	for i := 0; i < patches; i++ {
 		rate := 0.05 + 0.4*float64(i%10)/10
-		p, err := store.Patch("crowd", []JurorUpdate{{ID: "j007", ErrorRate: &rate}})
+		p, err := store.Patch("crowd", []pool.JurorUpdate{{ID: "j007", ErrorRate: &rate}})
 		if err != nil {
 			t.Fatal(err)
 		}

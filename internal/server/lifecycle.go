@@ -81,19 +81,17 @@ func (s *Server) PollSLO() {
 		served += s.eps[i].requests.Load()
 		bad += s.eps[i].errors5xx.Load()
 	}
+	// commit books a 5xx before its request count, and this loop loads each
+	// request count before its 5xx count, so no 5xx is read as good: a poll
+	// between the two adds reads one good request too few. The baselines
+	// advance only by what was reported, so each good request is reported
+	// once, later if not now, and racing polls never report a negative delta.
 	good := served - bad
 	s.sloPoll.mu.Lock()
-	dGood, dBad := good-s.sloPoll.good, bad-s.sloPoll.bad
-	s.sloPoll.good, s.sloPoll.bad = good, bad
+	dGood := max(good-s.sloPoll.good, 0)
+	dBad := max(bad-s.sloPoll.bad, 0)
+	s.sloPoll.good += dGood
+	s.sloPoll.bad += dBad
 	s.sloPoll.mu.Unlock()
-	// The requests counter increments at admission and errors5xx at
-	// completion, so a poll can land between the two and momentarily
-	// undercount one side; the next poll's delta absorbs it.
-	if dGood < 0 {
-		dGood = 0
-	}
-	if dBad < 0 {
-		dBad = 0
-	}
 	s.slo.ObserveHTTP(dGood, dBad)
 }

@@ -29,7 +29,7 @@ func newLifecycleServer(t *testing.T) (*Server, *httptest.Server) {
 	}, lifecycle.DefaultBurnWindows(), nil, slog.New(slog.DiscardHandler))
 	lce.AttachSLO(slo)
 	store, err := tasks.Open(tasks.Config{
-		Dir: t.TempDir(), Sync: tasks.SyncAlways, Events: tasks.Sinks(ins, lce),
+		Dir: t.TempDir(), Sync: tasks.SyncBatch, Events: tasks.Sinks(ins, lce),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,24 +181,45 @@ func TestPollSLOCountsOnlyNonOpsTraffic(t *testing.T) {
 	}
 }
 
-// TestOpsEndpointsInstrumented pins satellite 1: the four ops routes
-// book under their own endpoint group with live latency histograms.
+// TestOpsEndpointsInstrumented pins the ops group's booking contract:
+// each route counts under its own endpoint before the client holds the
+// response, and records its latency by the time the handler returns.
 func TestOpsEndpointsInstrumented(t *testing.T) {
-	_, hs := newDurableTaskServer(t, Config{})
-	for _, path := range []string{"/healthz", "/metrics", "/metrics/prometheus", "/debug/traces"} {
-		resp, err := http.Get(hs.URL + path)
+	srv, hs := newDurableTaskServer(t, Config{})
+	for _, c := range []struct {
+		path string
+		ep   endpoint
+	}{
+		{"/healthz", epOpsHealthz},
+		{"/metrics", epOpsMetrics},
+		{"/metrics/prometheus", epOpsMetricsProm},
+		{"/debug/traces", epOpsDebugTraces},
+	} {
+		// The direct call goes first: a client request's latency may land
+		// after the client has its response, and would race the count.
+		em := &srv.eps[c.ep]
+		lat := em.lat.Snapshot().Count
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, c.path, nil))
+		if got := em.lat.Snapshot().Count; got != lat+1 {
+			t.Errorf("%s: latency count = %d after ServeHTTP returned, want %d", c.ep, got, lat+1)
+		}
+
+		before := em.requests.Load()
+		resp, err := http.Get(hs.URL + c.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
+		if got := em.requests.Load(); got != before+1 {
+			t.Errorf("%s: requests = %d after the response, want %d", c.ep, got, before+1)
+		}
 	}
 	var m struct {
 		Endpoints map[string]endpointStats `json:"endpoints"`
 	}
 	doTaskJSON(t, http.MethodGet, hs.URL+"/metrics", nil, http.StatusOK, &m)
 	for _, name := range []string{"ops_healthz", "ops_metrics", "ops_metrics_prom", "ops_debug_traces"} {
-		st := m.Endpoints[name]
-		if st.Requests == 0 || st.Latency.Count == 0 {
+		if st := m.Endpoints[name]; st.Requests < 2 || st.Latency.Count == 0 {
 			t.Errorf("endpoint %s: requests=%d latency.count=%d, want instrumented",
 				name, st.Requests, st.Latency.Count)
 		}

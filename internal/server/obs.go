@@ -87,18 +87,19 @@ type endpointMetrics struct {
 }
 
 // reqWriter wraps the ResponseWriter for one instrumented request: it
-// captures the response status and carries the request's span recorder.
+// captures the response status, books the endpoint counters when the
+// response is committed, and carries the request's span recorder.
 // Writers are pooled and every field is either reset or overwritten per
 // request, so the instrumented path allocates nothing.
 type reqWriter struct {
 	http.ResponseWriter
-	srv         *Server
-	tr          obs.Trace
-	last        time.Time // previous stage mark; spans are contiguous segments
-	ep          endpoint
-	status      int
-	wroteHeader bool
-	sampled     bool // chosen by 1-in-N sampling for the trace ring
+	srv       *Server
+	tr        obs.Trace
+	last      time.Time // previous stage mark; spans are contiguous segments
+	ep        endpoint
+	status    int
+	committed bool
+	sampled   bool // chosen by 1-in-N sampling for the trace ring
 }
 
 var reqWriterPool = sync.Pool{New: func() any {
@@ -106,16 +107,42 @@ var reqWriterPool = sync.Pool{New: func() any {
 }}
 
 func (rw *reqWriter) WriteHeader(code int) {
-	if !rw.wroteHeader {
+	if !rw.committed {
 		rw.status = code
-		rw.wroteHeader = true
+		rw.commit()
 	}
 	rw.ResponseWriter.WriteHeader(code)
 }
 
 func (rw *reqWriter) Write(b []byte) (int, error) {
-	rw.wroteHeader = true
+	if !rw.committed {
+		rw.commit()
+	}
 	return rw.ResponseWriter.Write(b)
+}
+
+// commit books the request under its endpoint — the request count and
+// its 4xx/5xx class — as the response is committed: after any
+// reclassification (setEndpoint) and before the client can read a byte
+// of the response, so a client never misses its own finished request in
+// a later scrape, and a count never moves between endpoints. The class
+// is booked before the request count; PollSLO relies on that order.
+func (rw *reqWriter) commit() {
+	rw.committed = true
+	s := rw.srv
+	em := &s.eps[rw.ep]
+	switch {
+	case rw.status >= 500:
+		em.errors5xx.Add(1)
+		s.m.errors.Add(1)
+	case rw.status == http.StatusTooManyRequests:
+		// Shed is its own counter, incremented where the shed decision is
+		// made (admit); counting it again here as a client error would
+		// repeat the double-count this split removes.
+	case rw.status >= 400:
+		em.errors4xx.Add(1)
+	}
+	em.requests.Add(1)
 }
 
 // instrument wraps a handler with the request counter, the per-endpoint
@@ -129,7 +156,7 @@ func (s *Server) instrument(ep endpoint, h http.HandlerFunc) http.HandlerFunc {
 		rw.srv = s
 		rw.ep = ep
 		rw.status = http.StatusOK
-		rw.wroteHeader = false
+		rw.committed = false
 		rw.tr.Reset()
 		now := time.Now()
 		rw.tr.Start = now
@@ -143,25 +170,17 @@ func (s *Server) instrument(ep endpoint, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// finish folds the completed request into the metrics and, when sampled
-// or slow, into the trace ring.
+// finish runs when the handler returns: it books a request that never
+// wrote (an implicit empty 200), records the latency, and folds the
+// request into the stage histograms and, when sampled or slow, into the
+// trace ring.
 func (rw *reqWriter) finish() {
+	if !rw.committed {
+		rw.commit()
+	}
 	s := rw.srv
 	durNS := time.Since(rw.tr.Start).Nanoseconds()
-	em := &s.eps[rw.ep]
-	em.requests.Add(1)
-	em.lat.Observe(durNS)
-	switch {
-	case rw.status >= 500:
-		em.errors5xx.Add(1)
-		s.m.errors.Add(1)
-	case rw.status == http.StatusTooManyRequests:
-		// Shed is its own counter, incremented where the shed decision is
-		// made (admit); counting it again here as a client error would
-		// repeat the double-count this split removes.
-	case rw.status >= 400:
-		em.errors4xx.Add(1)
-	}
+	s.eps[rw.ep].lat.Observe(durNS)
 	for _, sp := range rw.tr.Spans {
 		s.stages[sp.Stage].Observe(sp.DurNS)
 	}
@@ -198,9 +217,10 @@ func mark(w http.ResponseWriter, st obs.Stage) {
 }
 
 // setEndpoint reclassifies the request mid-flight — a select that hit
-// the response cache books under select_warm, not select_miss.
+// the response cache books under select_warm, not select_miss. Once the
+// response is committed the request is booked and keeps its endpoint.
 func setEndpoint(w http.ResponseWriter, ep endpoint) {
-	if rw, ok := w.(*reqWriter); ok {
+	if rw, ok := w.(*reqWriter); ok && !rw.committed {
 		rw.ep = ep
 	}
 }

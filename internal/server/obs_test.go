@@ -23,7 +23,7 @@ func newDurableTaskServer(t *testing.T, cfg Config) (*Server, *httptest.Server) 
 		cfg.Insight = insight.New(0)
 	}
 	store, err := tasks.Open(tasks.Config{
-		Dir: t.TempDir(), Sync: tasks.SyncAlways, Events: cfg.Insight,
+		Dir: t.TempDir(), Sync: tasks.SyncBatch, Events: cfg.Insight,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestEndpointLatencyHistograms(t *testing.T) {
 			t.Errorf("endpoint %s: quantiles out of order: %+v", ep, st.Latency)
 		}
 	}
-	// The vote went through a SyncAlways WAL, so the store stage (and the
+	// The vote went through a SyncBatch WAL, so the store stage (and the
 	// always-on decode/encode/engine stages) must have samples.
 	for _, stage := range []string{"decode", "engine", "store", "encode", "cache_probe"} {
 		if m.Stages[stage].Count == 0 {

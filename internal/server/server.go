@@ -19,6 +19,7 @@ import (
 	"juryselect/internal/lifecycle"
 	"juryselect/internal/obs"
 	"juryselect/internal/pbdist"
+	"juryselect/internal/pool"
 	"juryselect/internal/tasks"
 	"juryselect/jury"
 )
@@ -48,7 +49,7 @@ type Config struct {
 	// Store is the pool store; nil constructs an empty one. When Tasks
 	// is set this must be the task store's pool store (or nil, which
 	// adopts it automatically).
-	Store *Store
+	Store *pool.Store
 	// Tasks is the durable decision-task store. When set, the /v1/tasks
 	// endpoints are served and every pool mutation is journaled through
 	// it, so a restarted juryd replays pools and tasks together.
@@ -119,7 +120,7 @@ type Config struct {
 // all methods are safe for concurrent use.
 type Server struct {
 	eng       *jury.Engine
-	store     *Store
+	store     *pool.Store
 	tasks     *tasks.Store
 	insight   *insight.Engine
 	lifecycle *lifecycle.Engine
@@ -150,8 +151,8 @@ type Server struct {
 	slowNS     int64
 	logger     *slog.Logger
 
-	// sloPoll holds the cumulative totals the last http_5xx SLI poll ran
-	// against, so PollSLO feeds only the delta since the previous call.
+	// sloPoll holds the cumulative good and bad totals PollSLO has
+	// reported to the http_5xx SLI, so each call feeds only the delta.
 	sloPoll struct {
 		mu        sync.Mutex
 		good, bad int64
@@ -190,7 +191,7 @@ func New(cfg Config) *Server {
 		s.eng = jury.NewEngine(jury.BatchOptions{})
 	}
 	if s.store == nil {
-		s.store = NewStore()
+		s.store = pool.NewStore()
 	}
 	if s.maxInflight <= 0 {
 		s.maxInflight = runtime.GOMAXPROCS(0)
@@ -257,7 +258,7 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Store returns the server's pool store, e.g. for initial pool loading.
-func (s *Server) Store() *Store { return s.store }
+func (s *Server) Store() *pool.Store { return s.store }
 
 // Engine returns the server's shared JER engine.
 func (s *Server) Engine() *jury.Engine { return s.eng }
@@ -399,9 +400,9 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		status = he.status
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = http.StatusServiceUnavailable
-	case errors.Is(err, ErrPoolNotFound):
+	case errors.Is(err, pool.ErrPoolNotFound):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrUnknownJuror), errors.Is(err, ErrNoUpdates),
+	case errors.Is(err, pool.ErrUnknownJuror), errors.Is(err, pool.ErrNoUpdates),
 		errors.Is(err, jury.ErrNoCandidates), errors.Is(err, jury.ErrEmptyJury),
 		errors.Is(err, pbdist.ErrRateOutOfRange):
 		status = http.StatusBadRequest
@@ -465,7 +466,7 @@ type selectPlan struct {
 	req   *SelectRequest
 	model string
 	kind  selectKind
-	pool  *Pool        // nil for inline candidates
+	pool  *pool.Pool   // nil for inline candidates
 	cands []jury.Juror // inline candidates, validated; nil when pool is set
 }
 
@@ -483,11 +484,11 @@ func (s *Server) parseSelect(req *SelectRequest) (selectPlan, error) {
 	case req.Pool != "" && req.Candidates != nil:
 		return p, badRequest("pool and candidates are mutually exclusive")
 	case req.Pool != "":
-		pool, ok := s.store.Get(req.Pool)
+		snap, ok := s.store.Get(req.Pool)
 		if !ok {
-			return p, fmt.Errorf("%w: %q", ErrPoolNotFound, req.Pool)
+			return p, fmt.Errorf("%w: %q", pool.ErrPoolNotFound, req.Pool)
 		}
-		p.pool = pool
+		p.pool = snap
 	case len(req.Candidates) > 0:
 		p.cands = make([]jury.Juror, len(req.Candidates))
 		for i, c := range req.Candidates {
@@ -710,7 +711,7 @@ func (s *Server) handlePoolGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	p, ok := s.store.Get(name)
 	if !ok {
-		s.fail(w, fmt.Errorf("%w: %q", ErrPoolNotFound, name))
+		s.fail(w, fmt.Errorf("%w: %q", pool.ErrPoolNotFound, name))
 		return
 	}
 	writeJSON(w, http.StatusOK, poolResponse(p, true))
@@ -748,16 +749,16 @@ func (s *Server) handlePoolPatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	ups := make([]JurorUpdate, len(req.Updates))
+	ups := make([]pool.JurorUpdate, len(req.Updates))
 	for i, u := range req.Updates {
-		ups[i] = JurorUpdate{ID: u.ID, ErrorRate: u.ErrorRate, Cost: u.Cost, Remove: u.Remove}
+		ups[i] = pool.JurorUpdate{ID: u.ID, ErrorRate: u.ErrorRate, Cost: u.Cost, Remove: u.Remove}
 		if u.Votes != nil {
-			ups[i].Votes = &VoteObservation{Wrong: u.Votes.Wrong, Total: u.Votes.Total}
+			ups[i].Votes = &pool.VoteObservation{Wrong: u.Votes.Wrong, Total: u.Votes.Total}
 		}
 	}
 	p, err := s.patchPool(name, ups)
 	if err != nil {
-		if errors.Is(err, ErrPoolNotFound) {
+		if errors.Is(err, pool.ErrPoolNotFound) {
 			s.fail(w, err)
 		} else {
 			s.fail(w, badRequest("%v", err))
@@ -778,7 +779,7 @@ func (s *Server) handlePoolDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !existed {
-		s.fail(w, fmt.Errorf("%w: %q", ErrPoolNotFound, name))
+		s.fail(w, fmt.Errorf("%w: %q", pool.ErrPoolNotFound, name))
 		return
 	}
 	mark(w, obs.StageStore)
@@ -790,14 +791,14 @@ func (s *Server) handlePoolDelete(w http.ResponseWriter, r *http.Request) {
 // task store's write-ahead log when one is configured — the durability
 // contract: every mutation a restarted juryd must replay goes through
 // one journal — and straight to the in-memory store otherwise.
-func (s *Server) putPool(name string, jurors []jury.Juror) (*Pool, error) {
+func (s *Server) putPool(name string, jurors []jury.Juror) (*pool.Pool, error) {
 	if s.tasks != nil {
 		return s.tasks.PutPool(name, jurors)
 	}
 	return s.store.Put(name, jurors)
 }
 
-func (s *Server) patchPool(name string, ups []JurorUpdate) (*Pool, error) {
+func (s *Server) patchPool(name string, ups []pool.JurorUpdate) (*pool.Pool, error) {
 	if s.tasks != nil {
 		return s.tasks.PatchPool(name, ups)
 	}

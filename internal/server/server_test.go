@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -14,6 +15,22 @@ import (
 	"juryselect/internal/dataio"
 	"juryselect/jury"
 )
+
+// testJurors returns n jurors with distinct IDs, ε spread over
+// [0.05, 0.95) and costs cycling over seven levels.
+func testJurors(n int) []jury.Juror {
+	out := make([]jury.Juror, n)
+	for i := range out {
+		out[i] = jury.Juror{
+			ID:        fmt.Sprintf("j%03d", i),
+			ErrorRate: 0.05 + 0.9*float64(i)/float64(n),
+			Cost:      0.1 + float64(i%7)*0.05,
+		}
+	}
+	return out
+}
+
+func f64(v float64) *float64 { return &v }
 
 // newTestServer starts an httptest server over a fresh Server with the
 // given config and returns both.

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 
-	"juryselect/internal/server"
+	"juryselect/internal/pool"
 	"juryselect/internal/tasks"
 	"juryselect/jury"
 )
@@ -124,7 +124,7 @@ type backend interface {
 	// PutPool publishes the full juror set as the named pool.
 	PutPool(ctx context.Context, name string, jurors []jury.Juror) error
 	// Patch applies incremental updates (rate resets, churn, votes).
-	Patch(ctx context.Context, name string, ups []server.JurorUpdate) error
+	Patch(ctx context.Context, name string, ups []pool.JurorUpdate) error
 	// Select picks the minimum-JER jury from the named pool under the
 	// scenario's strategy. Returns errStepShed when admission control
 	// rejected the request past the retry budget.
@@ -156,7 +156,7 @@ type backend interface {
 // the very store methods the /v1/tasks handlers call, so a scenario
 // replayed over HTTP walks an identical trajectory.
 type localBackend struct {
-	store *server.Store
+	store *pool.Store
 	tasks *tasks.Store
 	eng   *jury.Engine
 }
@@ -181,7 +181,7 @@ func (lb *localBackend) PutPool(_ context.Context, name string, jurors []jury.Ju
 	return err
 }
 
-func (lb *localBackend) Patch(_ context.Context, name string, ups []server.JurorUpdate) error {
+func (lb *localBackend) Patch(_ context.Context, name string, ups []pool.JurorUpdate) error {
 	_, err := lb.tasks.PatchPool(name, ups)
 	return err
 }

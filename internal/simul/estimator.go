@@ -6,7 +6,7 @@ import (
 
 	"juryselect/internal/estimate"
 	"juryselect/internal/learn"
-	"juryselect/internal/server"
+	"juryselect/internal/pool"
 	"juryselect/jury"
 )
 
@@ -65,30 +65,30 @@ func (e *estimator) rateOf(id string) (float64, error) {
 // driftUpdates republishes rates after a ground-truth move. Only the
 // oracle policy sees drift directly; the others discover it through
 // votes.
-func (e *estimator) driftUpdates(w *world) []server.JurorUpdate {
+func (e *estimator) driftUpdates(w *world) []pool.JurorUpdate {
 	if e.sc.Estimator != EstimatorOracle {
 		return nil
 	}
-	ups := make([]server.JurorUpdate, 0, len(w.jurors))
+	ups := make([]pool.JurorUpdate, 0, len(w.jurors))
 	for _, j := range w.jurors {
 		rate := j.TrueRate
 		e.est[j.ID] = &estEntry{Rate: rate}
-		ups = append(ups, server.JurorUpdate{ID: j.ID, ErrorRate: &rate})
+		ups = append(ups, pool.JurorUpdate{ID: j.ID, ErrorRate: &rate})
 	}
 	return ups
 }
 
 // churnUpdates maps world churn onto pool updates: leavers are removed,
 // joiners inserted with the policy's initial estimate.
-func (e *estimator) churnUpdates(events []churnEvent) []server.JurorUpdate {
-	var ups []server.JurorUpdate
+func (e *estimator) churnUpdates(events []churnEvent) []pool.JurorUpdate {
+	var ups []pool.JurorUpdate
 	for _, ev := range events {
 		delete(e.est, ev.Left)
-		ups = append(ups, server.JurorUpdate{ID: ev.Left, Remove: true})
+		ups = append(ups, pool.JurorUpdate{ID: ev.Left, Remove: true})
 		rate := e.sc.initialEstimate(ev.Joined)
 		cost := ev.Joined.Cost
 		e.est[ev.Joined.ID] = &estEntry{Rate: rate}
-		ups = append(ups, server.JurorUpdate{ID: ev.Joined.ID, ErrorRate: &rate, Cost: &cost})
+		ups = append(ups, pool.JurorUpdate{ID: ev.Joined.ID, ErrorRate: &rate, Cost: &cost})
 	}
 	return ups
 }
@@ -97,13 +97,13 @@ func (e *estimator) churnUpdates(events []churnEvent) []server.JurorUpdate {
 // returns the pool updates publishing the new belief. ids and votes are
 // the responders and their votes; truth is the question's resolved
 // answer.
-func (e *estimator) observeVotes(step int, truth bool, ids []string, votes []bool, w *world) ([]server.JurorUpdate, error) {
+func (e *estimator) observeVotes(step int, truth bool, ids []string, votes []bool, w *world) ([]pool.JurorUpdate, error) {
 	switch e.sc.Estimator {
 	case EstimatorOracle:
 		return nil, nil
 
 	case EstimatorPosterior:
-		ups := make([]server.JurorUpdate, 0, len(ids))
+		ups := make([]pool.JurorUpdate, 0, len(ids))
 		for i, id := range ids {
 			en, ok := e.est[id]
 			if !ok {
@@ -123,9 +123,9 @@ func (e *estimator) observeVotes(step int, truth bool, ids []string, votes []boo
 			en.Rate = rate
 			en.Wrong += wrong
 			en.Total++
-			ups = append(ups, server.JurorUpdate{
+			ups = append(ups, pool.JurorUpdate{
 				ID:    id,
-				Votes: &server.VoteObservation{Wrong: wrong, Total: 1},
+				Votes: &pool.VoteObservation{Wrong: wrong, Total: 1},
 			})
 		}
 		return ups, nil
@@ -150,7 +150,7 @@ func (e *estimator) observeVotes(step int, truth bool, ids []string, votes []boo
 // Dawid–Skene EM over the accumulated history and publishes the result
 // as fresh priors (an ErrorRate set resets the pool's vote record, which
 // matches the semantics: EM re-reads the whole history each refresh).
-func (e *estimator) refreshEM(w *world) ([]server.JurorUpdate, error) {
+func (e *estimator) refreshEM(w *world) ([]pool.JurorUpdate, error) {
 	if len(e.records) == 0 {
 		return nil, nil
 	}
@@ -191,14 +191,14 @@ func (e *estimator) refreshEM(w *world) ([]server.JurorUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ups []server.JurorUpdate
+	var ups []pool.JurorUpdate
 	for i, j := range w.jurors {
 		if answered[i] == 0 {
 			continue // never observed: keep the current estimate
 		}
 		rate := res.ErrorRates[i]
 		e.est[j.ID] = &estEntry{Rate: rate}
-		ups = append(ups, server.JurorUpdate{ID: j.ID, ErrorRate: &rate})
+		ups = append(ups, pool.JurorUpdate{ID: j.ID, ErrorRate: &rate})
 	}
 	return ups, nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"juryselect/internal/dataio"
+	"juryselect/internal/pool"
 	"juryselect/internal/server"
 	"juryselect/jury"
 )
@@ -127,7 +128,7 @@ func (hb *httpBackend) PutPool(ctx context.Context, name string, jurors []jury.J
 	return err
 }
 
-func (hb *httpBackend) Patch(ctx context.Context, name string, ups []server.JurorUpdate) error {
+func (hb *httpBackend) Patch(ctx context.Context, name string, ups []pool.JurorUpdate) error {
 	req := server.PatchJurorsRequest{Updates: make([]server.JurorUpdateJSON, len(ups))}
 	for i, u := range ups {
 		req.Updates[i] = server.JurorUpdateJSON{ID: u.ID, ErrorRate: u.ErrorRate, Cost: u.Cost, Remove: u.Remove}

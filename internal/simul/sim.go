@@ -7,7 +7,7 @@ import (
 
 	"juryselect/internal/core"
 	"juryselect/internal/obs"
-	"juryselect/internal/server"
+	"juryselect/internal/pool"
 	"juryselect/jury"
 )
 
@@ -53,7 +53,7 @@ func runReplication(ctx context.Context, sc Scenario, rep int, be backend, eng *
 
 		// 1. Ground truth evolves; the estimator publishes what its
 		// policy is allowed to see.
-		var ups []server.JurorUpdate
+		var ups []pool.JurorUpdate
 		if w.applyDrift(step) {
 			ups = est.driftUpdates(w)
 		}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 
 	"juryselect/internal/obs"
-	"juryselect/internal/server"
+	"juryselect/internal/pool"
 	"juryselect/jury"
 )
 
@@ -54,7 +54,7 @@ func runTaskReplication(ctx context.Context, sc Scenario, rep int, be backend, e
 
 		// 1. Ground truth evolves; the estimator publishes what its
 		// policy is allowed to see.
-		var pups []server.JurorUpdate
+		var pups []pool.JurorUpdate
 		if w.applyDrift(step) {
 			pups = est.driftUpdates(w)
 		}

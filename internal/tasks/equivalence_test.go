@@ -11,15 +11,15 @@ import (
 
 // TestShardedStoreEquivalence is the sharding property test: a
 // randomized concurrent create/vote/decline workload against the
-// sharded store must be trace-equivalent to the PR 5 global-lock
-// configuration. Concretely, after the workload:
+// sharded store must be trace-equivalent to a single-shard (global
+// lock) store. Concretely, after the workload:
 //
 //   - per-task operation order and early-stop skip semantics are exactly
 //     what the live store responded with (votes raced past a verdict were
 //     rejected, not silently dropped), and
-//   - recovering the WAL under ANY shard count — 1 shard behaves as the
-//     old single-mutex store, timer-driven commit included — rebuilds a
-//     byte-identical fingerprint.
+//   - recovering the WAL under ANY shard count — 1 shard serializes
+//     every mutation on one mutex — rebuilds a byte-identical
+//     fingerprint.
 //
 // Runs in the -race matrix for internal/tasks, so it also serves as the
 // data-race probe for the lock-free read paths.
@@ -31,8 +31,8 @@ func TestShardedStoreEquivalence(t *testing.T) {
 		declineEveryN = 3
 	)
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Sync: SyncBatch, BatchInterval: 200 * time.Microsecond,
-		Shards: 8, DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour})
+	s, err := Open(Config{Dir: dir, Sync: SyncBatch, Shards: 8,
+		DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestShardedStoreEquivalence(t *testing.T) {
 		name string
 		conf Config
 	}{
-		{"global-lock", Config{Dir: dir, Shards: 1, TimerCommit: true, Sync: SyncBatch,
+		{"global-lock", Config{Dir: dir, Shards: 1, Sync: SyncBatch,
 			DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour}},
 		{"sharded-default", Config{Dir: dir, Sync: SyncBatch,
 			DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour}},

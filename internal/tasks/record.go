@@ -2,7 +2,7 @@ package tasks
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -36,33 +36,30 @@ type recJuror struct {
 
 // record is one WAL entry; Type discriminates.
 type record struct {
-	Type string    `json:"t"`
-	At   time.Time `json:"at,omitzero"`
+	Type string
+	At   time.Time
 
 	// Pool mutations.
-	Pool    string             `json:"pool,omitempty"`
-	Jurors  []pool.JurorState  `json:"jurors,omitempty"`
-	Updates []pool.JurorUpdate `json:"updates,omitempty"`
+	Pool    string
+	Jurors  []pool.JurorState
+	Updates []pool.JurorUpdate
 
 	// Task mutations.
-	Task         string     `json:"task,omitempty"`
-	Seq          uint64     `json:"seq,omitempty"`
-	Spec         *Spec      `json:"spec,omitempty"`
-	Jury         []recJuror `json:"jury,omitempty"`
-	PoolVersion  uint64     `json:"pool_version,omitempty"`
-	PredictedJER float64    `json:"predicted_jer,omitempty"`
-	Juror        string     `json:"juror,omitempty"`
-	Vote         *bool      `json:"vote,omitempty"`
-	Timeout      bool       `json:"timeout,omitempty"`
+	Task         string
+	Seq          uint64
+	Spec         *Spec
+	Jury         []recJuror
+	PoolVersion  uint64
+	PredictedJER float64
+	Juror        string
+	Vote         *bool
+	Timeout      bool
 }
 
-// Binary record encoding (v2). PR 5 journaled records as JSON
-// (json.Marshal per mutation — the dominant allocation cost of the
-// write path); v2 is a hand-rolled append-style encoding on pooled
-// buffers that allocates nothing on the vote hot path. The first
-// payload byte discriminates the two framings: JSON records always
-// start with '{' (0x7B), binary records with a type tag < 0x20, so an
-// old log replays through the same decodeRecord unchanged.
+// Binary record encoding (v2): a hand-rolled append-style encoding on
+// pooled buffers that allocates nothing on the vote hot path. The first
+// byte is a type tag < 0x20; a payload starting with '{' (0x7B) is a
+// pre-v2 JSON record, which replay refuses with ErrPreV2WAL.
 //
 //	record  := tag:u8  fields…
 //	time    := sec:varint  nsec:uvarint  zoneOffsetSec:varint
@@ -267,8 +264,7 @@ func sharedBool(v bool) *bool {
 }
 
 // recReader walks a binary record payload. Errors are sticky; callers
-// check once at the end. tab, when set, interns decoded strings and
-// zones.
+// check once at the end. tab interns decoded strings and zones.
 type recReader struct {
 	buf []byte
 	pos int
@@ -319,10 +315,7 @@ func (r *recReader) str() string {
 	}
 	b := r.buf[r.pos : r.pos+int(n)]
 	r.pos += int(n)
-	if r.tab != nil {
-		return r.tab.str(b)
-	}
-	return string(b)
+	return r.tab.str(b)
 }
 
 func (r *recReader) f64() float64 {
@@ -362,44 +355,24 @@ func (r *recReader) time() time.Time {
 	if offset == 0 {
 		return t.UTC()
 	}
-	if r.tab != nil {
-		return t.In(r.tab.fixedZone(offset))
-	}
-	return t.In(time.FixedZone("", int(offset)))
+	return t.In(r.tab.fixedZone(offset))
 }
 
-// decodeRecord decodes one WAL payload, accepting both framings: the
-// binary v2 encoding and the PR 5 JSON records (old logs replay
-// unchanged after an upgrade).
-func decodeRecord(payload []byte) (record, error) {
+// ErrPreV2WAL reports a WAL record in the pre-v2 JSON framing. Replay
+// does not decode it: Open fails, naming the log file, instead of
+// guessing.
+var ErrPreV2WAL = errors.New("tasks: wal record in the pre-v2 JSON framing, which this version does not replay")
+
+// decodeRecord decodes one binary v2 WAL payload. tab interns the
+// strings and zones replay decodes over and over, so repeated IDs come
+// back as shared values instead of fresh allocations.
+func decodeRecord(payload []byte, tab *internTable) (record, error) {
 	if len(payload) == 0 {
 		return record{}, fmt.Errorf("tasks: empty wal record")
 	}
 	if payload[0] == '{' {
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return rec, fmt.Errorf("tasks: decoding wal record: %w", err)
-		}
-		if rec.Type == "" {
-			return rec, fmt.Errorf("tasks: wal record missing type")
-		}
-		return rec, nil
+		return record{}, ErrPreV2WAL
 	}
-	return decodeBinaryRecord(payload, nil)
-}
-
-// decodeRecordInterned is decodeRecord with an intern table for the
-// replay path: repeated IDs and zones come back as shared values
-// instead of fresh allocations. The legacy JSON framing ignores the
-// table (encoding/json allocates its own strings).
-func decodeRecordInterned(payload []byte, tab *internTable) (record, error) {
-	if len(payload) > 0 && payload[0] != '{' {
-		return decodeBinaryRecord(payload, tab)
-	}
-	return decodeRecord(payload)
-}
-
-func decodeBinaryRecord(payload []byte, tab *internTable) (record, error) {
 	r := recReader{buf: payload, pos: 1, tab: tab}
 	var rec record
 	switch payload[0] {

@@ -1,10 +1,12 @@
 package tasks
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
-	"reflect"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,15 +51,16 @@ func codecRecords() []record {
 // for every record shape: decode(encode(r)) == r, including exact
 // float bits and timestamps that re-marshal byte-identically.
 func TestRecordBinaryRoundTrip(t *testing.T) {
+	tab := newInternTable()
 	for _, rec := range codecRecords() {
 		raw, err := encodeRecord(nil, &rec)
 		if err != nil {
 			t.Fatalf("encode %s: %v", rec.Type, err)
 		}
 		if raw[0] == '{' {
-			t.Fatalf("%s: binary encoding starts with '{' — collides with the JSON framing", rec.Type)
+			t.Fatalf("%s: binary encoding starts with '{' — reads as the pre-v2 JSON framing", rec.Type)
 		}
-		got, err := decodeRecord(raw)
+		got, err := decodeRecord(raw, tab)
 		if err != nil {
 			t.Fatalf("decode %s: %v", rec.Type, err)
 		}
@@ -73,35 +76,26 @@ func TestRecordBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordDecodeJSONCompat checks that PR 5 logs — JSON-framed
-// records — still decode: an upgraded binary can replay a WAL written
-// before the v2 encoding existed.
-func TestRecordDecodeJSONCompat(t *testing.T) {
-	for _, rec := range codecRecords() {
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := decodeRecord(raw)
-		if err != nil {
-			t.Fatalf("decode legacy %s: %v", rec.Type, err)
-		}
-		if got.Type != rec.Type || got.Task != rec.Task || got.Pool != rec.Pool {
-			t.Errorf("legacy %s: decoded %+v", rec.Type, got)
-		}
+// TestRecordDecodeRejectsJSONFraming: a payload in the pre-v2 JSON
+// framing decodes to ErrPreV2WAL, never to a record.
+func TestRecordDecodeRejectsJSONFraming(t *testing.T) {
+	_, err := decodeRecord([]byte(`{"t":"vote","task":"t00000000","juror":"a","vote":true}`), newInternTable())
+	if !errors.Is(err, ErrPreV2WAL) {
+		t.Fatalf("decoding a JSON-framed record = %v, want ErrPreV2WAL", err)
 	}
 }
 
 // TestRecordDecodeTruncated checks that every truncation of a binary
 // record fails loudly instead of yielding a partial record.
 func TestRecordDecodeTruncated(t *testing.T) {
+	tab := newInternTable()
 	for _, rec := range codecRecords() {
 		raw, err := encodeRecord(nil, &rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 1; cut < len(raw); cut++ {
-			if _, err := decodeRecord(raw[:cut]); err == nil {
+			if _, err := decodeRecord(raw[:cut], tab); err == nil {
 				t.Fatalf("%s: decoding %d/%d bytes succeeded", rec.Type, cut, len(raw))
 			}
 		}
@@ -124,78 +118,60 @@ func TestRecordEncodeAllocFree(t *testing.T) {
 	}
 }
 
-// TestReplayLegacyJSONLog writes a WAL of JSON-framed records through
-// the raw WAL layer (as PR 5 did) and recovers a store from it: the
-// upgrade path for logs on disk at deploy time.
-func TestReplayLegacyJSONLog(t *testing.T) {
-	dir := t.TempDir()
-	clock := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
-	legacy := []record{
-		{Type: recPoolPut, At: clock, Pool: "p", Jurors: []pool.JurorState{
-			{ID: "a", ErrorRate: 0.1}, {ID: "b", ErrorRate: 0.2}, {ID: "c", ErrorRate: 0.3}}},
-		{Type: recTaskCreate, At: clock, Seq: 0, PoolVersion: 1, PredictedJER: 0.058,
-			Spec: &Spec{Pool: "p", Strategy: StrategyAltr, TargetConfidence: 1,
-				MaxInvites: 6, JurorTimeout: time.Minute, ExpiresIn: time.Hour},
-			Jury: []recJuror{{ID: "a", ErrorRate: 0.1}, {ID: "b", ErrorRate: 0.2}, {ID: "c", ErrorRate: 0.3}}},
-		{Type: recVote, At: clock.Add(time.Second), Task: "t00000000", Juror: "a", Vote: boolp(true)},
-		{Type: recDecline, At: clock.Add(2 * time.Second), Task: "t00000000", Juror: "b", Timeout: true},
-	}
-	w, _, err := OpenWAL(walFile(dir, 0), WALOptions{Sync: SyncOff})
+// TestOpenRefusesJSONFramedWAL writes a log holding a pre-v2 JSON
+// record — alone, and after intact binary records — and requires Open
+// to fail with ErrPreV2WAL naming the file, leaving the log untouched.
+func TestOpenRefusesJSONFramedWAL(t *testing.T) {
+	legacy := []byte(`{"t":"pool_put","at":"2026-07-01T12:00:00Z","pool":"p","jurors":[{"id":"a","error_rate":0.1}]}`)
+	put := record{Type: recPoolPut, At: time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC), Pool: "p",
+		Jurors: []pool.JurorState{{ID: "a", ErrorRate: 0.1}, {ID: "b", ErrorRate: 0.2}}}
+	binary, err := encodeRecord(nil, &put)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range legacy {
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for name, payloads := range map[string][][]byte{
+		"json-only":        {legacy},
+		"binary-then-json": {binary, legacy},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := walFile(dir, 0)
+			w, _, err := OpenWAL(path, WALOptions{Sync: SyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range payloads {
+				if err := w.Append(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	s, err := Open(Config{Dir: dir, Sync: SyncOff})
-	if err != nil {
-		t.Fatalf("recovering legacy log: %v", err)
-	}
-	defer s.Close() //nolint:errcheck
-	if s.Recovery().Records != int64(len(legacy)) {
-		t.Fatalf("replayed %d records, want %d", s.Recovery().Records, len(legacy))
-	}
-	v, err := s.Get("t00000000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.VotesSpent != 1 || v.Declines != 1 {
-		t.Fatalf("recovered view: votes %d declines %d", v.VotesSpent, v.Declines)
-	}
-	// New mutations on the recovered store journal in the binary
-	// framing; a second recovery replays the mixed log.
-	if _, err := s.Vote(context.Background(), "t00000000", "c", true); err != nil {
-		t.Fatal(err)
-	}
-	before := v
-	_ = before
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(Config{Dir: dir, Sync: SyncOff})
-	if err != nil {
-		t.Fatalf("recovering mixed log: %v", err)
-	}
-	defer s2.Close() //nolint:errcheck
-	v2, err := s2.Get("t00000000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.VotesSpent != 2 {
-		t.Fatalf("mixed-log recovery: votes %d, want 2", v2.VotesSpent)
-	}
-	if !reflect.DeepEqual(fingerprintViews(s.List("")), fingerprintViews(s2.List(""))) {
-		t.Fatal("mixed-log recovery diverged from the live store")
+			s, err := Open(Config{Dir: dir, Sync: SyncOff})
+			if err == nil {
+				s.Close() //nolint:errcheck
+				t.Fatal("Open replayed a JSON-framed log")
+			}
+			if !errors.Is(err, ErrPreV2WAL) {
+				t.Fatalf("Open = %v, want ErrPreV2WAL", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "pre-v2") {
+				t.Errorf("error %q does not name the file and the pre-v2 format", msg)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Error("refused log was modified")
+			}
+		})
 	}
 }
 

@@ -328,7 +328,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	for _, mode := range []SyncMode{SyncOff, SyncBatch} {
 		b.Run(string(mode), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "wal.log")
-			w, _, err := OpenWAL(path, WALOptions{Sync: mode, BatchInterval: 500 * time.Microsecond})
+			w, _, err := OpenWAL(path, WALOptions{Sync: mode})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func (s *Store) replayRecords(records []walRecord) error {
 	if len(records) < replayPipelineMin {
 		tab := newInternTable()
 		for i := range records {
-			rec, err := decodeRecordInterned(records[i].payload, tab)
+			rec, err := decodeRecord(records[i].payload, tab)
 			if err != nil {
 				return err
 			}
@@ -77,7 +77,7 @@ func (s *Store) replayRecords(records []walRecord) error {
 				recs := (*sp)[:0]
 				var cerr error
 				for _, r := range records[lo:hi] {
-					rec, err := decodeRecordInterned(r.payload, tab)
+					rec, err := decodeRecord(r.payload, tab)
 					if err != nil {
 						cerr = err
 						break

@@ -190,12 +190,7 @@ func (s *Store) compactLocked() error {
 	// that moment on. Opening first keeps the failure cases safe: an
 	// open error leaves the old (snapshot, full log) pair untouched,
 	// and after a successful rename only in-memory pointer swaps remain.
-	next, stale, err := OpenWAL(walFile(s.dir, snap.Epoch), WALOptions{
-		Sync:          wal.mode,
-		BatchInterval: wal.interval,
-		TimerCommit:   wal.timerOnly,
-		FsyncObserver: wal.fsyncObs,
-	})
+	next, stale, err := OpenWAL(walFile(s.dir, snap.Epoch), WALOptions{Sync: wal.mode, FsyncObserver: wal.fsyncObs})
 	if err != nil {
 		return fmt.Errorf("tasks: opening wal epoch %d: %w", snap.Epoch, err)
 	}

@@ -47,12 +47,6 @@ type Config struct {
 	Dir string
 	// Sync is the WAL durability mode (default SyncBatch).
 	Sync SyncMode
-	// BatchInterval is the SyncBatch group-commit window.
-	BatchInterval time.Duration
-	// TimerCommit restores the legacy timer-driven group commit (fsync
-	// once per BatchInterval) instead of the default pipelined
-	// committer. Baseline benchmarking only.
-	TimerCommit bool
 	// Shards is the task-store shard count (0 = DefaultTaskShards;
 	// rounded up to a power of two). 1 degenerates to a global lock.
 	Shards int
@@ -351,19 +345,15 @@ func Open(cfg Config) (*Store, error) {
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	wal, records, err := OpenWAL(walFile(s.dir, s.epoch), WALOptions{
-		Sync:          cfg.Sync,
-		BatchInterval: cfg.BatchInterval,
-		TimerCommit:   cfg.TimerCommit,
-		FsyncObserver: cfg.FsyncObserver,
-	})
+	walPath := walFile(s.dir, s.epoch)
+	wal, records, err := OpenWAL(walPath, WALOptions{Sync: cfg.Sync, FsyncObserver: cfg.FsyncObserver})
 	if err != nil {
 		return nil, err
 	}
 	s.wal.Store(wal)
 	if err := s.replayRecords(records); err != nil {
 		wal.Close() //nolint:errcheck
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", walPath, err)
 	}
 	s.publishAll()
 	s.sinceCompact.Store(int64(len(records)))
@@ -775,13 +765,18 @@ func (s *Store) applyCreate(sh *shard, rec *record, candidates []jury.Juror) *ta
 	return t
 }
 
-// Get returns the task's current view: two atomic loads, no locks.
+// Get returns the task's current view: two atomic loads, no locks. A
+// task whose Create has not yet published its first view reads as not
+// found, like a task not yet inserted.
 func (s *Store) Get(id string) (View, error) {
-	t := s.lookup(id)
-	if t == nil {
+	var v *View
+	if t := s.lookup(id); t != nil {
+		v = t.snap.Load()
+	}
+	if v == nil {
 		return View{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
 	}
-	return *t.snap.Load(), nil
+	return *v, nil
 }
 
 // List returns every task's view in creation order, optionally filtered
@@ -791,8 +786,8 @@ func (s *Store) List(status Status) []View {
 	out := make([]View, 0, len(ts))
 	for _, t := range ts {
 		v := t.snap.Load()
-		if status != "" && v.Status != status {
-			continue
+		if v == nil || (status != "" && v.Status != status) {
+			continue // nil: Create has inserted the task but not yet published it
 		}
 		out = append(out, *v)
 	}

@@ -148,7 +148,7 @@ func TestSweepTimeoutCascadeClosesTaskInSameSweep(t *testing.T) {
 func TestSweepExpiryWinsTimeoutTie(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
-	s, err := Open(Config{Dir: dir, Sync: SyncAlways, Now: clk.now})
+	s, err := Open(Config{Dir: dir, Sync: SyncBatch, Now: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSweepExpiryWinsTimeoutTie(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(Config{Dir: dir, Sync: SyncAlways, Now: clk.now})
+	s2, err := Open(Config{Dir: dir, Sync: SyncBatch, Now: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}

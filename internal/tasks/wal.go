@@ -47,23 +47,16 @@ import (
 type SyncMode string
 
 const (
-	// SyncAlways fsyncs before every append returns: an acknowledged
-	// write survives any crash. Appends still group-commit — concurrent
-	// writers share one fsync.
-	SyncAlways SyncMode = "always"
-	// SyncBatch (the default) fsyncs on a short timer: acknowledged
-	// writes survive a process crash immediately (they are in the
-	// kernel), and survive a machine crash once the batch window — at
-	// most BatchInterval — has passed. One fsync amortizes over every
-	// append in the window.
+	// SyncBatch (the default) fsyncs before an append is acknowledged:
+	// an acknowledged write survives any crash, process or machine.
+	// Appends group-commit — every writer that buffered a record before
+	// a given fsync is acknowledged by it, so concurrent writers share
+	// one fsync.
 	SyncBatch SyncMode = "batch"
 	// SyncOff never fsyncs (the OS flushes when it pleases). For tests,
 	// benchmarks and ephemeral stores.
 	SyncOff SyncMode = "off"
 )
-
-// DefaultBatchInterval is the SyncBatch group-commit window.
-const DefaultBatchInterval = 2 * time.Millisecond
 
 // maxRecordLen bounds a single WAL record; a frame declaring more is
 // treated as a torn/corrupt tail. Generous: the largest legitimate
@@ -87,18 +80,9 @@ var ErrWALClosed = errors.New("tasks: wal closed")
 // on replay, silently truncating it and everything after it.
 var ErrRecordTooLarge = errors.New("tasks: wal record exceeds frame bound")
 
-// WALOptions configures OpenWAL. The zero value selects the pipelined
-// SyncBatch committer with the default idle window.
+// WALOptions configures OpenWAL. The zero value selects SyncBatch.
 type WALOptions struct {
-	Sync          SyncMode
-	BatchInterval time.Duration
-	// TimerCommit restores the pre-pipeline committer: fsync only when
-	// the BatchInterval timer fires, so every durability wait pays up to
-	// a full window. Kept for baseline benchmarking; the default (false)
-	// is the two-phase pipeline, which fsyncs back-to-back whenever
-	// records are pending — batch N+1 accumulates while batch N syncs —
-	// bounding the wait by one fsync instead of the timer.
-	TimerCommit bool
+	Sync SyncMode
 	// FsyncObserver, when set, is called with every fsync's latency in
 	// nanoseconds, from the committer goroutine outside the WAL lock. It
 	// feeds the SLO engine's wal_fsync objective; implementations must be
@@ -160,12 +144,10 @@ type WAL struct {
 	closed  bool
 	durable *sync.Cond // broadcast when synced advances
 
-	mode      SyncMode
-	interval  time.Duration
-	timerOnly bool
-	syncReq   chan struct{}
-	done      chan struct{}
-	loopDone  chan struct{}
+	mode     SyncMode
+	syncReq  chan struct{}
+	done     chan struct{}
+	loopDone chan struct{}
 
 	appends   atomic.Int64
 	fsyncs    atomic.Int64
@@ -244,23 +226,18 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []walRecord, error) {
 		return nil, nil, err
 	}
 	w := &WAL{
-		f:         f,
-		w:         bufio.NewWriterSize(f, 1<<16),
-		mode:      opts.Sync,
-		interval:  opts.BatchInterval,
-		timerOnly: opts.TimerCommit,
-		syncReq:   make(chan struct{}, 1),
-		done:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
-		replayed:  int64(len(records)),
-		torn:      torn,
-		fsyncObs:  opts.FsyncObserver,
+		f:        f,
+		w:        bufio.NewWriterSize(f, 1<<16),
+		mode:     opts.Sync,
+		syncReq:  make(chan struct{}, 1),
+		done:     make(chan struct{}),
+		loopDone: make(chan struct{}),
+		replayed: int64(len(records)),
+		torn:     torn,
+		fsyncObs: opts.FsyncObserver,
 	}
 	if w.mode == "" {
 		w.mode = SyncBatch
-	}
-	if w.interval <= 0 {
-		w.interval = DefaultBatchInterval
 	}
 	w.durable = sync.NewCond(&w.mu)
 	go w.syncLoop()
@@ -318,14 +295,11 @@ func (w *WAL) AppendAsync(payload []byte) (seq uint64, err error) {
 		w.synced = w.written
 		return w.written, nil
 	}
-	if w.mode == SyncAlways || !w.timerOnly {
-		// Wake the committer immediately: the pipeline starts the next
-		// fsync as soon as the previous one completes. Only the legacy
-		// timer-commit mode waits out the batch window.
-		select {
-		case w.syncReq <- struct{}{}:
-		default:
-		}
+	// Wake the committer: the pipeline starts the next fsync as soon as
+	// the previous one completes.
+	select {
+	case w.syncReq <- struct{}{}:
+	default:
 	}
 	return w.written, nil
 }
@@ -359,27 +333,12 @@ func (w *WAL) WaitDurable(seq uint64) error {
 	return nil
 }
 
-// syncLoop is the single fsync issuer. The default is a two-phase
-// pipeline: whenever records are pending it flushes and fsyncs
-// back-to-back, so batch N+1 accumulates in the buffer while batch N is
-// inside fsync and a durability wait costs at most one fsync latency.
-// The legacy timer-commit mode instead sleeps out the batch window
-// between fsyncs (SyncAlways appends still wake it immediately).
+// syncLoop is the single fsync issuer, a two-phase pipeline: whenever
+// records are pending it flushes and fsyncs back-to-back, so batch N+1
+// accumulates in the buffer while batch N is inside fsync and a
+// durability wait costs at most one fsync latency.
 func (w *WAL) syncLoop() {
 	defer close(w.loopDone)
-	if w.timerOnly {
-		ticker := time.NewTicker(w.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-w.done:
-				return
-			case <-w.syncReq:
-			case <-ticker.C:
-			}
-			w.syncOnce()
-		}
-	}
 	for {
 		if w.pending() {
 			// Yield before each fsync. A channel send puts this goroutine

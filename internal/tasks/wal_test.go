@@ -142,7 +142,7 @@ func TestWALCorruptMiddleStopsReplay(t *testing.T) {
 
 func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openTestWAL(t, path, WALOptions{Sync: SyncBatch, BatchInterval: 1e6})
+	w, _ := openTestWAL(t, path, WALOptions{Sync: SyncBatch})
 	const writers, each = 8, 25
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
@@ -174,20 +174,28 @@ func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestWALSyncAlwaysIsDurablePerAppend(t *testing.T) {
+// TestWALSyncBatchIsDurablePerAppend pins the default mode's contract:
+// an acknowledged append has already been fsynced, with no timer window
+// in which a machine crash could still lose it.
+func TestWALSyncBatchIsDurablePerAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openTestWAL(t, path, WALOptions{Sync: SyncAlways})
+	w, _ := openTestWAL(t, path, WALOptions{Sync: SyncBatch})
 	for i := 0; i < 5; i++ {
 		if err := w.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		// No Close, no flush: the record must already be on disk.
-		_, validLen, err := readWAL(path)
+		// No Close, no flush: the record must already be on disk, and an
+		// fsync that covers it must have completed.
+		recs, _, err := readWAL(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if validLen == 0 {
-			t.Fatalf("append %d acknowledged before reaching disk", i)
+		if len(recs) != i+1 {
+			t.Fatalf("append %d acknowledged with %d records on disk", i, len(recs))
+		}
+		st := w.Stats()
+		if st.QueueDepth != 0 || st.Fsyncs == 0 {
+			t.Fatalf("append %d acknowledged before its fsync: %+v", i, st)
 		}
 	}
 	if st := w.Stats(); st.Fsyncs == 0 || st.FsyncP99NS == 0 {
