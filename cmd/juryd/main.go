@@ -38,7 +38,7 @@
 //	GET    /v1/slo                   error-budget burn rates and alert state per objective
 //	GET    /healthz                  200 serving / 503 draining (plus WAL queue depth and sweep-stall watchdog)
 //	GET    /metrics                  request, shed, engine, task and WAL counters (JSON)
-//	GET    /metrics/prometheus       the same counters in Prometheus text format
+//	GET    /metrics/prometheus       the exported subset of the same scrape in Prometheus text format
 //	GET    /debug/traces             recent request traces with per-stage timing
 //
 // Observability: every endpoint keeps an always-on latency histogram

@@ -1,27 +1,9 @@
 package engine
 
 import (
-	"container/list"
 	"math"
 	"slices"
-	"sync"
-
-	"juryselect/internal/jer"
 )
-
-// evalScratch is the per-worker working set of the engine's hot path: a
-// reusable JER kernel plus the buffer the canonical (sorted) rate order is
-// built in. One scratch serves one goroutine at a time; EvaluateAll gives
-// each worker its own for the worker's whole lifetime, and one-shot
-// Evaluate calls borrow one from the pool.
-type evalScratch struct {
-	ev     *jer.Evaluator
-	sorted []float64
-}
-
-var scratchPool = sync.Pool{
-	New: func() any { return &evalScratch{ev: jer.NewEvaluator()} },
-}
 
 // canonicalize copies rates into the scratch buffer sorted ascending — the
 // canonical member order — and returns the buffer. Memoized evaluations
@@ -45,8 +27,8 @@ func canonicalize(rates []float64, s *evalScratch) (sorted []float64) {
 // order of the same multiset yields the same key with no sorting, exactly
 // the equivalence class under which JER is invariant (Definition 6 depends
 // only on the rates). The count folds in before a final avalanche so that
-// every output bit — the shard selector uses the top four — depends on
-// every input.
+// every output bit — memo.Cache picks the shard from the top four —
+// depends on every input.
 //
 // The key is a hash, not the full multiset, so two distinct multisets can
 // in principle collide; with mixed terms the sum behaves uniformly and the
@@ -70,100 +52,4 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// shardBits sets the shard count of the memo (2^shardBits shards, shard
-// selected by the key's top shardBits bits). 16 shards keeps mutex
-// contention negligible at the worker counts the engine runs
-// (≤ GOMAXPROCS): the single-mutex design this replaces serialized every
-// cached hit through one lock, which dominated the warm-memo profile.
-const (
-	shardBits = 4
-	numShards = 1 << shardBits
-)
-
-// shardedCache is the engine memo: numShards independent LRU shards, each
-// its own mutex + map + intrusive list, with a jury's shard chosen by the
-// top bits of its multiset key. The in-flight call registry lives in the
-// shard too, so a cached hit costs exactly one shard-lock acquisition.
-type shardedCache struct {
-	shards [numShards]cacheShard
-}
-
-type cacheShard struct {
-	mu       sync.Mutex
-	cap      int
-	items    map[uint64]*list.Element
-	order    *list.List // front = most recently used
-	inflight map[uint64]*call
-}
-
-type lruEntry struct {
-	key uint64
-	val float64
-}
-
-func newShardedCache(capacity int) *shardedCache {
-	per := (capacity + numShards - 1) / numShards
-	if per < 1 {
-		per = 1
-	}
-	c := &shardedCache{}
-	for i := range c.shards {
-		c.shards[i].init(per)
-	}
-	return c
-}
-
-func (c *shardedCache) shard(key uint64) *cacheShard {
-	return &c.shards[key>>(64-shardBits)]
-}
-
-// len reports the number of cached entries across all shards.
-func (c *shardedCache) len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += s.order.Len()
-		s.mu.Unlock()
-	}
-	return total
-}
-
-func (s *cacheShard) init(capacity int) {
-	s.cap = capacity
-	s.items = make(map[uint64]*list.Element, capacity)
-	s.order = list.New()
-	s.inflight = make(map[uint64]*call)
-}
-
-// get returns the cached value for key, marking it most recently used.
-func (s *cacheShard) get(key uint64) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return 0, false
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-// put inserts or refreshes key, evicting the least recently used entry
-// when the shard is over capacity. Callers must not hold s.mu.
-func (s *cacheShard) put(key uint64, val float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*lruEntry).val = val
-		s.order.MoveToFront(el)
-		return
-	}
-	s.items[key] = s.order.PushFront(&lruEntry{key: key, val: val})
-	if s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*lruEntry).key)
-	}
 }

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 
 	"juryselect/internal/jer"
+	"juryselect/internal/memo"
 	"juryselect/internal/pbdist"
 )
 
@@ -104,18 +105,25 @@ type Engine struct {
 	workers  int
 	algo     jer.Algorithm
 	cacheMin int
-	cache    *shardedCache // nil when caching is disabled
+	memo     *memo.Cache[uint64, float64] // keyed on hashMultiset; nil when caching is disabled
 
 	evals    atomic.Int64
 	hits     atomic.Int64
 	inflight atomic.Int64
 }
 
-// call is one in-flight JER computation that late arrivals can join.
-type call struct {
-	done chan struct{}
-	jer  float64
-	err  error
+// evalScratch is the per-worker working set of the engine's hot path: a
+// reusable JER kernel plus the buffer the canonical (sorted) rate order is
+// built in. One scratch serves one goroutine at a time; EvaluateAll gives
+// each worker its own for the worker's whole lifetime, and one-shot
+// Evaluate calls borrow one from the pool.
+type evalScratch struct {
+	ev     *jer.Evaluator
+	sorted []float64
+}
+
+var scratchPool = sync.Pool{
+	New: func() any { return &evalScratch{ev: jer.NewEvaluator()} },
 }
 
 // New returns an Engine with the given options.
@@ -140,7 +148,7 @@ func New(opts Options) *Engine {
 		cacheMin: cacheMin,
 	}
 	if size > 0 {
-		e.cache = newShardedCache(size)
+		e.memo = memo.New[uint64, float64](size)
 	}
 	return e
 }
@@ -196,45 +204,21 @@ func (e *Engine) evaluate(rates []float64, s *evalScratch) (float64, error) {
 	if err := pbdist.ValidateRates(rates); err != nil {
 		return 0, err
 	}
-	if e.cache == nil || len(rates) < e.cacheMin {
+	if e.memo == nil || len(rates) < e.cacheMin {
 		e.evals.Add(1)
 		return s.ev.ComputeValidated(rates, e.algo)
 	}
+	// One shard-lock acquisition serves a resident value, joins an
+	// identical in-flight computation, or makes this call its leader.
 	key := hashMultiset(rates)
-	sh := e.cache.shard(key)
-
-	// One shard-lock acquisition serves a cached hit, joins an identical
-	// in-flight computation, or registers this call as its leader.
-	sh.mu.Lock()
-	if el, ok := sh.items[key]; ok {
-		sh.order.MoveToFront(el)
-		v := el.Value.(*lruEntry).val
-		sh.mu.Unlock()
+	v, out, err := e.memo.Do(key, key, func() (float64, error) {
+		e.evals.Add(1)
+		return s.ev.ComputeValidated(canonicalize(rates, s), e.algo)
+	})
+	if out != memo.Computed && err == nil {
 		e.hits.Add(1)
-		return v, nil
 	}
-	if c, ok := sh.inflight[key]; ok {
-		sh.mu.Unlock()
-		<-c.done
-		if c.err == nil {
-			e.hits.Add(1)
-		}
-		return c.jer, c.err
-	}
-	c := &call{done: make(chan struct{})}
-	sh.inflight[key] = c
-	sh.mu.Unlock()
-
-	e.evals.Add(1)
-	c.jer, c.err = s.ev.ComputeValidated(canonicalize(rates, s), e.algo)
-	if c.err == nil {
-		sh.put(key, c.jer)
-	}
-	sh.mu.Lock()
-	delete(sh.inflight, key)
-	sh.mu.Unlock()
-	close(c.done)
-	return c.jer, c.err
+	return v, err
 }
 
 // maxChunk caps how many consecutive indices a worker claims at once.

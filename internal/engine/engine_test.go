@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"juryselect/internal/jer"
+	"juryselect/internal/memo"
 	"juryselect/internal/randx"
 )
 
@@ -194,53 +195,6 @@ func TestEvaluateAllCancellation(t *testing.T) {
 	}
 }
 
-// TestLRUEviction asserts a cache shard respects its capacity bound and
-// evicts the least recently used multiset first.
-func TestLRUEviction(t *testing.T) {
-	var sh cacheShard
-	sh.init(2)
-	sh.put(1, 1)
-	sh.put(2, 2)
-	if _, ok := sh.get(1); !ok { // touch 1 → 2 becomes LRU
-		t.Fatal("key 1 missing")
-	}
-	sh.put(3, 3)
-	if n := sh.order.Len(); n != 2 {
-		t.Fatalf("shard holds %d entries, cap 2", n)
-	}
-	if _, ok := sh.get(2); ok {
-		t.Fatal("key 2 should have been evicted (least recently used)")
-	}
-	if _, ok := sh.get(1); !ok {
-		t.Fatal("key 1 should have survived (recently used)")
-	}
-	if _, ok := sh.get(3); !ok {
-		t.Fatal("key 3 should be present")
-	}
-}
-
-// TestShardedCacheLen asserts the cross-shard entry count and per-shard
-// capacity split: capacity divides across shards, never below one entry.
-func TestShardedCacheLen(t *testing.T) {
-	c := newShardedCache(numShards * 2)
-	for i := range c.shards {
-		if c.shards[i].cap != 2 {
-			t.Fatalf("shard %d cap = %d, want 2", i, c.shards[i].cap)
-		}
-	}
-	src := randx.New(23)
-	for i := 0; i < 100; i++ {
-		key := hashMultiset(src.ErrorRates(17, 0.3, 0.1))
-		c.shard(key).put(key, float64(i))
-	}
-	if n := c.len(); n > numShards*2 {
-		t.Fatalf("cache holds %d entries, cap %d", n, numShards*2)
-	}
-	if newShardedCache(1).shards[0].cap != 1 {
-		t.Fatal("tiny capacity must still give each shard one entry")
-	}
-}
-
 // TestCanonicalizeOrderInvariance asserts the memo key depends only on
 // the multiset of rates — with no sorting on the request path — and that
 // the canonical evaluation order is sorted.
@@ -267,12 +221,13 @@ func TestCanonicalizeOrderInvariance(t *testing.T) {
 }
 
 // TestHashMultisetDistribution asserts distinct multisets spread across
-// all shards and collide on neither key nor shard in a modest sample — the
-// property the sharded memo's contention win rests on.
+// all memo shards (picked by the key's top memo.ShardBits bits) and collide
+// on neither key nor shard in a modest sample — the property the sharded
+// memo's contention win rests on.
 func TestHashMultisetDistribution(t *testing.T) {
 	src := randx.New(31)
 	seen := make(map[uint64]bool)
-	var perShard [numShards]int
+	var perShard [memo.Shards]int
 	const samples = 4096
 	for i := 0; i < samples; i++ {
 		key := hashMultiset(src.ErrorRates(1+src.Intn(40), 0.3, 0.15))
@@ -280,11 +235,11 @@ func TestHashMultisetDistribution(t *testing.T) {
 			t.Fatalf("sample %d: 64-bit key collision", i)
 		}
 		seen[key] = true
-		perShard[key>>(64-shardBits)]++
+		perShard[key>>(64-memo.ShardBits)]++
 	}
 	for sh, n := range perShard {
 		// Expected 256 per shard; a 4× imbalance would mean broken mixing.
-		if n < samples/numShards/4 || n > samples/numShards*4 {
+		if n < samples/memo.Shards/4 || n > samples/memo.Shards*4 {
 			t.Fatalf("shard %d got %d of %d keys — top bits poorly mixed", sh, n, samples)
 		}
 	}
@@ -371,5 +326,25 @@ func TestInflightStat(t *testing.T) {
 	}
 	if got := e.Stats().Inflight; got != 0 {
 		t.Errorf("inflight after evaluation = %d, want 0", got)
+	}
+}
+
+// BenchmarkEvaluateMemoHit is the CI zero-alloc guard for a warm engine
+// memo hit: validate, multiset hash, shard lock, map lookup, LRU bump.
+func BenchmarkEvaluateMemoHit(b *testing.B) {
+	e := New(Options{Workers: 1})
+	rates := randomJuries(1, 101, 3)[0]
+	if _, err := e.Evaluate(rates); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Evaluate(rates); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st := e.Stats(); st.Evaluations != 1 {
+		b.Fatalf("warm loop computed %d times, want only the priming evaluation", st.Evaluations)
 	}
 }

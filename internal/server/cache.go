@@ -1,10 +1,6 @@
 package server
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // The selection cache exploits the paper's central algebraic fact: a
 // selection is a pure function of (pool contents, strategy, parameters).
@@ -17,10 +13,12 @@ import (
 // requests build fresh keys, and entries for dead versions simply age
 // out of the LRU. There is no invalidation path to get wrong.
 //
-// The cached value is the selection's fully encoded JSON response, so a
-// warm select does one snapshot read, one cache probe and one Write —
-// no engine call, no sort, no encoder — and the probe itself does not
-// allocate.
+// The cache is a memo.Cache[selectKey, []byte]: the shared sharded LRU
+// with per-key singleflight, so a stampede on one cold key computes
+// once. The cached value is the selection's fully encoded JSON response,
+// so a warm select does one snapshot read, one cache probe and one
+// Write — no engine call, no sort, no encoder — and the probe itself
+// does not allocate.
 
 // selectKind canonicalizes the (model, exact) request pair.
 type selectKind uint8
@@ -41,9 +39,10 @@ type selectKey struct {
 	budget  float64
 }
 
-// hash mixes the key into a shard index. FNV-1a over the name plus a
-// splitmix-style scramble of the version keeps sibling versions of one
-// pool on different shards; it runs without allocating.
+// hash mixes the key into the memo hash, whose top bits pick the shard.
+// FNV-1a over the name plus a splitmix-style scramble of the version keeps
+// sibling versions of one pool on different shards; it runs without
+// allocating.
 func (k selectKey) hash() uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(k.pool); i++ {
@@ -59,194 +58,8 @@ func (k selectKey) hash() uint64 {
 	return h
 }
 
-// cacheEntry is one LRU node: the key (for eviction bookkeeping) and the
-// pre-encoded response bytes, threaded on an intrusive recency list.
-type cacheEntry struct {
-	key        selectKey
-	raw        []byte
-	prev, next *cacheEntry
-}
-
-// flight is one in-progress computation of a cold key. Followers block
-// on done and read raw/err; the cache never stores errors, so a failed
-// flight leaves the key cold for the next request.
-type flight struct {
-	done chan struct{}
-	raw  []byte
-	err  error
-}
-
-// cacheShard is one lock domain: an LRU map plus the in-flight table for
-// per-key singleflight.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[selectKey]*cacheEntry
-	flights map[selectKey]*flight
-	// head/tail are sentinels of the recency list (head.next is MRU).
-	head, tail cacheEntry
-}
-
-func (sh *cacheShard) init() {
-	sh.entries = make(map[selectKey]*cacheEntry)
-	sh.flights = make(map[selectKey]*flight)
-	sh.head.next = &sh.tail
-	sh.tail.prev = &sh.head
-}
-
-// moveToFront marks e most-recently-used. Caller holds sh.mu.
-func (sh *cacheShard) moveToFront(e *cacheEntry) {
-	if sh.head.next == e {
-		return
-	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	sh.pushFront(e)
-}
-
-func (sh *cacheShard) pushFront(e *cacheEntry) {
-	e.prev = &sh.head
-	e.next = sh.head.next
-	sh.head.next.prev = e
-	sh.head.next = e
-}
-
-// selectCacheShards is the lock-striping width. 16 shards keep probe
-// contention negligible at the concurrency levels admission control
-// admits, while the per-shard maps stay small enough to be cheap.
-const selectCacheShards = 16
-
 // DefaultSelectCacheEntries bounds the cache. 4096 entries cover
 // hundreds of pools × the handful of live (version, params) pairs each
 // has at any moment; at roughly 1 KiB of encoded response per jury the
 // worst case is a few MiB.
 const DefaultSelectCacheEntries = 4096
-
-// selectCache is the version-keyed response cache: a sharded LRU of
-// pre-encoded select responses with per-key singleflight for cold keys.
-type selectCache struct {
-	shards   [selectCacheShards]cacheShard
-	perShard int
-
-	hits      atomic.Int64 // probes served from a resident entry
-	misses    atomic.Int64 // computations actually performed (flight leaders)
-	collapsed atomic.Int64 // requests that joined another request's flight
-}
-
-// newSelectCache returns a cache bounded to max entries in total.
-// max <= 0 selects DefaultSelectCacheEntries.
-func newSelectCache(max int) *selectCache {
-	if max <= 0 {
-		max = DefaultSelectCacheEntries
-	}
-	per := (max + selectCacheShards - 1) / selectCacheShards
-	if per < 1 {
-		per = 1
-	}
-	c := &selectCache{perShard: per}
-	for i := range c.shards {
-		c.shards[i].init()
-	}
-	return c
-}
-
-func (c *selectCache) shard(k selectKey) *cacheShard {
-	return &c.shards[k.hash()%selectCacheShards]
-}
-
-// get probes the cache. A hit returns the encoded response bytes, which
-// are immutable and safe to write concurrently. The warm path — hash,
-// one mutex, one map lookup, pointer surgery — performs no allocation.
-func (c *selectCache) get(k selectKey) ([]byte, bool) {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	e, ok := sh.entries[k]
-	if !ok {
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.moveToFront(e)
-	sh.mu.Unlock()
-	c.hits.Add(1)
-	return e.raw, true
-}
-
-// do computes the value for a cold key exactly once under concurrent
-// stampede: the first caller runs compute while followers block until it
-// finishes and share its result. A successful result is inserted into
-// the LRU; an error is returned to every waiter and not cached.
-//
-// do re-probes under the shard lock before starting a flight, so a
-// get-miss that lost a race with a completing flight still coalesces.
-func (c *selectCache) do(k selectKey, compute func() ([]byte, error)) ([]byte, error) {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	if e, ok := sh.entries[k]; ok {
-		sh.moveToFront(e)
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return e.raw, nil
-	}
-	if f, ok := sh.flights[k]; ok {
-		sh.mu.Unlock()
-		c.collapsed.Add(1)
-		<-f.done
-		return f.raw, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	sh.flights[k] = f
-	sh.mu.Unlock()
-
-	c.misses.Add(1)
-	f.raw, f.err = compute()
-	sh.mu.Lock()
-	delete(sh.flights, k)
-	if f.err == nil {
-		sh.insert(k, f.raw, c.perShard)
-	}
-	sh.mu.Unlock()
-	close(f.done)
-	return f.raw, f.err
-}
-
-// insert adds a fresh entry, evicting from the LRU tail past capacity.
-// Caller holds sh.mu.
-func (sh *cacheShard) insert(k selectKey, raw []byte, capacity int) {
-	if e, ok := sh.entries[k]; ok {
-		// A concurrent flight for the same key can only have produced the
-		// same bytes; keep the resident entry.
-		sh.moveToFront(e)
-		return
-	}
-	e := &cacheEntry{key: k, raw: raw}
-	sh.entries[k] = e
-	sh.pushFront(e)
-	if len(sh.entries) > capacity {
-		victim := sh.tail.prev
-		victim.prev.next = &sh.tail
-		sh.tail.prev = victim.prev
-		delete(sh.entries, victim.key)
-	}
-}
-
-// len reports the resident entry count (all shards).
-func (c *selectCache) len() int {
-	n := 0
-	for _, v := range c.shardLens() {
-		n += v
-	}
-	return n
-}
-
-// shardLens reports each shard's resident entry count, for the
-// per-shard gauges in /metrics: a skewed distribution means one shard's
-// LRU is evicting while others sit idle (hot pools hashing together).
-func (c *selectCache) shardLens() []int {
-	out := make([]int, selectCacheShards)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		out[i] = len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return out
-}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"juryselect/internal/memo"
 	"juryselect/internal/pool"
 	"juryselect/jury"
 )
@@ -111,9 +112,8 @@ func TestSelectCacheParityUnderMutation(t *testing.T) {
 			}
 		}
 	}
-	if cached.cache.hits.Load() == 0 || cached.cache.misses.Load() == 0 {
-		t.Fatalf("parity loop exercised no cache traffic: hits=%d misses=%d",
-			cached.cache.hits.Load(), cached.cache.misses.Load())
+	if c := cached.cache.Counts(); c.Hits == 0 || c.Computed == 0 {
+		t.Fatalf("parity loop exercised no cache traffic: hits=%d misses=%d", c.Hits, c.Computed)
 	}
 }
 
@@ -259,12 +259,19 @@ func TestSelectCacheStampede(t *testing.T) {
 	if got := eng.Stats().Evaluations; got != baseline {
 		t.Fatalf("stampede of %d selects ran %d engine evaluations, want the single-select %d", m, got, baseline)
 	}
-	misses, hits, collapsed := s.cache.misses.Load(), s.cache.hits.Load(), s.cache.collapsed.Load()
+	c := s.cache.Counts()
+	misses, hits, collapsed := c.Computed, c.Hits, c.Joined
 	if misses != 1 {
 		t.Fatalf("misses = %d, want exactly 1 computation", misses)
 	}
 	if hits+collapsed != m-1 {
 		t.Fatalf("hits (%d) + collapsed (%d) = %d, want %d followers", hits, collapsed, hits+collapsed, m-1)
+	}
+	// One probe per select: a hit books under select_warm, a leader or
+	// joiner under select_miss, so the cache and endpoint counts agree.
+	if warm, miss := s.eps[epSelectWarm].requests.Load(), s.eps[epSelectMiss].requests.Load(); warm != hits || miss != misses+collapsed {
+		t.Fatalf("select_warm %d / select_miss %d requests, want hits %d / misses+collapsed %d",
+			warm, miss, hits, misses+collapsed)
 	}
 }
 
@@ -287,37 +294,46 @@ func TestSelectCacheDisabled(t *testing.T) {
 // TestSelectCacheLRUEviction bounds residency: walking more distinct
 // keys than the cache holds evicts oldest-first instead of growing.
 func TestSelectCacheLRUEviction(t *testing.T) {
-	c := newSelectCache(32)
+	c := memo.New[selectKey, []byte](32)
 	raw := []byte("{}\n")
 	for v := uint64(0); v < 500; v++ {
 		k := selectKey{pool: "p", version: v, kind: kindAltr}
-		if _, err := c.do(k, func() ([]byte, error) { return raw, nil }); err != nil {
+		if _, _, err := c.Do(k, k.hash(), func() ([]byte, error) { return raw, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Per-shard capacity is ceil(32/16) = 2, so residency is bounded by
 	// 2 per shard even though 500 keys passed through.
-	if n := c.len(); n > 32 {
+	n := 0
+	for _, l := range c.ShardLens() {
+		n += l
+	}
+	if n > 32 {
 		t.Fatalf("cache holds %d entries, configured bound 32", n)
 	}
-	if c.len() == 0 {
+	if n == 0 {
 		t.Fatal("cache evicted everything")
 	}
 }
 
 // BenchmarkSelectCacheHit is the CI zero-alloc guard for the warm
-// cached-select probe: hash, shard lock, map lookup, LRU bump.
+// cached-select probe: hash, shard lock, map lookup, LRU bump. Like
+// selectRaw it passes Do a closure, which must not escape.
 func BenchmarkSelectCacheHit(b *testing.B) {
-	c := newSelectCache(0)
+	c := memo.New[selectKey, []byte](DefaultSelectCacheEntries)
 	k := selectKey{pool: "bench-pool", version: 17, kind: kindPay, budget: 2.5}
 	raw := bytes.Repeat([]byte("x"), 512)
-	if _, err := c.do(k, func() ([]byte, error) { return raw, nil }); err != nil {
+	if _, _, err := c.Do(k, k.hash(), func() ([]byte, error) { return raw, nil }); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.get(k); !ok {
+		_, out, _ := c.Do(k, k.hash(), func() ([]byte, error) {
+			b.Fatal("computed a resident key")
+			return nil, nil
+		})
+		if out != memo.Hit {
 			b.Fatal("unexpected miss")
 		}
 	}

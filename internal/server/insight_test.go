@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"juryselect/internal/insight"
+	"juryselect/internal/memo"
 	"juryselect/internal/obs"
 	"juryselect/jury"
 )
@@ -173,8 +174,8 @@ func TestInsightPromSeries(t *testing.T) {
 	if decided != 1 {
 		t.Errorf("decided tasks series = %g, want 1", decided)
 	}
-	if n := len(fams["juryd_select_cache_shard_entries"].Samples); n != selectCacheShards {
-		t.Errorf("shard entry series = %d, want %d", n, selectCacheShards)
+	if n := len(fams["juryd_select_cache_shard_entries"].Samples); n != memo.Shards {
+		t.Errorf("shard entry series = %d, want %d", n, memo.Shards)
 	}
 }
 
@@ -190,7 +191,13 @@ func TestSelectCacheDerivedMetrics(t *testing.T) {
 	doJSON(t, ts.URL+"/v1/select", `{"pool":"crowd"}`, http.StatusOK)
 
 	var m struct {
-		SelectCache *selectCacheMetrics `json:"select_cache"`
+		SelectCache *struct {
+			Hits         int64   `json:"hits"`
+			Misses       int64   `json:"misses"`
+			Entries      int     `json:"entries"`
+			HitRatio     float64 `json:"hit_ratio"`
+			ShardEntries []int   `json:"shard_entries"`
+		} `json:"select_cache"`
 	}
 	if st := do(t, http.MethodGet, ts.URL+"/metrics", nil, &m); st != http.StatusOK {
 		t.Fatalf("metrics status %d", st)
@@ -209,7 +216,7 @@ func TestSelectCacheDerivedMetrics(t *testing.T) {
 	for _, n := range sc.ShardEntries {
 		sum += n
 	}
-	if len(sc.ShardEntries) != selectCacheShards || sum != sc.Entries {
+	if len(sc.ShardEntries) != memo.Shards || sum != sc.Entries {
 		t.Errorf("shard_entries %v (sum %d) vs entries %d", sc.ShardEntries, sum, sc.Entries)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"juryselect/internal/insight"
 	"juryselect/internal/lifecycle"
+	"juryselect/internal/obs"
 	"juryselect/internal/tasks"
 )
 
@@ -215,7 +216,10 @@ func TestOpsEndpointsInstrumented(t *testing.T) {
 		}
 	}
 	var m struct {
-		Endpoints map[string]endpointStats `json:"endpoints"`
+		Endpoints map[string]struct {
+			Requests int64       `json:"requests"`
+			Latency  obs.Summary `json:"latency"`
+		} `json:"endpoints"`
 	}
 	doTaskJSON(t, http.MethodGet, hs.URL+"/metrics", nil, http.StatusOK, &m)
 	for _, name := range []string{"ops_healthz", "ops_metrics", "ops_metrics_prom", "ops_debug_traces"} {

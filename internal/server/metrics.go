@@ -1,25 +1,25 @@
 package server
 
 import (
+	"bytes"
 	"expvar"
 	"net/http"
 	"runtime"
 	"runtime/debug"
 	runtimemetrics "runtime/metrics"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"juryselect/internal/insight"
 	"juryselect/internal/lifecycle"
 	"juryselect/internal/obs"
 )
 
 // metrics holds the server's counters: expvar vars owned by the Server
 // rather than published to the process-global expvar registry, so many
-// servers can coexist in one process (tests, embedded uses). /metrics
-// serves them as one JSON document, folding in the engine's counters as
-// gauges at scrape time.
+// servers can coexist in one process (tests, embedded uses). collect
+// reads them, with every other metric source, at scrape time.
 type metrics struct {
 	requests     expvar.Int // HTTP requests accepted by any /v1 handler
 	selections   expvar.Int // successful select items (single + batch)
@@ -31,7 +31,6 @@ type metrics struct {
 	batchVotes   expvar.Int // successful /v1/tasks/{id}/votes/batch responses
 	taskVerdicts expvar.Int // votes that closed a task with a verdict
 	shed         expvar.Int // requests rejected 429 by admission control
-	errors       expvar.Int // 5xx responses (sheds count only under shed)
 
 	queued   atomic.Int64 // requests waiting for an inflight slot
 	draining atomic.Bool  // drain signal for /healthz
@@ -88,73 +87,258 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// metricsResponse is the body of GET /metrics: the server counters plus
-// the engine's evaluation/cache/inflight gauges (Engine.CacheStats and
-// Stats), and the admission-control occupancy.
-type metricsResponse struct {
-	Requests     int64 `json:"requests"`
-	Selections   int64 `json:"selections"`
-	BatchSelects int64 `json:"batch_selects"`
-	JERServed    int64 `json:"jer_served"`
-	PoolWrites   int64 `json:"pool_writes"`
-	BatchVotes   int64 `json:"batch_votes"`
-	Shed         int64 `json:"shed"`
-	// Errors counts 5xx responses. Before PR 8 it also counted 429
-	// sheds, double-booking them against Shed; now a response is either
-	// shed or an error, never both. Errors4xx/Errors5xx split the
-	// client/server halves (4xx excludes 429).
-	Errors    int64 `json:"errors"`
-	Errors4xx int64 `json:"errors_4xx"`
-	Errors5xx int64 `json:"errors_5xx"`
+// handleMetrics serves GET /metrics: the scrape as one JSON document.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.collect())
+}
 
-	Inflight    int   `json:"inflight"`
-	MaxInflight int   `json:"max_inflight"`
-	Queued      int64 `json:"queued"`
-	MaxQueue    int   `json:"max_queue"`
+// handleMetricsProm serves GET /metrics/prometheus: the same scrape in
+// the Prometheus text exposition format (0.0.4), without any client
+// library dependency. It exports a subset of the /metrics values,
+// label-structured: per-endpoint request, error and latency families,
+// per-stage latencies, the select-cache, task, WAL, insight, lifecycle
+// and SLO families, and process gauges. Values only /metrics serves:
+// requests, batch_selects, jer_served, pool_writes, batch_votes, the
+// errors totals, max_inflight, max_queue, engine_inflight,
+// engine_workers, the task creates/votes/verdicts and the WAL's
+// p99/replay/compaction/shard/batch fields, the insight and lifecycle
+// counters without a juryd_ family, runtime.num_gc and
+// runtime.gc_pause_p99_ns (Prometheus gets the whole GC pause
+// histogram instead). juryd_traces_total is the one exported value
+// /metrics lacks.
+func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	p := obs.NewProm(buf)
+	s.collect().WriteProm(p)
+	if gc := gcPauses(); gc != nil {
+		p.Header("juryd_gc_pause_seconds", "histogram", "Stop-the-world GC pause durations.")
+		var sum float64
+		for i, c := range gc.Counts {
+			// Approximate the sum with bucket lower bounds; the runtime
+			// does not track an exact pause sum at this granularity.
+			if c > 0 && i < len(gc.Buckets) && gc.Buckets[i] > 0 && gc.Buckets[i] < maxFiniteBound {
+				sum += float64(c) * gc.Buckets[i]
+			}
+		}
+		p.HistogramSeconds("juryd_gc_pause_seconds", "", gc.Buckets[1:], gc.Counts, sum)
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf.Bytes()) //nolint:errcheck
+}
 
-	EngineEvaluations int64 `json:"engine_evaluations"`
-	EngineCacheHits   int64 `json:"engine_cache_hits"`
-	EngineInflight    int64 `json:"engine_inflight"`
-	EngineWorkers     int   `json:"engine_workers"`
+// collect reads every metric source once and records each value under
+// its /metrics JSON path and, when exported, its Prometheus family and
+// labels. Both metric endpoints render the one scrape it returns, so a
+// value cannot differ between the two documents of one scrape, and a
+// total and its parts (select-cache entries and their shards; errors and
+// the per-endpoint 5xx counts) come from the same reading.
+func (s *Server) collect() *obs.Scrape {
+	sc := obs.NewScrape()
+	reqs := sc.Family("juryd_requests_total", "counter", "Requests by endpoint.")
+	errs := sc.Family("juryd_errors_total", "counter", "Error responses by endpoint and class (4xx excludes shed 429s).")
+	shed := sc.Family("juryd_shed_total", "counter", "Requests shed 429 by admission control.")
+	lat := sc.Family("juryd_request_duration_seconds", "histogram", "Request latency by endpoint.")
+	stages := sc.Family("juryd_stage_duration_seconds", "histogram", "Internal stage latency across requests.")
+	var errors4xx, errors5xx int64
+	for i := range s.eps {
+		em, name := &s.eps[i], endpointNames[i]
+		path, l := "endpoints."+name+".", `endpoint="`+name+`"`
+		e4, e5 := em.errors4xx.Load(), em.errors5xx.Load()
+		errors4xx += e4
+		errors5xx += e5
+		sc.Add(path+"requests", em.requests.Load(), reqs, l)
+		sc.Add(path+"errors_4xx", e4, errs, l+`,class="4xx"`)
+		sc.Add(path+"errors_5xx", e5, errs, l+`,class="5xx"`)
+		sc.Add(path+"latency", em.lat.Snapshot(), lat, l)
+	}
+	for i := range s.stages {
+		name := obs.Stage(i).String()
+		sc.Add("stages."+name, s.stages[i].Snapshot(), stages, `stage="`+name+`"`)
+	}
+	sc.Add("shed", s.m.shed.Value(), shed, "")
+	// errors is the 5xx total under its original name, derived from the
+	// same per-endpoint reading as errors_5xx. Sheds count only under
+	// shed, so 4xx excludes 429s.
+	sc.Set("errors", errors5xx)
+	sc.Set("errors_4xx", errors4xx)
+	sc.Set("errors_5xx", errors5xx)
+	sc.Set("requests", s.m.requests.Value())
+	sc.Set("batch_selects", s.m.batchSelects.Value())
+	sc.Set("jer_served", s.m.jerServed.Value())
+	sc.Set("pool_writes", s.m.poolWrites.Value())
+	sc.Set("batch_votes", s.m.batchVotes.Value())
+	sc.Set("max_inflight", s.maxInflight)
+	sc.Set("max_queue", s.maxQueue)
+	sc.Add("inflight", len(s.sem), sc.Family("juryd_inflight", "gauge", "Evaluation requests currently executing."), "")
+	sc.Add("queued", s.m.queued.Load(), sc.Family("juryd_queued", "gauge", "Requests waiting for an inflight slot."), "")
+	sc.Add("pools", s.store.Len(), sc.Family("juryd_pools", "gauge", "Resident juror pools."), "")
+	sc.Add("selections", s.m.selections.Value(),
+		sc.Family("juryd_selections_total", "counter", "Successful select items (single and batch)."), "")
 
-	Pools int `json:"pools"`
+	est := s.eng.Stats()
+	sc.Add("engine_evaluations", est.Evaluations,
+		sc.Family("juryd_engine_evaluations_total", "counter", "JER evaluations computed by the engine."), "")
+	sc.Add("engine_cache_hits", est.CacheHits,
+		sc.Family("juryd_engine_cache_hits_total", "counter", "Engine evaluation cache hits."), "")
+	sc.Set("engine_inflight", est.Inflight)
+	sc.Set("engine_workers", s.eng.Workers())
 
-	// SelectCache reports the version-keyed selection cache's counters
-	// when the cache is enabled; omitted otherwise.
-	SelectCache *selectCacheMetrics `json:"select_cache,omitempty"`
+	if s.cache != nil {
+		// hits, misses and collapsed are the memo's Hit, Computed and
+		// Joined outcomes; hit_ratio is the share of probes that skipped
+		// the engine, 0 before any probe.
+		c, lens := s.cache.Counts(), s.cache.ShardLens()
+		events := sc.Family("juryd_select_cache_events_total", "counter", "Select response cache events.")
+		sc.Add("select_cache.hits", c.Hits, events, `event="hit"`)
+		sc.Add("select_cache.misses", c.Computed, events, `event="miss"`)
+		sc.Add("select_cache.collapsed", c.Joined, events, `event="collapsed"`)
+		var ratio float64
+		if probes := c.Hits + c.Computed + c.Joined; probes > 0 {
+			ratio = float64(c.Hits) / float64(probes)
+		}
+		sc.Add("select_cache.hit_ratio", ratio,
+			sc.Family("juryd_select_cache_hit_ratio", "gauge", "Fraction of cache probes served from a resident entry."), "")
+		entries := sc.Family("juryd_select_cache_entries", "gauge", "Resident select cache entries.")
+		shards := sc.Family("juryd_select_cache_shard_entries", "gauge", "Resident select cache entries per shard.")
+		total := 0
+		for i, n := range lens {
+			total += n
+			sc.Add("", n, shards, `shard="`+strconv.Itoa(i)+`"`)
+		}
+		sc.Add("select_cache.entries", total, entries, "")
+		// A skewed shard_entries means hot pools hash onto one shard's LRU.
+		sc.Set("select_cache.shard_entries", lens)
+	}
 
-	// Tasks reports the task-store gauges and WAL counters when the
-	// server fronts a task store; omitted otherwise.
-	Tasks *taskMetrics `json:"tasks,omitempty"`
+	if s.tasks != nil {
+		ts := s.tasks.Stats()
+		status := sc.Family("juryd_tasks", "gauge", "Tasks by lifecycle status.")
+		sc.Add("tasks.open", ts.Open, status, `status="open"`)
+		sc.Add("tasks.awaiting_votes", ts.AwaitingVotes, status, `status="awaiting_votes"`)
+		sc.Add("tasks.decided", ts.Decided, status, `status="decided"`)
+		sc.Add("tasks.expired", ts.Expired, status, `status="expired"`)
+		sc.Set("tasks.creates", s.m.taskCreates.Value())
+		sc.Set("tasks.votes", s.m.taskVotes.Value())
+		sc.Set("tasks.verdicts", s.m.taskVerdicts.Value())
+		sc.Add("tasks.wal_appends", ts.WAL.Appends, sc.Family("juryd_wal_appends_total", "counter", "WAL records appended."), "")
+		sc.Add("tasks.wal_fsyncs", ts.WAL.Fsyncs, sc.Family("juryd_wal_fsyncs_total", "counter", "WAL fsync calls."), "")
+		sc.Add("tasks.wal_commit_queue_depth", ts.WAL.QueueDepth,
+			sc.Family("juryd_wal_commit_queue_depth", "gauge", "Appended records not yet durable."), "")
+		sc.Add("tasks.wal_fsync", ts.WAL.FsyncHist,
+			sc.Family("juryd_wal_fsync_duration_seconds", "histogram", "WAL fsync call latency."), "")
+		sc.Add("tasks.wal_durable_wait", ts.WAL.DurableWaitHist,
+			sc.Family("juryd_wal_durable_wait_seconds", "histogram", "Append-to-durable wait seen by writers."), "")
+		// wal_fsync_p99_ns is kept for dashboards; wal_fsync holds the
+		// distribution it derives from. Bucket i of wal_fsync_batch_hist
+		// counts fsyncs covering ≤ 2^i records (the last is open-ended):
+		// load in bucket 0 means the group commit is not grouping.
+		sc.Set("tasks.wal_fsync_p99_ns", ts.WAL.FsyncP99NS)
+		sc.Set("tasks.wal_replay_records", ts.WAL.ReplayRecords)
+		sc.Set("tasks.wal_replay_ns", s.tasks.Recovery().Duration.Nanoseconds())
+		sc.Set("tasks.wal_compactions", ts.Compactions)
+		sc.Set("tasks.wal_fsync_batch_hist", ts.WAL.FsyncBatchSizes[:])
+		sc.Set("tasks.shards", ts.Shards)
+		sc.Set("tasks.shard_contention", ts.ShardContention)
+	}
 
-	// Insight reports the decision-quality analytics counters when an
-	// insight engine is attached; omitted otherwise. Counters only — the
-	// full profiles/diagrams live behind /v1/insight/*.
-	Insight *insight.Stats `json:"insight,omitempty"`
+	if s.insight != nil {
+		// Counters only: the full profiles live behind /v1/insight/*.
+		st := s.insight.Stats()
+		sc.Add("insight.events", st.Events,
+			sc.Family("juryd_insight_events_total", "counter", "Task events consumed by the insight engine."), "")
+		outcome := sc.Family("juryd_insight_tasks_total", "counter", "Tasks observed by the insight engine, by outcome.")
+		sc.Add("insight.tasks_decided", st.TasksDecided, outcome, `outcome="decided"`)
+		sc.Add("insight.tasks_expired", st.TasksExpired, outcome, `outcome="expired"`)
+		sc.Add("insight.jurors_tracked", st.JurorsTracked,
+			sc.Family("juryd_insight_jurors_tracked", "gauge", "Jurors with insight profiles."), "")
+		sc.Add("insight.pairs_tracked", st.PairsTracked,
+			sc.Family("juryd_insight_pairs_tracked", "gauge", "Co-vote pairs tracked for agreement analysis."), "")
+		sc.Add("insight.pairs_dropped", st.PairsDropped,
+			sc.Family("juryd_insight_pairs_dropped_total", "counter", "Co-vote pairs dropped at the tracker cap."), "")
+		sc.Add("insight.calibration_samples", st.CalibrationSamples,
+			sc.Family("juryd_insight_calibration_samples_total", "counter", "Verdicts folded into the JER reliability diagram."), "")
+		sc.Add("insight.brier", st.Brier,
+			sc.Family("juryd_insight_brier_score", "gauge", "Brier score of predicted JER against realized error."), "")
+		sc.Set("insight.tasks_created", st.TasksCreated)
+		sc.Set("insight.tasks_open", st.TasksOpen)
+		sc.Set("insight.votes", st.Votes)
+		sc.Set("insight.declines", st.Declines)
+		sc.Set("insight.timeouts", st.Timeouts)
+		sc.Set("insight.unknown_task_events", st.UnknownTaskEvents)
+	}
 
-	// Lifecycle reports the timeline engine's counters when one is
-	// attached; omitted otherwise. Counters only — full timelines and
-	// aggregates live behind /v1/tasks/{id}/timeline and /v1/lifecycle.
-	Lifecycle *lifecycle.Stats `json:"lifecycle,omitempty"`
+	if s.lifecycle != nil {
+		// Counters only: timelines and aggregates live behind
+		// /v1/tasks/{id}/timeline and /v1/lifecycle.
+		st := s.lifecycle.Stats()
+		sc.Add("lifecycle.events", st.Events,
+			sc.Family("juryd_lifecycle_events_total", "counter", "Task events consumed by the lifecycle engine."), "")
+		outcome := sc.Family("juryd_lifecycle_tasks_total", "counter", "Tasks observed by the lifecycle engine, by outcome.")
+		sc.Add("lifecycle.tasks_decided", st.TasksDecided, outcome, `outcome="decided"`)
+		sc.Add("lifecycle.tasks_expired", st.TasksExpired, outcome, `outcome="expired"`)
+		sc.Add("lifecycle.replacements", st.Replacements,
+			sc.Family("juryd_lifecycle_replacements_total", "counter", "Replacement invites observed after task creation."), "")
+		sc.Add("lifecycle.timelines_retained", st.TimelinesRetained,
+			sc.Family("juryd_lifecycle_timelines_retained", "gauge", "Task timelines resident in the engine."), "")
+		sc.Add("lifecycle.timelines_evicted", st.TimelinesEvicted,
+			sc.Family("juryd_lifecycle_timelines_evicted_total", "counter", "Closed timelines evicted at the retention cap."), "")
+		sc.Set("lifecycle.tasks_created", st.TasksCreated)
+		sc.Set("lifecycle.tasks_open", st.TasksOpen)
+		sc.Set("lifecycle.votes", st.Votes)
+		sc.Set("lifecycle.declines", st.Declines)
+		sc.Set("lifecycle.timeouts", st.Timeouts)
+		sc.Set("lifecycle.unknown_task_events", st.UnknownTaskEvents)
+	}
 
-	// SLO reports every objective's burn rates and alert state, evaluated
-	// at scrape time; omitted when no tracker is configured.
-	SLO *lifecycle.SLOSnapshot `json:"slo,omitempty"`
+	if s.slo != nil {
+		// One evaluation feeds the JSON block and every juryd_slo_*
+		// family. Every value is finite by construction (burn is 0 on an
+		// empty window), which the exposition parser requires.
+		snap := s.slo.Snapshot(time.Now().UTC())
+		sc.Set("slo", snap)
+		events := sc.Family("juryd_slo_events_total", "counter", "SLI events by objective and classification.")
+		target := sc.Family("juryd_slo_target", "gauge", "Objective target (good fraction).")
+		burn := sc.Family("juryd_slo_burn_rate", "gauge", "Error-budget burn rate by objective and alerting window.")
+		budget := sc.Family("juryd_slo_budget_remaining", "gauge", "Unspent error budget over the slow-long window.")
+		alert := sc.Family("juryd_slo_alert", "gauge", "Burn-rate alert state (1 = firing).")
+		trips := sc.Family("juryd_slo_alert_trips_total", "counter", "Burn-rate alert activations since start.")
+		for _, st := range snap.Objectives {
+			l := `objective="` + st.Name + `"`
+			sc.Add("", st.Good, events, l+`,class="good"`)
+			sc.Add("", st.Bad, events, l+`,class="bad"`)
+			sc.Add("", st.Target, target, l)
+			sc.Add("", st.BurnFastShort, burn, l+`,window="fast_short"`)
+			sc.Add("", st.BurnFastLong, burn, l+`,window="fast_long"`)
+			sc.Add("", st.BurnSlowShort, burn, l+`,window="slow_short"`)
+			sc.Add("", st.BurnSlowLong, burn, l+`,window="slow_long"`)
+			sc.Add("", st.BudgetRemaining, budget, l)
+			sc.Add("", st.FastAlert, alert, l+`,severity="fast"`)
+			sc.Add("", st.SlowAlert, alert, l+`,severity="slow"`)
+			sc.Add("", st.FastTrips, trips, l+`,severity="fast"`)
+			sc.Add("", st.SlowTrips, trips, l+`,severity="slow"`)
+		}
+	}
 
-	// Endpoints maps every instrumented route to its request/error
-	// counts and latency summary; Stages maps each internal request
-	// stage (queue wait, decode, engine, WAL wait, …) to its latency
-	// summary across all requests that passed through it.
-	Endpoints map[string]endpointStats `json:"endpoints"`
-	Stages    map[string]obs.Summary   `json:"stages"`
+	// build identifies the binary; uptime is the age of this Server (in
+	// juryd, of the process — one Server per process).
+	bi := buildInfo()
+	sc.Set("build", bi)
+	sc.Add("", 1, sc.Family("juryd_build_info", "gauge", "Build metadata of the running binary; value is always 1."),
+		`version="`+bi.Version+`",go="`+bi.GoVersion+`",revision="`+bi.VCSRevision+`"`)
+	sc.Add("uptime_seconds", time.Since(s.start).Seconds(),
+		sc.Family("juryd_uptime_seconds", "gauge", "Seconds since this server was constructed."), "")
+	sc.Add("", s.ring.Total(), sc.Family("juryd_traces_total", "counter", "Request traces captured into the debug ring."), "")
 
-	// Runtime is the process block: scheduler and heap gauges.
-	Runtime runtimeStats `json:"runtime"`
-
-	// Build identifies the running binary; UptimeSeconds is the age of
-	// this Server (and in juryd, of the process — one Server per process).
-	Build         buildStats `json:"build"`
-	UptimeSeconds float64    `json:"uptime_seconds"`
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	sc.Add("runtime.goroutines", runtime.NumGoroutine(), sc.Family("juryd_goroutines", "gauge", "Live goroutines."), "")
+	sc.Add("runtime.heap_alloc_bytes", int64(ms.HeapAlloc),
+		sc.Family("juryd_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects."), "")
+	sc.Set("runtime.num_gc", ms.NumGC)
+	sc.Set("runtime.gc_pause_p99_ns", float64HistQuantile(gcPauses(), 0.99)*1e9)
+	return sc
 }
 
 // buildStats identifies the binary serving the metrics: module version,
@@ -192,198 +376,6 @@ var buildInfo = sync.OnceValue(func() buildStats {
 	}
 	return b
 })
-
-// endpointStats is one endpoint's JSON block.
-type endpointStats struct {
-	Requests  int64       `json:"requests"`
-	Errors4xx int64       `json:"errors_4xx"`
-	Errors5xx int64       `json:"errors_5xx"`
-	Latency   obs.Summary `json:"latency"`
-}
-
-// runtimeStats is the process-level block of /metrics.
-type runtimeStats struct {
-	Goroutines     int     `json:"goroutines"`
-	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
-	NumGC          uint32  `json:"num_gc"`
-	GCPauseP99NS   float64 `json:"gc_pause_p99_ns"`
-}
-
-// selectCacheMetrics is the selection cache's observability block.
-// Hits counts probes served from a resident entry, Misses counts
-// computations actually performed (flight leaders), Collapsed counts
-// requests that joined another request's in-flight computation instead
-// of recomputing — the stampedes the singleflight absorbed.
-type selectCacheMetrics struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Collapsed int64 `json:"collapsed"`
-	Entries   int   `json:"entries"`
-	// HitRatio is hits / (hits + misses + collapsed) — the fraction of
-	// probes that skipped the engine entirely; 0 before any probe.
-	HitRatio float64 `json:"hit_ratio"`
-	// ShardEntries is the resident entry count per cache shard. A skewed
-	// distribution means hot pools are hashing onto one shard's LRU.
-	ShardEntries []int `json:"shard_entries"`
-}
-
-// taskMetrics is the durable task subsystem's observability block: the
-// lifecycle gauges (how many tasks sit in each state) and the
-// write-ahead-log counters (append volume, group-commit fsync latency,
-// and what the last boot replayed).
-type taskMetrics struct {
-	Open          int   `json:"open"`
-	AwaitingVotes int   `json:"awaiting_votes"`
-	Decided       int   `json:"decided"`
-	Expired       int   `json:"expired"`
-	Creates       int64 `json:"creates"`
-	Votes         int64 `json:"votes"`
-	Verdicts      int64 `json:"verdicts"`
-
-	WALAppends       int64 `json:"wal_appends"`
-	WALFsyncs        int64 `json:"wal_fsyncs"`
-	WALFsyncP99NS    int64 `json:"wal_fsync_p99_ns"`
-	WALReplayRecords int64 `json:"wal_replay_records"`
-	WALCompactions   int64 `json:"wal_compactions"`
-	// WALFsync and WALDurableWait summarize the full latency
-	// distributions behind WALFsyncP99NS (which is kept for dashboard
-	// compatibility, now derived from WALFsync): the fsync call itself,
-	// and the append→durable wait a writer experiences.
-	WALFsync       obs.Summary `json:"wal_fsync"`
-	WALDurableWait obs.Summary `json:"wal_durable_wait"`
-
-	// Write-path concurrency health (PR 7): Shards is the configured
-	// shard count and ShardContention the running count of mutations
-	// that found their shard's mutex held — near zero when traffic
-	// spreads across tasks, climbing when it piles onto one.
-	Shards          int   `json:"shards"`
-	ShardContention int64 `json:"shard_contention"`
-	// WALCommitQueueDepth is the pipelined committer's backlog (records
-	// appended but not yet durable) at scrape time.
-	WALCommitQueueDepth int64 `json:"wal_commit_queue_depth"`
-	// WALFsyncBatchHist buckets records acknowledged per fsync: bucket
-	// i counts fsyncs covering ≤ 2^i records, last bucket open-ended.
-	// Load concentrating in bucket 0 means the group commit is not
-	// grouping.
-	WALFsyncBatchHist []int64 `json:"wal_fsync_batch_hist"`
-	// WALReplayNS is the wall-clock cost of the last boot's recovery
-	// (snapshot load + replay).
-	WALReplayNS int64 `json:"wal_replay_ns"`
-}
-
-// handleMetrics serves GET /metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.Stats()
-	var tm *taskMetrics
-	if s.tasks != nil {
-		ts := s.tasks.Stats()
-		tm = &taskMetrics{
-			Open:             ts.Open,
-			AwaitingVotes:    ts.AwaitingVotes,
-			Decided:          ts.Decided,
-			Expired:          ts.Expired,
-			Creates:          s.m.taskCreates.Value(),
-			Votes:            s.m.taskVotes.Value(),
-			Verdicts:         s.m.taskVerdicts.Value(),
-			WALAppends:       ts.WAL.Appends,
-			WALFsyncs:        ts.WAL.Fsyncs,
-			WALFsyncP99NS:    ts.WAL.FsyncP99NS,
-			WALReplayRecords: ts.WAL.ReplayRecords,
-			WALCompactions:   ts.Compactions,
-
-			Shards:              ts.Shards,
-			ShardContention:     ts.ShardContention,
-			WALCommitQueueDepth: ts.WAL.QueueDepth,
-			WALFsyncBatchHist:   ts.WAL.FsyncBatchSizes[:],
-			WALReplayNS:         s.tasks.Recovery().Duration.Nanoseconds(),
-		}
-		tm.WALFsync = ts.WAL.FsyncHist.Summary()
-		tm.WALDurableWait = ts.WAL.DurableWaitHist.Summary()
-	}
-	var cm *selectCacheMetrics
-	if s.cache != nil {
-		shardLens := s.cache.shardLens()
-		entries := 0
-		for _, n := range shardLens {
-			entries += n
-		}
-		cm = &selectCacheMetrics{
-			Hits:         s.cache.hits.Load(),
-			Misses:       s.cache.misses.Load(),
-			Collapsed:    s.cache.collapsed.Load(),
-			Entries:      entries,
-			ShardEntries: shardLens,
-		}
-		if probes := cm.Hits + cm.Misses + cm.Collapsed; probes > 0 {
-			cm.HitRatio = float64(cm.Hits) / float64(probes)
-		}
-	}
-	var im *insight.Stats
-	if s.insight != nil {
-		st := s.insight.Stats()
-		im = &st
-	}
-	var lm *lifecycle.Stats
-	if s.lifecycle != nil {
-		st := s.lifecycle.Stats()
-		lm = &st
-	}
-	var sloSnap *lifecycle.SLOSnapshot
-	if s.slo != nil {
-		sloSnap = s.slo.Snapshot(time.Now().UTC())
-	}
-	eps := make(map[string]endpointStats, int(numEndpoints))
-	var errors4xx, errors5xx int64
-	for i := range s.eps {
-		em := &s.eps[i]
-		e4, e5 := em.errors4xx.Load(), em.errors5xx.Load()
-		errors4xx += e4
-		errors5xx += e5
-		snap := em.lat.Snapshot()
-		eps[endpointNames[i]] = endpointStats{
-			Requests:  em.requests.Load(),
-			Errors4xx: e4,
-			Errors5xx: e5,
-			Latency:   snap.Summary(),
-		}
-	}
-	stages := make(map[string]obs.Summary, obs.NumStages)
-	for i := range s.stages {
-		snap := s.stages[i].Snapshot()
-		stages[obs.Stage(i).String()] = snap.Summary()
-	}
-	writeJSON(w, http.StatusOK, metricsResponse{
-		Requests:          s.m.requests.Value(),
-		Selections:        s.m.selections.Value(),
-		BatchSelects:      s.m.batchSelects.Value(),
-		JERServed:         s.m.jerServed.Value(),
-		PoolWrites:        s.m.poolWrites.Value(),
-		BatchVotes:        s.m.batchVotes.Value(),
-		Shed:              s.m.shed.Value(),
-		Errors:            s.m.errors.Value(),
-		Errors4xx:         errors4xx,
-		Errors5xx:         errors5xx,
-		Inflight:          len(s.sem),
-		MaxInflight:       s.maxInflight,
-		Queued:            s.m.queued.Load(),
-		MaxQueue:          s.maxQueue,
-		EngineEvaluations: st.Evaluations,
-		EngineCacheHits:   st.CacheHits,
-		EngineInflight:    st.Inflight,
-		EngineWorkers:     s.eng.Workers(),
-		Pools:             s.store.Len(),
-		SelectCache:       cm,
-		Tasks:             tm,
-		Insight:           im,
-		Lifecycle:         lm,
-		SLO:               sloSnap,
-		Endpoints:         eps,
-		Stages:            stages,
-		Runtime:           sampleRuntime(),
-		Build:             buildInfo(),
-		UptimeSeconds:     time.Since(s.start).Seconds(),
-	})
-}
 
 // gcPauses reads the runtime's GC pause histogram (seconds).
 func gcPauses() *runtimemetrics.Float64Histogram {
@@ -435,15 +427,3 @@ func float64HistQuantile(h *runtimemetrics.Float64Histogram, q float64) float64 
 }
 
 const maxFiniteBound = 1e300
-
-// sampleRuntime collects the process gauges for /metrics.
-func sampleRuntime() runtimeStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return runtimeStats{
-		Goroutines:     runtime.NumGoroutine(),
-		HeapAllocBytes: ms.HeapAlloc,
-		NumGC:          ms.NumGC,
-		GCPauseP99NS:   float64HistQuantile(gcPauses(), 0.99) * 1e9,
-	}
-}

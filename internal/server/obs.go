@@ -134,7 +134,6 @@ func (rw *reqWriter) commit() {
 	switch {
 	case rw.status >= 500:
 		em.errors5xx.Add(1)
-		s.m.errors.Add(1)
 	case rw.status == http.StatusTooManyRequests:
 		// Shed is its own counter, incremented where the shed decision is
 		// made (admit); counting it again here as a client error would

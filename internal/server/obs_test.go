@@ -167,8 +167,11 @@ func TestEndpointLatencyHistograms(t *testing.T) {
 		map[string]any{"juror_id": created.Task.Jurors[0].ID, "vote": true}, http.StatusOK, nil)
 
 	var m struct {
-		Endpoints map[string]endpointStats `json:"endpoints"`
-		Stages    map[string]obs.Summary   `json:"stages"`
+		Endpoints map[string]struct {
+			Requests int64       `json:"requests"`
+			Latency  obs.Summary `json:"latency"`
+		} `json:"endpoints"`
+		Stages map[string]obs.Summary `json:"stages"`
 	}
 	doTaskJSON(t, http.MethodGet, hs.URL+"/metrics", nil, http.StatusOK, &m)
 	for _, ep := range []string{"jer", "select_miss", "select_warm", "select_batch",
@@ -201,11 +204,12 @@ func TestErrorsSplitByClass(t *testing.T) {
 	doJSON(t, ts.URL+"/v1/select", `{`, http.StatusBadRequest)
 
 	var m struct {
-		Errors    int64                    `json:"errors"`
-		Errors4xx int64                    `json:"errors_4xx"`
-		Errors5xx int64                    `json:"errors_5xx"`
-		Shed      int64                    `json:"shed"`
-		Endpoints map[string]endpointStats `json:"endpoints"`
+		Errors    int64 `json:"errors"`
+		Errors4xx int64 `json:"errors_4xx"`
+		Errors5xx int64 `json:"errors_5xx"`
+		Endpoints map[string]struct {
+			Errors4xx int64 `json:"errors_4xx"`
+		} `json:"endpoints"`
 	}
 	if st := do(t, http.MethodGet, ts.URL+"/metrics", nil, &m); st != http.StatusOK {
 		t.Fatalf("metrics status %d", st)
@@ -471,5 +475,145 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	defer resp.Body.Close()
 	if _, err := obs.ParseProm(resp.Body); err != nil {
 		t.Fatalf("exposition does not parse after load: %v", err)
+	}
+}
+
+// TestMetricsFormatsAgree pins the single scrape behind both metric
+// endpoints: once traffic stops, every value that /metrics and
+// /metrics/prometheus both carry reads the same in both, and the
+// select-cache total equals the sum of its shard series. The ops
+// endpoints are left out: each scrape counts itself.
+func TestMetricsFormatsAgree(t *testing.T) {
+	srv, hs := newLifecycleServer(t)
+	if _, err := srv.tasks.PutPool("panel", flatJurors(7)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		doTaskJSON(t, http.MethodPost, hs.URL+"/v1/select", map[string]string{"pool": "crowd"}, http.StatusOK, nil)
+	}
+	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/select", map[string]string{"pool": "nope"}, http.StatusNotFound, nil)
+	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/jer",
+		map[string]any{"error_rates": []float64{0.1, 0.2, 0.3}}, http.StatusOK, nil)
+	decideTask(t, hs.URL)
+	// A second task stays awaiting votes after a decline (a replacement
+	// invite) and one vote.
+	var open TaskResponse
+	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks",
+		map[string]any{"pool": "panel", "target_confidence": 1}, http.StatusCreated, &open)
+	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks/"+open.Task.ID+"/votes",
+		map[string]any{"juror_id": open.Task.Jurors[0].ID, "decline": true}, http.StatusOK, nil)
+	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks/"+open.Task.ID+"/votes",
+		map[string]any{"juror_id": open.Task.Jurors[1].ID, "vote": true}, http.StatusOK, nil)
+
+	var doc map[string]any
+	doTaskJSON(t, http.MethodGet, hs.URL+"/metrics", nil, http.StatusOK, &doc)
+	resp, err := http.Get(hs.URL + "/metrics/prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonNum := func(path string) float64 {
+		var v any = doc
+		for _, k := range strings.Split(path, ".") {
+			v = v.(map[string]any)[k]
+		}
+		n, ok := v.(float64)
+		if !ok {
+			t.Fatalf("/metrics %s = %v, not a number", path, v)
+		}
+		return n
+	}
+	// promNum returns the sample named name whose labels include the
+	// given key/value pairs; a histogram with no samples has no series
+	// and reads 0.
+	promNum := func(name string, kv ...string) float64 {
+		for _, f := range fams {
+		next:
+			for _, s := range f.Samples {
+				if s.Name != name {
+					continue
+				}
+				for i := 0; i < len(kv); i += 2 {
+					if s.Labels[kv[i]] != kv[i+1] {
+						continue next
+					}
+				}
+				return s.Value
+			}
+		}
+		if !strings.HasSuffix(name, "_count") {
+			t.Errorf("no %s%v sample", name, kv)
+		}
+		return 0
+	}
+	agree := func(path, name string, kv ...string) float64 {
+		j, p := jsonNum(path), promNum(name, kv...)
+		if j != p {
+			t.Errorf("%s = %v in /metrics, %s%v = %v in the exposition", path, j, name, kv, p)
+		}
+		return j
+	}
+
+	for _, name := range endpointNames[:epOpsFirst] {
+		path := "endpoints." + name + "."
+		agree(path+"requests", "juryd_requests_total", "endpoint", name)
+		agree(path+"errors_4xx", "juryd_errors_total", "endpoint", name, "class", "4xx")
+		agree(path+"errors_5xx", "juryd_errors_total", "endpoint", name, "class", "5xx")
+		agree(path+"latency.count", "juryd_request_duration_seconds_count", "endpoint", name)
+	}
+	if jsonNum("errors") != jsonNum("errors_5xx") {
+		t.Errorf("errors %v != errors_5xx %v", jsonNum("errors"), jsonNum("errors_5xx"))
+	}
+	agree("shed", "juryd_shed_total")
+	agree("selections", "juryd_selections_total")
+	agree("engine_evaluations", "juryd_engine_evaluations_total")
+	agree("engine_cache_hits", "juryd_engine_cache_hits_total")
+
+	hits := agree("select_cache.hits", "juryd_select_cache_events_total", "event", "hit")
+	agree("select_cache.misses", "juryd_select_cache_events_total", "event", "miss")
+	agree("select_cache.collapsed", "juryd_select_cache_events_total", "event", "collapsed")
+	agree("select_cache.hit_ratio", "juryd_select_cache_hit_ratio")
+	entries := agree("select_cache.entries", "juryd_select_cache_entries")
+	var shardSum float64
+	for _, s := range fams["juryd_select_cache_shard_entries"].Samples {
+		shardSum += s.Value
+	}
+	if shardSum != entries {
+		t.Errorf("shard series sum to %v, select_cache.entries %v", shardSum, entries)
+	}
+
+	for _, st := range []string{"open", "awaiting_votes", "decided", "expired"} {
+		agree("tasks."+st, "juryd_tasks", "status", st)
+	}
+	agree("tasks.wal_appends", "juryd_wal_appends_total")
+	agree("tasks.wal_fsyncs", "juryd_wal_fsyncs_total")
+	agree("tasks.wal_commit_queue_depth", "juryd_wal_commit_queue_depth")
+	agree("tasks.wal_fsync.count", "juryd_wal_fsync_duration_seconds_count")
+	agree("tasks.wal_durable_wait.count", "juryd_wal_durable_wait_seconds_count")
+
+	insightEvents := agree("insight.events", "juryd_insight_events_total")
+	agree("insight.tasks_decided", "juryd_insight_tasks_total", "outcome", "decided")
+	agree("insight.tasks_expired", "juryd_insight_tasks_total", "outcome", "expired")
+	agree("insight.jurors_tracked", "juryd_insight_jurors_tracked")
+	agree("insight.pairs_tracked", "juryd_insight_pairs_tracked")
+	agree("insight.pairs_dropped", "juryd_insight_pairs_dropped_total")
+	agree("insight.calibration_samples", "juryd_insight_calibration_samples_total")
+	agree("insight.brier", "juryd_insight_brier_score")
+	lifecycleEvents := agree("lifecycle.events", "juryd_lifecycle_events_total")
+	agree("lifecycle.tasks_decided", "juryd_lifecycle_tasks_total", "outcome", "decided")
+	agree("lifecycle.tasks_expired", "juryd_lifecycle_tasks_total", "outcome", "expired")
+	replacements := agree("lifecycle.replacements", "juryd_lifecycle_replacements_total")
+	agree("lifecycle.timelines_retained", "juryd_lifecycle_timelines_retained")
+	agree("lifecycle.timelines_evicted", "juryd_lifecycle_timelines_evicted_total")
+
+	// The comparison is only as strong as the traffic behind it.
+	if hits == 0 || entries == 0 || insightEvents == 0 || lifecycleEvents == 0 || replacements == 0 ||
+		jsonNum("tasks.decided") != 1 || jsonNum("tasks.awaiting_votes") != 1 ||
+		jsonNum("insight.pairs_tracked") == 0 || jsonNum("endpoints.select_miss.errors_4xx") != 1 {
+		t.Errorf("traffic did not exercise the compared values: %v", doc)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"juryselect/internal/dataio"
 	"juryselect/internal/insight"
 	"juryselect/internal/lifecycle"
+	"juryselect/internal/memo"
 	"juryselect/internal/obs"
 	"juryselect/internal/pbdist"
 	"juryselect/internal/pool"
@@ -135,8 +136,8 @@ type Server struct {
 	maxBody     int64
 	maxBatch    int
 
-	cache *selectCache  // version-keyed select responses; nil = disabled
-	sem   chan struct{} // inflight slots for evaluation requests
+	cache *memo.Cache[selectKey, []byte] // version-keyed select responses; nil = disabled
+	sem   chan struct{}                  // inflight slots for evaluation requests
 	m     metrics
 	mux   *http.ServeMux
 
@@ -214,8 +215,10 @@ func New(cfg Config) *Server {
 	if s.maxBatch <= 0 {
 		s.maxBatch = DefaultMaxBatchItems
 	}
-	if cfg.SelectCacheEntries >= 0 {
-		s.cache = newSelectCache(cfg.SelectCacheEntries)
+	if n := cfg.SelectCacheEntries; n == 0 {
+		s.cache = memo.New[selectKey, []byte](DefaultSelectCacheEntries)
+	} else if n > 0 {
+		s.cache = memo.New[selectKey, []byte](n)
 	}
 	s.sem = make(chan struct{}, s.maxInflight)
 	s.slowNS = cfg.SlowRequest.Nanoseconds()
@@ -580,11 +583,7 @@ func (s *Server) computeSelectRaw(ctx context.Context, p selectPlan) ([]byte, er
 func (s *Server) selectRaw(ctx context.Context, w http.ResponseWriter, p selectPlan) ([]byte, bool, error) {
 	if p.pool != nil && s.cache != nil {
 		key := selectKey{pool: p.pool.Name, version: p.pool.Version, kind: p.kind, budget: p.req.Budget}
-		if raw, ok := s.cache.get(key); ok {
-			mark(w, obs.StageCacheProbe)
-			return raw, true, nil
-		}
-		raw, err := s.cache.do(key, func() ([]byte, error) {
+		raw, out, err := s.cache.Do(key, key.hash(), func() ([]byte, error) {
 			release, err := s.admit(ctx)
 			if err != nil {
 				return nil, err
@@ -593,6 +592,10 @@ func (s *Server) selectRaw(ctx context.Context, w http.ResponseWriter, p selectP
 			defer release()
 			return s.computeSelectRaw(ctx, p)
 		})
+		if out == memo.Hit {
+			mark(w, obs.StageCacheProbe)
+			return raw, true, nil
+		}
 		mark(w, obs.StageEngine)
 		return raw, false, err
 	}

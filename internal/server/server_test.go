@@ -361,7 +361,9 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", code, errResp.Error)
 	}
-	var m metricsResponse
+	var m struct {
+		Shed int64 `json:"shed"`
+	}
 	if do(t, http.MethodGet, ts.URL+"/metrics", nil, &m); m.Shed != 1 {
 		t.Errorf("shed counter %d, want 1", m.Shed)
 	}
@@ -408,7 +410,14 @@ func TestMetricsCounters(t *testing.T) {
 		}
 	}
 	do(t, http.MethodPost, ts.URL+"/v1/jer", JERRequest{ErrorRates: []float64{0.1, 0.2, 0.3}}, nil)
-	var m metricsResponse
+	var m struct {
+		Requests          int64 `json:"requests"`
+		Selections        int64 `json:"selections"`
+		JERServed         int64 `json:"jer_served"`
+		PoolWrites        int64 `json:"pool_writes"`
+		Pools             int   `json:"pools"`
+		EngineEvaluations int64 `json:"engine_evaluations"`
+	}
 	if code := do(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != http.StatusOK {
 		t.Fatal("metrics failed")
 	}

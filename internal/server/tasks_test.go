@@ -118,7 +118,14 @@ func TestTaskLifecycleOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m metricsResponse
+	var m struct {
+		Tasks *struct {
+			Decided  int   `json:"decided"`
+			Creates  int64 `json:"creates"`
+			Votes    int64 `json:"votes"`
+			Verdicts int64 `json:"verdicts"`
+		} `json:"tasks"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +282,17 @@ func TestTaskMetricsExposeWritePathHealth(t *testing.T) {
 	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks/"+created.Task.ID+"/votes",
 		TaskVoteRequest{JurorID: created.Task.Jurors[0].ID, Vote: &yes}, http.StatusOK, nil)
 
-	var m metricsResponse
+	var m struct {
+		Tasks *struct {
+			Shards              int     `json:"shards"`
+			ShardContention     int64   `json:"shard_contention"`
+			WALFsyncs           int64   `json:"wal_fsyncs"`
+			WALCommitQueueDepth int64   `json:"wal_commit_queue_depth"`
+			WALFsyncBatchHist   []int64 `json:"wal_fsync_batch_hist"`
+			WALReplayRecords    int64   `json:"wal_replay_records"`
+			WALReplayNS         int64   `json:"wal_replay_ns"`
+		} `json:"tasks"`
+	}
 	doTaskJSON(t, http.MethodGet, hs.URL+"/metrics", nil, http.StatusOK, &m)
 	if m.Tasks == nil {
 		t.Fatal("no tasks metrics block")
