@@ -19,10 +19,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"juryselect/internal/pbdist"
 )
@@ -157,11 +159,11 @@ func SortedByErrorRate(cands []Juror) []Juror { return sortByErrorRate(cands) }
 func sortByErrorRate(cands []Juror) []Juror {
 	out := make([]Juror, len(cands))
 	copy(out, cands)
-	sort.SliceStable(out, func(i, k int) bool {
-		if out[i].ErrorRate != out[k].ErrorRate {
-			return out[i].ErrorRate < out[k].ErrorRate
+	slices.SortStableFunc(out, func(a, b Juror) int {
+		if c := cmp.Compare(a.ErrorRate, b.ErrorRate); c != 0 {
+			return c
 		}
-		return out[i].ID < out[k].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 	return out
 }
@@ -171,15 +173,14 @@ func sortByErrorRate(cands []Juror) []Juror {
 func sortByCostQuality(cands []Juror) []Juror {
 	out := make([]Juror, len(cands))
 	copy(out, cands)
-	sort.SliceStable(out, func(i, k int) bool {
-		pi, pk := out[i].ErrorRate*out[i].Cost, out[k].ErrorRate*out[k].Cost
-		if pi != pk {
-			return pi < pk
+	slices.SortStableFunc(out, func(a, b Juror) int {
+		if c := cmp.Compare(a.ErrorRate*a.Cost, b.ErrorRate*b.Cost); c != 0 {
+			return c
 		}
-		if out[i].Cost != out[k].Cost {
-			return out[i].Cost < out[k].Cost
+		if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
+			return c
 		}
-		return out[i].ID < out[k].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 	return out
 }

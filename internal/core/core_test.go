@@ -2,7 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"juryselect/internal/pbdist"
@@ -115,5 +119,72 @@ func TestSortByCostQuality(t *testing.T) {
 		if sorted[i].ID != id {
 			t.Fatalf("order = %v, want %v", sorted, wantOrder)
 		}
+	}
+}
+
+// TestSortsMatchSliceStable pins both sorts to sort.SliceStable with the
+// same keys and tie-breaks, kept here as the reference. A stable sort is
+// fixed by its comparator, so the orders must agree exactly on inputs
+// with tied ε, tied ε·r at different costs, and duplicate IDs at
+// different costs, which only stability orders.
+func TestSortsMatchSliceStable(t *testing.T) {
+	refByErrorRate := func(cands []Juror) []Juror {
+		out := append([]Juror(nil), cands...)
+		sort.SliceStable(out, func(i, k int) bool {
+			if out[i].ErrorRate != out[k].ErrorRate {
+				return out[i].ErrorRate < out[k].ErrorRate
+			}
+			return out[i].ID < out[k].ID
+		})
+		return out
+	}
+	refByCostQuality := func(cands []Juror) []Juror {
+		out := append([]Juror(nil), cands...)
+		sort.SliceStable(out, func(i, k int) bool {
+			pi, pk := out[i].ErrorRate*out[i].Cost, out[k].ErrorRate*out[k].Cost
+			if pi != pk {
+				return pi < pk
+			}
+			if out[i].Cost != out[k].Cost {
+				return out[i].Cost < out[k].Cost
+			}
+			return out[i].ID < out[k].ID
+		})
+		return out
+	}
+	rates := []float64{0.05, 0.1, 0.2, 0.3, 0.4}
+	costs := []float64{0, 0.25, 0.5, 1, 2}
+	rng := rand.New(rand.NewSource(5))
+	productTies := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial == 0 {
+			n = 1001
+		}
+		cands := make([]Juror, n)
+		for i := range cands {
+			eps, cost := rates[rng.Intn(len(rates))], costs[rng.Intn(len(costs))]
+			if rng.Intn(2) == 0 {
+				// Halving ε and doubling r is exact, so ε·r ties at a
+				// different cost.
+				eps, cost = eps/2, cost*2
+			}
+			cands[i] = Juror{ID: fmt.Sprintf("j%d", rng.Intn(n/3+1)), ErrorRate: eps, Cost: cost}
+		}
+		for i := 1; i < n; i++ {
+			a, b := cands[i-1], cands[i]
+			if a.ErrorRate*a.Cost == b.ErrorRate*b.Cost && a.Cost != b.Cost {
+				productTies++
+			}
+		}
+		if got, want := sortByErrorRate(cands), refByErrorRate(cands); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: sortByErrorRate diverges from sort.SliceStable:\ngot  %v\nwant %v", trial, got, want)
+		}
+		if got, want := sortByCostQuality(cands), refByCostQuality(cands); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: sortByCostQuality diverges from sort.SliceStable:\ngot  %v\nwant %v", trial, got, want)
+		}
+	}
+	if productTies == 0 {
+		t.Fatal("no input had tied ε·r at different costs")
 	}
 }

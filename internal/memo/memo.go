@@ -3,7 +3,9 @@
 // on a jury's error-rate multiset, and the server memoizes encoded select
 // responses in it, keyed on (pool, version, strategy). Each caller owns
 // its key format and supplies the key's 64-bit hash; the cache owns
-// residency, recency and the collapsing of concurrent misses.
+// residency, recency and the collapsing of concurrent misses. A caller
+// that knows some keys can never be probed again drops them with
+// DeleteFunc.
 package memo
 
 import (
@@ -133,6 +135,27 @@ func (c *Cache[K, V]) Do(key K, hash uint64, compute func() (V, error)) (V, Outc
 	sh.mu.Unlock()
 	close(f.done)
 	return f.val, Computed, f.err
+}
+
+// DeleteFunc removes every resident entry whose key satisfies del,
+// taking each shard's lock in turn. In-flight computations are not
+// touched: a flight running during DeleteFunc still inserts its value
+// afterwards, and its joiners still share it. del runs under a shard
+// lock and must not call back into the cache.
+func (c *Cache[K, V]) DeleteFunc(del func(K) bool) {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for e := sh.root.next; e != &sh.root; {
+			next := e.next
+			if del(e.key) {
+				sh.unlink(e)
+				delete(sh.entries, e.key)
+			}
+			e = next
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // unlink removes e from the recency ring. Caller holds sh.mu.

@@ -9,9 +9,20 @@ import "math"
 // per-name version high-water mark survives DELETE, so a (name, version)
 // pair can never denote two different juror sets. Keying the cache on
 // (name, version, strategy, canonicalized params) therefore makes
-// invalidation structural: a write publishes a new version, fresh
-// requests build fresh keys, and entries for dead versions simply age
-// out of the LRU. There is no invalidation path to get wrong.
+// correctness structural: a write publishes a new version, fresh
+// requests build fresh keys, and no request can probe an older version's
+// entry again.
+//
+// Those dead entries are dropped on write, not left to age out of the
+// LRU: after a PUT or PATCH through the server succeeds, dropSelects
+// removes every entry for an older version of that pool, and after a
+// DELETE every version of it. Residency is then the live (pool,
+// strategy, budget) keys plus, at most, the flights in progress at each
+// write: a miss still computing when the write runs its drop inserts its
+// older version afterwards, and the pool's next write removes it. The
+// drop only reclaims memory; a late or missing drop (writes through
+// Server.Store skip it) leaves entries no request can probe, never a
+// stale answer.
 //
 // The cache is a memo.Cache[selectKey, []byte]: the shared sharded LRU
 // with per-key singleflight, so a stampede on one cold key computes
@@ -58,8 +69,20 @@ func (k selectKey) hash() uint64 {
 	return h
 }
 
-// DefaultSelectCacheEntries bounds the cache. 4096 entries cover
-// hundreds of pools × the handful of live (version, params) pairs each
-// has at any moment; at roughly 1 KiB of encoded response per jury the
-// worst case is a few MiB.
+// dropSelects removes the cached responses for every version of the
+// named pool below live. A PUT or PATCH passes the version it published;
+// a DELETE passes math.MaxUint64 to drop them all.
+func (s *Server) dropSelects(name string, live uint64) {
+	if s.cache == nil {
+		return
+	}
+	s.cache.DeleteFunc(func(k selectKey) bool { return k.pool == name && k.version < live })
+}
+
+// DefaultSelectCacheEntries bounds the cache's entry count, not its
+// bytes. An encoded response grows with the jury: on 1,001-juror pools
+// with ε ~ TruncNormal(0.3, 0.15), an altruistic select encodes to
+// 40–45 KB and a pay select to 0.3–4.7 KB. 4096 entries therefore cover
+// hundreds of pools' live keys, and a cache full of altruistic juries
+// on such pools holds ~175 MB.
 const DefaultSelectCacheEntries = 4096

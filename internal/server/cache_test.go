@@ -13,6 +13,7 @@ import (
 
 	"juryselect/internal/memo"
 	"juryselect/internal/pool"
+	"juryselect/internal/tasks"
 	"juryselect/jury"
 )
 
@@ -272,6 +273,93 @@ func TestSelectCacheStampede(t *testing.T) {
 	if warm, miss := s.eps[epSelectWarm].requests.Load(), s.eps[epSelectMiss].requests.Load(); warm != hits || miss != misses+collapsed {
 		t.Fatalf("select_warm %d / select_miss %d requests, want hits %d / misses+collapsed %d",
 			warm, miss, hits, misses+collapsed)
+	}
+}
+
+// TestSelectCacheDropsSupersededVersions asserts a pool write through
+// the handlers leaves only live keys resident: after every PATCH, once
+// the selects in between have refilled it, /metrics select_cache.entries
+// equals the live (pool, strategy, budget) count; a DELETE drops every
+// version of that pool and no other pool's; a re-PUT continues the
+// version sequence. It runs against the bare pool store and against a
+// task store, the two branches pool writes take.
+func TestSelectCacheDropsSupersededVersions(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tasks=%v", durable), func(t *testing.T) {
+			var cfg Config
+			if durable {
+				ts, err := tasks.Open(tasks.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Tasks = ts
+			}
+			_, hs := newTestServer(t, cfg)
+			selects := []SelectRequest{{Pool: "crowd"}, {Pool: "crowd", Model: "pay", Budget: 1}}
+			selectAll := func(wantVersion uint64) {
+				t.Helper()
+				for _, req := range selects {
+					var resp SelectResponse
+					if code := do(t, http.MethodPost, hs.URL+"/v1/select", req, &resp); code != http.StatusOK {
+						t.Fatalf("select %+v: status %d", req, code)
+					}
+					if resp.PoolVersion != wantVersion {
+						t.Fatalf("select %+v: pool_version %d, want %d", req, resp.PoolVersion, wantVersion)
+					}
+				}
+			}
+			entries := func() int {
+				t.Helper()
+				var m struct {
+					SelectCache struct {
+						Entries int `json:"entries"`
+					} `json:"select_cache"`
+				}
+				if code := do(t, http.MethodGet, hs.URL+"/metrics", nil, &m); code != http.StatusOK {
+					t.Fatalf("metrics: status %d", code)
+				}
+				return m.SelectCache.Entries
+			}
+
+			putPool(t, hs.URL, "other", testJurors(9))
+			if code := do(t, http.MethodPost, hs.URL+"/v1/select", SelectRequest{Pool: "other"}, nil); code != http.StatusOK {
+				t.Fatalf("select other: status %d", code)
+			}
+			putPool(t, hs.URL, "crowd", testJurors(15))
+			selectAll(1)
+			live := len(selects) + 1
+			if n := entries(); n != live {
+				t.Fatalf("after the first selects: %d entries, want %d", n, live)
+			}
+			for round := 1; round <= 10; round++ {
+				patch := PatchJurorsRequest{Updates: []JurorUpdateJSON{{ID: "j003", Votes: &VotesJSON{Wrong: 1, Total: 5}}}}
+				if code := do(t, http.MethodPatch, hs.URL+"/v1/pools/crowd/jurors", patch, nil); code != http.StatusOK {
+					t.Fatalf("round %d: PATCH status %d", round, code)
+				}
+				selectAll(uint64(round + 1))
+				if n := entries(); n != live {
+					t.Fatalf("round %d: %d entries, want the %d live keys", round, n, live)
+				}
+			}
+
+			if code := do(t, http.MethodDelete, hs.URL+"/v1/pools/crowd", nil, nil); code != http.StatusNoContent {
+				t.Fatalf("DELETE crowd: status %d", code)
+			}
+			if n := entries(); n != 1 {
+				t.Fatalf("after DELETE crowd: %d entries, want other's 1", n)
+			}
+			if code := do(t, http.MethodDelete, hs.URL+"/v1/pools/other", nil, nil); code != http.StatusNoContent {
+				t.Fatalf("DELETE other: status %d", code)
+			}
+			if n := entries(); n != 0 {
+				t.Fatalf("after deleting every pool: %d entries, want 0", n)
+			}
+			putPool(t, hs.URL, "crowd", testJurors(15))
+			selectAll(12)
+			if n := entries(); n != len(selects) {
+				t.Fatalf("after the re-PUT: %d entries, want %d", n, len(selects))
+			}
+		})
 	}
 }
 

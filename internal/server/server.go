@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -260,7 +261,11 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Store returns the server's pool store, e.g. for initial pool loading.
+// Store returns the server's pool store, e.g. for seeding pools before
+// serving. A write through it bypasses the HTTP handlers: when Tasks is
+// set it skips the write-ahead log, so a restart does not replay it, and
+// it never drops the select cache's entries for the versions it retires
+// (those are unreachable and leave by LRU age-out).
 func (s *Server) Store() *pool.Store { return s.store }
 
 // Engine returns the server's shared JER engine.
@@ -793,24 +798,42 @@ func (s *Server) handlePoolDelete(w http.ResponseWriter, r *http.Request) {
 // putPool, patchPool and deletePool route pool mutations through the
 // task store's write-ahead log when one is configured — the durability
 // contract: every mutation a restarted juryd must replay goes through
-// one journal — and straight to the in-memory store otherwise.
+// one journal — and straight to the in-memory store otherwise. Each
+// drops the select cache's entries for the versions its write retired.
 func (s *Server) putPool(name string, jurors []jury.Juror) (*pool.Pool, error) {
+	put := s.store.Put
 	if s.tasks != nil {
-		return s.tasks.PutPool(name, jurors)
+		put = s.tasks.PutPool
 	}
-	return s.store.Put(name, jurors)
+	p, err := put(name, jurors)
+	if err == nil {
+		s.dropSelects(name, p.Version)
+	}
+	return p, err
 }
 
 func (s *Server) patchPool(name string, ups []pool.JurorUpdate) (*pool.Pool, error) {
+	patch := s.store.Patch
 	if s.tasks != nil {
-		return s.tasks.PatchPool(name, ups)
+		patch = s.tasks.PatchPool
 	}
-	return s.store.Patch(name, ups)
+	p, err := patch(name, ups)
+	if err == nil {
+		s.dropSelects(name, p.Version)
+	}
+	return p, err
 }
 
 func (s *Server) deletePool(name string) (bool, error) {
+	var existed bool
+	var err error
 	if s.tasks != nil {
-		return s.tasks.DeletePool(name)
+		existed, err = s.tasks.DeletePool(name)
+	} else {
+		existed = s.store.Delete(name)
 	}
-	return s.store.Delete(name), nil
+	if existed {
+		s.dropSelects(name, math.MaxUint64)
+	}
+	return existed, err
 }
