@@ -63,15 +63,19 @@
 //
 // Durability: with -wal-dir set, every pool and task mutation is
 // journaled to a CRC-framed write-ahead log and periodically folded into
-// a snapshot (-compact-every records). -fsync batch (the default; "always"
-// is another name for it) fsyncs before acknowledging a write, with
-// concurrent writes sharing one group-commit fsync; -fsync off leaves
-// flushing to the kernel. On boot juryd replays snapshot + log —
-// truncating a torn tail from a crash mid-write — to the exact pre-crash
-// state, so under -fsync batch a kill -9 or a machine crash loses
-// nothing acknowledged. A log written in the pre-v2 JSON record framing
-// is refused: juryd exits with an error naming the file. Without
-// -wal-dir the task store is ephemeral.
+// a binary snapshot, snapshot.bin (-compact-every records), streamed
+// from live state in the log's own framing. Writers stall while a
+// compaction runs; /metrics reports each one's wall time as
+// tasks.compact. -fsync batch (the default; "always" is another name
+// for it) fsyncs before acknowledging a write, with concurrent writes
+// sharing one group-commit fsync; -fsync off leaves flushing to the
+// kernel. On boot juryd replays snapshot + log — truncating a torn tail
+// from a crash mid-write, but refusing a damaged snapshot — to the exact
+// pre-crash state, so under -fsync batch a kill -9 or a machine crash
+// loses nothing acknowledged. A log written in the pre-v2 JSON record
+// framing, or a v1 JSON snapshot (snapshot.json), is refused: juryd
+// exits with an error naming the file. Without -wal-dir the task store
+// is ephemeral.
 //
 // A background sweeper (period -sweep) releases invited jurors who have
 // not answered within -juror-timeout — inviting the next-best candidate

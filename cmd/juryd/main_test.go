@@ -364,6 +364,45 @@ func TestRunRefusesPreV2WAL(t *testing.T) {
 	}
 }
 
+// TestRunRefusesV1Snapshot points juryd at a directory holding a v1
+// JSON compaction snapshot: run must fail before serving, with an error
+// that names the snapshot file (main logs it and exits 1), and leave the
+// directory as it found it.
+func TestRunRefusesV1Snapshot(t *testing.T) {
+	walDir := t.TempDir()
+	path := filepath.Join(walDir, "snapshot.json")
+	doc := []byte(`{"schema":"juryselect-taskwal/v1","epoch":1,"pools":{"pools":[]},"tasks":null,"next_task":0}`)
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ready := make(chan string, 1)
+	err := run(context.Background(), config{
+		addr:   "127.0.0.1:0",
+		walDir: walDir,
+		fsync:  "batch",
+		drain:  time.Second,
+	}, slog.New(slog.NewTextHandler(io.Discard, nil)), ready, nil)
+	if !errors.Is(err, tasks.ErrV1Snapshot) {
+		t.Fatalf("run = %v, want tasks.ErrV1Snapshot", err)
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not name the snapshot file", err)
+	}
+	if len(ready) != 0 {
+		t.Error("juryd started serving beside a snapshot it cannot load")
+	}
+	entries, err := os.ReadDir(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("refused boot left %d files in the WAL directory, want only the v1 snapshot", len(entries))
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, doc) {
+		t.Errorf("refused boot changed the v1 snapshot (err %v)", err)
+	}
+}
+
 func TestRunFailsOnUnbindableAddr(t *testing.T) {
 	err := run(context.Background(), config{
 		addr:  "256.0.0.1:1",

@@ -9,8 +9,8 @@
 // its write-ahead log): extracting it from the server package is what
 // lets the durable task store wrap pool writes without an import cycle.
 // For recovery, writes accept explicit timestamps (PutAt, PatchAt) so a
-// WAL replay republishes byte-identical snapshots, and Export/Restore
-// round-trip the full store state for snapshot compaction.
+// WAL replay republishes byte-identical snapshots, and Rebuild/Install
+// restore the state a compaction snapshot read in place.
 package pool
 
 import (
@@ -318,17 +318,7 @@ func (s *Store) Delete(name string) bool {
 // publish builds the immutable snapshot for members and swaps it into a
 // copied directory. Callers hold s.mu and have validated members.
 func (s *Store) publish(name string, version uint64, members []PoolJuror, at time.Time) *Pool {
-	cands := make([]jury.Juror, len(members))
-	for i, m := range members {
-		cands[i] = m.Juror
-	}
-	p := &Pool{
-		Name:      name,
-		Version:   version,
-		UpdatedAt: at,
-		jurors:    members,
-		sorted:    core.SortedByErrorRate(cands),
-	}
+	p := newPool(name, version, members, at)
 	s.lastVersion[name] = version
 	old := *s.dir.Load()
 	next := make(map[string]*Pool, len(old)+1)
@@ -340,92 +330,76 @@ func (s *Store) publish(name string, version uint64, members []PoolJuror, at tim
 	return p
 }
 
-// JurorState is the snapshot-serialization form of one pool member.
+// newPool builds the immutable snapshot of validated members, taking
+// ownership of them.
+func newPool(name string, version uint64, members []PoolJuror, at time.Time) *Pool {
+	cands := make([]jury.Juror, len(members))
+	for i, m := range members {
+		cands[i] = m.Juror
+	}
+	return &Pool{
+		Name:      name,
+		Version:   version,
+		UpdatedAt: at,
+		jurors:    members,
+		sorted:    core.SortedByErrorRate(cands),
+	}
+}
+
+// JurorState is the journaled form of one pool member in a pool_put
+// record.
 type JurorState struct {
-	ID         string  `json:"id"`
-	ErrorRate  float64 `json:"error_rate"`
-	Cost       float64 `json:"cost,omitempty"`
-	WrongVotes int64   `json:"wrong_votes,omitempty"`
-	TotalVotes int64   `json:"total_votes,omitempty"`
+	ID         string
+	ErrorRate  float64
+	Cost       float64
+	WrongVotes int64
+	TotalVotes int64
 }
 
-// PoolState is the snapshot-serialization form of one pool.
-type PoolState struct {
-	Name      string       `json:"name"`
-	Version   uint64       `json:"version"`
-	UpdatedAt time.Time    `json:"updated_at"`
-	Jurors    []JurorState `json:"jurors"`
-}
-
-// State is the full serializable store state: every pool plus the
-// per-name version high-water marks (which survive pool deletion and so
-// are not derivable from the live pools alone).
-type State struct {
-	Pools []PoolState `json:"pools"`
-	// LastVersions carries the version floor of every name ever written,
-	// including deleted pools.
-	LastVersions map[string]uint64 `json:"last_versions,omitempty"`
-}
-
-// Export captures the complete store state for snapshotting. The result
-// is deterministic: pools sorted by name, members in insertion order.
-func (s *Store) Export() State {
+// VersionFloors returns a copy of the per-name version high-water
+// marks, including those of deleted pools: the part of the store state
+// the live pools alone do not carry. A compaction snapshot writes them
+// next to the pools, which it reads in place through List and Jurors.
+func (s *Store) VersionFloors() map[string]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pools := s.List()
-	st := State{Pools: make([]PoolState, len(pools))}
-	for i, p := range pools {
-		ps := PoolState{Name: p.Name, Version: p.Version, UpdatedAt: p.UpdatedAt,
-			Jurors: make([]JurorState, len(p.jurors))}
-		for k, m := range p.jurors {
-			ps.Jurors[k] = JurorState{ID: m.ID, ErrorRate: m.ErrorRate, Cost: m.Cost,
-				WrongVotes: m.WrongVotes, TotalVotes: m.TotalVotes}
-		}
-		st.Pools[i] = ps
+	out := make(map[string]uint64, len(s.lastVersion))
+	for k, v := range s.lastVersion {
+		out[k] = v
 	}
-	if len(s.lastVersion) > 0 {
-		st.LastVersions = make(map[string]uint64, len(s.lastVersion))
-		for k, v := range s.lastVersion {
-			st.LastVersions[k] = v
-		}
-	}
-	return st
+	return out
 }
 
-// Restore replaces the store contents with an exported state. Used once,
-// on recovery, before the store is shared; it validates every member the
-// same way the write path does.
-func (s *Store) Restore(st State) error {
+// Rebuild returns the snapshot of a pool recovered from a compaction
+// snapshot: members in insertion order with their vote records. The
+// pool takes ownership of members. Every juror is validated the way the
+// write path validates it, and the sorted view is rebuilt, so the
+// result equals the snapshot the original writes published.
+func Rebuild(name string, version uint64, updatedAt time.Time, members []PoolJuror) (*Pool, error) {
+	for _, m := range members {
+		if err := m.Juror.Validate(); err != nil {
+			return nil, fmt.Errorf("pool: restoring %q: %w", name, err)
+		}
+	}
+	return newPool(name, version, members, updatedAt), nil
+}
+
+// Install replaces the store contents with recovered pools (built by
+// Rebuild, names distinct) and version floors, in one publication. Used
+// once, on recovery, before the store is shared. A pool's own version
+// raises its name's floor.
+func (s *Store) Install(pools []*Pool, floors map[string]uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dir := make(map[string]*Pool, len(st.Pools))
-	last := make(map[string]uint64, len(st.LastVersions))
-	for k, v := range st.LastVersions {
+	dir := make(map[string]*Pool, len(pools))
+	last := make(map[string]uint64, len(floors))
+	for k, v := range floors {
 		last[k] = v
 	}
-	for _, ps := range st.Pools {
-		members := make([]PoolJuror, len(ps.Jurors))
-		cands := make([]jury.Juror, len(ps.Jurors))
-		for i, js := range ps.Jurors {
-			j := jury.Juror{ID: js.ID, ErrorRate: js.ErrorRate, Cost: js.Cost}
-			if err := j.Validate(); err != nil {
-				return fmt.Errorf("pool: restoring %q: %w", ps.Name, err)
-			}
-			members[i] = PoolJuror{Juror: j, WrongVotes: js.WrongVotes, TotalVotes: js.TotalVotes}
-			cands[i] = j
-		}
-		dir[ps.Name] = &Pool{
-			Name:      ps.Name,
-			Version:   ps.Version,
-			UpdatedAt: ps.UpdatedAt,
-			jurors:    members,
-			sorted:    core.SortedByErrorRate(cands),
-		}
-		if last[ps.Name] < ps.Version {
-			last[ps.Name] = ps.Version
-		}
+	for _, p := range pools {
+		dir[p.Name] = p
+		last[p.Name] = max(last[p.Name], p.Version)
 	}
 	s.lastVersion = last
 	s.dir.Store(&dir)
-	return nil
 }

@@ -238,6 +238,10 @@ func (s *Server) collect() *obs.Scrape {
 		sc.Set("tasks.wal_replay_records", ts.WAL.ReplayRecords)
 		sc.Set("tasks.wal_replay_ns", s.tasks.Recovery().Duration.Nanoseconds())
 		sc.Set("tasks.wal_compactions", ts.Compactions)
+		// Every store lock is held through a compaction, so its wall time
+		// is also how long writers stalled.
+		sc.Add("tasks.compact", ts.CompactHist,
+			sc.Family("juryd_tasks_compact_duration_seconds", "histogram", "Snapshot compaction wall time; writers stall throughout."), "")
 		sc.Set("tasks.wal_fsync_batch_hist", ts.WAL.FsyncBatchSizes[:])
 		sc.Set("tasks.shards", ts.Shards)
 		sc.Set("tasks.shard_contention", ts.ShardContention)

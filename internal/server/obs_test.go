@@ -131,7 +131,8 @@ func TestMetricsGoldenKeys(t *testing.T) {
 	}
 	requireKeys(t, tm, "tasks",
 		"wal_appends", "wal_fsyncs", "wal_fsync_p99_ns", "wal_fsync", "wal_durable_wait",
-		"wal_commit_queue_depth", "wal_fsync_batch_hist", "wal_replay_ns")
+		"wal_commit_queue_depth", "wal_fsync_batch_hist", "wal_replay_ns",
+		"wal_compactions", "compact")
 
 	var rt map[string]json.RawMessage
 	if err := json.Unmarshal(top["runtime"], &rt); err != nil {
@@ -504,6 +505,9 @@ func TestMetricsFormatsAgree(t *testing.T) {
 		map[string]any{"juror_id": open.Task.Jurors[0].ID, "decline": true}, http.StatusOK, nil)
 	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks/"+open.Task.ID+"/votes",
 		map[string]any{"juror_id": open.Task.Jurors[1].ID, "vote": true}, http.StatusOK, nil)
+	if err := srv.tasks.Compact(); err != nil {
+		t.Fatal(err)
+	}
 
 	var doc map[string]any
 	doTaskJSON(t, http.MethodGet, hs.URL+"/metrics", nil, http.StatusOK, &doc)
@@ -594,6 +598,9 @@ func TestMetricsFormatsAgree(t *testing.T) {
 	agree("tasks.wal_commit_queue_depth", "juryd_wal_commit_queue_depth")
 	agree("tasks.wal_fsync.count", "juryd_wal_fsync_duration_seconds_count")
 	agree("tasks.wal_durable_wait.count", "juryd_wal_durable_wait_seconds_count")
+	if n := agree("tasks.compact.count", "juryd_tasks_compact_duration_seconds_count"); n != 1 {
+		t.Errorf("tasks.compact.count = %v after one compaction, want 1", n)
+	}
 
 	insightEvents := agree("insight.events", "juryd_insight_events_total")
 	agree("insight.tasks_decided", "juryd_insight_tasks_total", "outcome", "decided")

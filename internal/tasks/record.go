@@ -80,6 +80,15 @@ const (
 	tagExpire     byte = 0x07
 )
 
+// Smallest encodings of the repeated elements, which bound what a
+// count may claim: a jury juror (empty ID, two f64), a pool member (the
+// same plus two one-byte varints) and a patch update (empty ID, flags).
+const (
+	minJurorLen  = 1 + 8 + 8
+	minMemberLen = minJurorLen + 2
+	minUpdateLen = 2
+)
+
 // patch-update presence flags (one byte per JurorUpdate).
 const (
 	updHasRate byte = 1 << iota
@@ -114,6 +123,19 @@ func appendTime(b []byte, t time.Time) []byte {
 	return binary.AppendVarint(b, int64(offset))
 }
 
+// appendSpec journals a task spec; recReader.spec reads it back. The
+// create record and the snapshot's task section share it.
+func appendSpec(b []byte, sp *Spec) []byte {
+	b = appendStr(b, sp.Pool)
+	b = appendStr(b, sp.Question)
+	b = appendStr(b, sp.Strategy)
+	b = appendF64(b, sp.Budget)
+	b = appendF64(b, sp.TargetConfidence)
+	b = binary.AppendVarint(b, int64(sp.MaxInvites))
+	b = binary.AppendVarint(b, int64(sp.JurorTimeout))
+	return binary.AppendVarint(b, int64(sp.ExpiresIn))
+}
+
 // encodeRecord appends the record's binary form to buf (a pooled
 // buffer on the hot path) and returns the extended slice.
 func encodeRecord(buf []byte, rec *record) ([]byte, error) {
@@ -146,15 +168,7 @@ func encodeRecord(buf []byte, rec *record) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, rec.Seq)
 		buf = binary.AppendUvarint(buf, rec.PoolVersion)
 		buf = appendF64(buf, rec.PredictedJER)
-		sp := rec.Spec
-		buf = appendStr(buf, sp.Pool)
-		buf = appendStr(buf, sp.Question)
-		buf = appendStr(buf, sp.Strategy)
-		buf = appendF64(buf, sp.Budget)
-		buf = appendF64(buf, sp.TargetConfidence)
-		buf = binary.AppendVarint(buf, int64(sp.MaxInvites))
-		buf = binary.AppendVarint(buf, int64(sp.JurorTimeout))
-		buf = binary.AppendVarint(buf, int64(sp.ExpiresIn))
+		buf = appendSpec(buf, rec.Spec)
 		buf = binary.AppendUvarint(buf, uint64(len(rec.Jury)))
 		for _, j := range rec.Jury {
 			buf = appendStr(buf, j.ID)
@@ -274,7 +288,7 @@ type recReader struct {
 
 func (r *recReader) fail() {
 	if r.err == nil {
-		r.err = fmt.Errorf("tasks: truncated binary wal record")
+		r.err = fmt.Errorf("tasks: truncated or malformed binary payload")
 	}
 }
 
@@ -331,17 +345,56 @@ func (r *recReader) f64() float64 {
 	return v
 }
 
-func (r *recReader) bool() bool {
+func (r *recReader) u8() byte {
 	if r.err != nil {
-		return false
+		return 0
 	}
 	if r.pos >= len(r.buf) {
 		r.fail()
-		return false
+		return 0
 	}
 	v := r.buf[r.pos]
 	r.pos++
-	return v != 0
+	return v
+}
+
+func (r *recReader) bool() bool { return r.u8() != 0 }
+
+// enum reads a one-byte code and fails unless it is below n.
+func (r *recReader) enum(n int) int {
+	c := int(r.u8())
+	if c >= n {
+		r.fail()
+		return 0
+	}
+	return c
+}
+
+// count reads an element count. It fails, instead of letting the caller
+// allocate, when that many elements of at least minSize encoded bytes
+// each cannot fit in the bytes that remain.
+func (r *recReader) count(minSize int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64((len(r.buf)-r.pos)/minSize) {
+		r.fail()
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *recReader) spec() Spec {
+	return Spec{
+		Pool:             r.str(),
+		Question:         r.str(),
+		Strategy:         r.str(),
+		Budget:           r.f64(),
+		TargetConfidence: r.f64(),
+		MaxInvites:       int(r.varint()),
+		JurorTimeout:     time.Duration(r.varint()),
+		ExpiresIn:        time.Duration(r.varint()),
+	}
 }
 
 func (r *recReader) time() time.Time {
@@ -398,76 +451,44 @@ func decodeRecord(payload []byte, tab *internTable) (record, error) {
 		rec.Seq = r.uvarint()
 		rec.PoolVersion = r.uvarint()
 		rec.PredictedJER = r.f64()
-		sp := &Spec{}
-		sp.Pool = r.str()
-		sp.Question = r.str()
-		sp.Strategy = r.str()
-		sp.Budget = r.f64()
-		sp.TargetConfidence = r.f64()
-		sp.MaxInvites = int(r.varint())
-		sp.JurorTimeout = time.Duration(r.varint())
-		sp.ExpiresIn = time.Duration(r.varint())
-		rec.Spec = sp
-		n := r.uvarint()
-		if r.err == nil && n > uint64(len(payload)) {
-			r.fail() // impossible count: each juror is > 1 byte
-		}
-		if r.err == nil {
-			rec.Jury = make([]recJuror, n)
-			for i := range rec.Jury {
-				rec.Jury[i] = recJuror{ID: r.str(), ErrorRate: r.f64(), Cost: r.f64()}
-			}
+		sp := r.spec()
+		rec.Spec = &sp
+		rec.Jury = make([]recJuror, r.count(minJurorLen))
+		for i := range rec.Jury {
+			rec.Jury[i] = recJuror{ID: r.str(), ErrorRate: r.f64(), Cost: r.f64()}
 		}
 	case tagPoolPut:
 		rec.Type = recPoolPut
 		rec.At = r.time()
 		rec.Pool = r.str()
-		n := r.uvarint()
-		if r.err == nil && n > uint64(len(payload)) {
-			r.fail()
-		}
-		if r.err == nil {
-			rec.Jurors = make([]pool.JurorState, n)
-			for i := range rec.Jurors {
-				rec.Jurors[i] = pool.JurorState{
-					ID: r.str(), ErrorRate: r.f64(), Cost: r.f64(),
-					WrongVotes: r.varint(), TotalVotes: r.varint(),
-				}
+		rec.Jurors = make([]pool.JurorState, r.count(minMemberLen))
+		for i := range rec.Jurors {
+			rec.Jurors[i] = pool.JurorState{
+				ID: r.str(), ErrorRate: r.f64(), Cost: r.f64(),
+				WrongVotes: r.varint(), TotalVotes: r.varint(),
 			}
 		}
 	case tagPoolPatch:
 		rec.Type = recPoolPatch
 		rec.At = r.time()
 		rec.Pool = r.str()
-		n := r.uvarint()
-		if r.err == nil && n > uint64(len(payload)) {
-			r.fail()
-		}
-		if r.err == nil {
-			rec.Updates = make([]pool.JurorUpdate, n)
-			for i := range rec.Updates {
-				u := &rec.Updates[i]
-				u.ID = r.str()
-				flags := byte(0)
-				if r.pos < len(r.buf) {
-					flags = r.buf[r.pos]
-					r.pos++
-				} else {
-					r.fail()
-				}
-				if flags&updHasRate != 0 {
-					v := r.f64()
-					u.ErrorRate = &v
-				}
-				if flags&updHasCost != 0 {
-					v := r.f64()
-					u.Cost = &v
-				}
-				if flags&updHasVotes != 0 {
-					u.Votes = &pool.VoteObservation{Wrong: r.varint(), Total: r.varint()}
-				}
-				u.Remove = flags&updRemove != 0
+		rec.Updates = make([]pool.JurorUpdate, r.count(minUpdateLen))
+		for i := range rec.Updates {
+			u := &rec.Updates[i]
+			u.ID = r.str()
+			flags := r.u8()
+			if flags&updHasRate != 0 {
+				v := r.f64()
+				u.ErrorRate = &v
 			}
+			if flags&updHasCost != 0 {
+				v := r.f64()
+				u.Cost = &v
+			}
+			if flags&updHasVotes != 0 {
+				u.Votes = &pool.VoteObservation{Wrong: r.varint(), Total: r.varint()}
+			}
+			u.Remove = flags&updRemove != 0
 		}
 	case tagPoolDelete:
 		rec.Type = recPoolDelete

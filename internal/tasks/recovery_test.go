@@ -13,16 +13,28 @@ import (
 	"juryselect/jury"
 )
 
+// poolPrint is one pool's part of a store fingerprint.
+type poolPrint struct {
+	Name      string           `json:"name"`
+	Version   uint64           `json:"version"`
+	UpdatedAt time.Time        `json:"updated_at"`
+	Jurors    []pool.PoolJuror `json:"jurors"`
+}
+
 // storeFingerprint renders the complete externally visible state — every
-// pool (version, members, vote records) and every task view — as
-// deterministic JSON. Byte equality of fingerprints is the recovery
-// acceptance criterion.
+// pool (version, members, vote records), the per-name version floors
+// and every task view — as deterministic JSON. Byte equality of
+// fingerprints is the recovery acceptance criterion.
 func storeFingerprint(t *testing.T, s *Store) []byte {
 	t.Helper()
 	doc := struct {
-		Pools pool.State `json:"pools"`
-		Tasks []View     `json:"tasks"`
-	}{Pools: s.Pools().Export(), Tasks: s.List("")}
+		Pools  []poolPrint       `json:"pools"`
+		Floors map[string]uint64 `json:"floors"`
+		Tasks  []View            `json:"tasks"`
+	}{Floors: s.Pools().VersionFloors(), Tasks: s.List("")}
+	for _, p := range s.Pools().List() {
+		doc.Pools = append(doc.Pools, poolPrint{p.Name, p.Version, p.UpdatedAt, p.Jurors()})
+	}
 	raw, err := json.MarshalIndent(doc, "", " ")
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,15 @@
 package tasks
 
 import (
-	"encoding/json"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"juryselect/internal/estimate"
@@ -13,108 +17,543 @@ import (
 	"juryselect/jury"
 )
 
+// Compaction snapshot (snapshot.bin): a stream of frames in the WAL's
+// framing (len:u32le crc:u32le payload, CRC-32C), each payload one
+// section in the v2 record encoding (record.go), in this order:
+//
+//	header  := 0x11 schema:string epoch:uvarint nextTask:uvarint
+//	           n:uvarint (name:string version:uvarint)…   version floors
+//	pool    := 0x12 name:string version:uvarint updatedAt:time
+//	           n:uvarint (id:string rate:f64 cost:f64 wrong:varint total:varint)…
+//	view    := 0x13 pool:string version:uvarint n:uvarint (id:string rate:f64 cost:f64)…
+//	task    := 0x14 id:string spec status:u8 poolVersion:uvarint predictedJER:f64
+//	           createdAt:time expiresAt:time n:uvarint juror… declines:varint
+//	           logOdds:f64 votes:varint
+//	           (0 | 1 answer:bool confidence:f64 earlyStopped:bool decidedAt:time)
+//	           (0 | 1 pool:string version:uvarint)          pinned view
+//	juror   := id:string rate:f64 cost:f64 state:u8 vote:u8 invitedAt:time
+//	trailer := 0x1F pools:uvarint views:uvarint tasks:uvarint
+//
+// Pools come in name order, tasks in ID order. A view section holds a
+// candidate view an open task pins whose pool has since moved to a
+// newer version (or been deleted), once per (pool, version); a task
+// pinned to its pool's live version reads the view from the pool
+// section. A juror's vote code is 0 (none), 1 (no) or 2 (yes).
+const (
+	secHeader  byte = 0x11
+	secPool    byte = 0x12
+	secView    byte = 0x13
+	secTask    byte = 0x14
+	secTrailer byte = 0x1F
+)
+
 // snapshotSchema identifies the compaction snapshot format.
-const snapshotSchema = "juryselect-taskwal/v1"
+const snapshotSchema = "juryselect-taskwal/v2"
 
-// taskSnap is the snapshot form of one task: everything needed to
-// rebuild it bit-identically, including the posterior accumulator state
-// (persisted raw rather than re-derived, so juror-order bookkeeping
-// cannot perturb the floating-point sum) and, for still-open tasks, the
-// candidate view replacements are drawn from.
-type taskSnap struct {
-	ID           string       `json:"id"`
-	Spec         Spec         `json:"spec"`
-	Status       Status       `json:"status"`
-	PoolVersion  uint64       `json:"pool_version"`
-	PredictedJER float64      `json:"predicted_jer"`
-	CreatedAt    time.Time    `json:"created_at"`
-	ExpiresAt    time.Time    `json:"expires_at"`
-	Jurors       []JurorView  `json:"jurors"`
-	Declines     int          `json:"declines,omitempty"`
-	LogOdds      float64      `json:"log_odds"`
-	Votes        int          `json:"votes"`
-	Verdict      *VerdictView `json:"verdict,omitempty"`
-	Candidates   []recJuror   `json:"candidates,omitempty"`
+// snapshotFileName is the compaction snapshot inside the WAL directory;
+// v1SnapshotFileName is the JSON snapshot earlier versions wrote.
+const (
+	snapshotFileName   = "snapshot.bin"
+	v1SnapshotFileName = "snapshot.json"
+)
+
+// ErrV1Snapshot reports a v1 JSON compaction snapshot in the WAL
+// directory. Open refuses it, naming the file, before it loads, replays
+// or removes anything: otherwise it would find no snapshot.bin, start at
+// epoch 0 and delete the live epoch's log as stale.
+var ErrV1Snapshot = errors.New("tasks: v1 JSON compaction snapshot, which this version does not load")
+
+// statusCodes and jurorStateCodes give the snapshot's one-byte codes:
+// a value's index.
+var (
+	statusCodes     = [...]Status{StatusOpen, StatusAwaitingVotes, StatusDecided, StatusExpired}
+	jurorStateCodes = [...]JurorState{JurorInvited, JurorVoted, JurorDeclined, JurorTimedOut}
+)
+
+// code returns v's index in codes; a value outside codes gets one the
+// loader rejects.
+func code[T comparable](codes []T, v T) byte {
+	for i, c := range codes {
+		if c == v {
+			return byte(i)
+		}
+	}
+	return 0xFF
 }
 
-// snapshotFile is the on-disk snapshot: the full store state at a
-// compaction point. The WAL epoch it names starts empty; recovery loads
-// the snapshot and replays only that epoch's log.
-type snapshotFile struct {
-	Schema   string     `json:"schema"`
-	Epoch    uint64     `json:"epoch"`
-	Pools    pool.State `json:"pools"`
-	Tasks    []taskSnap `json:"tasks"`
-	NextTask uint64     `json:"next_task"`
+// Smallest encodings of a snapshot's repeated elements, which bound what
+// a count may claim: a version floor (empty name, one-byte varint) and
+// a task juror (a jury juror, two code bytes, a three-byte time).
+const (
+	minFloorLen     = 2
+	minTaskJurorLen = minJurorLen + 2 + 3
+)
+
+// viewKey names a candidate view: the ε-sorted jurors of one pool
+// version. Versions never repeat under a name, not even across delete
+// and re-create, so the key names one view for the store's lifetime.
+type viewKey struct {
+	pool    string
+	version uint64
 }
 
-// loadSnapshot restores the snapshot file, if present. Called by Open
-// before WAL replay.
+// snapHeader is the header section.
+type snapHeader struct {
+	schema   string
+	epoch    uint64
+	nextTask uint64
+	floors   map[string]uint64
+}
+
+// poolSection is a pool section: one pool version, members in
+// insertion order.
+type poolSection struct {
+	name      string
+	version   uint64
+	updatedAt time.Time
+	members   []pool.PoolJuror
+}
+
+// snapCounts is the trailer: the number of sections of each kind.
+type snapCounts struct{ pools, views, tasks uint64 }
+
+// snapFrame is one decoded section; kind selects the fields set.
+type snapFrame struct {
+	kind   byte
+	header snapHeader   // secHeader
+	pool   poolSection  // secPool
+	view   viewKey      // secView
+	jurors []jury.Juror // secView
+	task   *task        // secTask, without its candidates
+	pinned *viewKey     // secTask: the view the task pins, if any
+	counts snapCounts   // secTrailer
+}
+
+func appendHeaderSection(b []byte, h *snapHeader) []byte {
+	b = append(b, secHeader)
+	b = appendStr(b, h.schema)
+	b = binary.AppendUvarint(b, h.epoch)
+	b = binary.AppendUvarint(b, h.nextTask)
+	names := make([]string, 0, len(h.floors))
+	for name := range h.floors {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	b = binary.AppendUvarint(b, uint64(len(names)))
+	for _, name := range names {
+		b = appendStr(b, name)
+		b = binary.AppendUvarint(b, h.floors[name])
+	}
+	return b
+}
+
+func appendPoolSection(b []byte, name string, version uint64, updatedAt time.Time, members []pool.PoolJuror) []byte {
+	b = append(b, secPool)
+	b = appendStr(b, name)
+	b = binary.AppendUvarint(b, version)
+	b = appendTime(b, updatedAt)
+	b = binary.AppendUvarint(b, uint64(len(members)))
+	for _, m := range members {
+		b = appendStr(b, m.ID)
+		b = appendF64(b, m.ErrorRate)
+		b = appendF64(b, m.Cost)
+		b = binary.AppendVarint(b, m.WrongVotes)
+		b = binary.AppendVarint(b, m.TotalVotes)
+	}
+	return b
+}
+
+func appendViewSection(b []byte, key viewKey, jurors []jury.Juror) []byte {
+	b = append(b, secView)
+	b = appendStr(b, key.pool)
+	b = binary.AppendUvarint(b, key.version)
+	b = binary.AppendUvarint(b, uint64(len(jurors)))
+	for _, j := range jurors {
+		b = appendStr(b, j.ID)
+		b = appendF64(b, j.ErrorRate)
+		b = appendF64(b, j.Cost)
+	}
+	return b
+}
+
+// appendTaskSection encodes t; pinned, when non-nil, is the candidate
+// view the task still draws replacements from.
+func appendTaskSection(b []byte, t *task, pinned *viewKey) []byte {
+	b = append(b, secTask)
+	b = appendStr(b, t.id)
+	b = appendSpec(b, &t.spec)
+	b = append(b, code(statusCodes[:], t.status))
+	b = binary.AppendUvarint(b, t.poolVersion)
+	b = appendF64(b, t.predictedJER)
+	b = appendTime(b, t.createdAt)
+	b = appendTime(b, t.expiresAt)
+	b = binary.AppendUvarint(b, uint64(len(t.jurors)))
+	for _, j := range t.jurors {
+		b = appendStr(b, j.ID)
+		b = appendF64(b, j.ErrorRate)
+		b = appendF64(b, j.Cost)
+		b = append(b, code(jurorStateCodes[:], j.State))
+		switch {
+		case j.Vote == nil:
+			b = append(b, 0)
+		case *j.Vote:
+			b = append(b, 2)
+		default:
+			b = append(b, 1)
+		}
+		b = appendTime(b, j.InvitedAt)
+	}
+	b = binary.AppendVarint(b, int64(t.declines))
+	b = appendF64(b, t.post.LogOdds())
+	b = binary.AppendVarint(b, int64(t.post.Votes()))
+	if v := t.verdict; v != nil {
+		b = append(b, 1)
+		b = appendBool(b, v.Answer)
+		b = appendF64(b, v.Confidence)
+		b = appendBool(b, v.EarlyStopped)
+		b = appendTime(b, v.DecidedAt)
+	} else {
+		b = append(b, 0)
+	}
+	if pinned == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = appendStr(b, pinned.pool)
+	return binary.AppendUvarint(b, pinned.version)
+}
+
+func appendTrailerSection(b []byte, c snapCounts) []byte {
+	b = append(b, secTrailer)
+	b = binary.AppendUvarint(b, c.pools)
+	b = binary.AppendUvarint(b, c.views)
+	return binary.AppendUvarint(b, c.tasks)
+}
+
+// decodeSnapshotFrame decodes one snapshot section payload. Decoded
+// values never alias payload, so the caller may reuse its buffer.
+func decodeSnapshotFrame(payload []byte, tab *internTable) (snapFrame, error) {
+	if len(payload) == 0 {
+		return snapFrame{}, errors.New("tasks: empty snapshot section")
+	}
+	r := recReader{buf: payload, pos: 1, tab: tab}
+	f := snapFrame{kind: payload[0]}
+	switch f.kind {
+	case secHeader:
+		h := &f.header
+		h.schema = r.str()
+		h.epoch = r.uvarint()
+		h.nextTask = r.uvarint()
+		n := r.count(minFloorLen)
+		h.floors = make(map[string]uint64, n)
+		for i := 0; i < n; i++ {
+			name := r.str()
+			h.floors[name] = r.uvarint()
+		}
+	case secPool:
+		p := &f.pool
+		p.name = r.str()
+		p.version = r.uvarint()
+		p.updatedAt = r.time()
+		p.members = make([]pool.PoolJuror, r.count(minMemberLen))
+		for i := range p.members {
+			m := &p.members[i]
+			m.ID, m.ErrorRate, m.Cost = r.str(), r.f64(), r.f64()
+			m.WrongVotes, m.TotalVotes = r.varint(), r.varint()
+		}
+	case secView:
+		f.view = viewKey{pool: r.str(), version: r.uvarint()}
+		f.jurors = make([]jury.Juror, r.count(minJurorLen))
+		for i := range f.jurors {
+			f.jurors[i] = jury.Juror{ID: r.str(), ErrorRate: r.f64(), Cost: r.f64()}
+		}
+	case secTask:
+		f.task = r.task()
+		if r.enum(2) == 1 {
+			f.pinned = &viewKey{pool: r.str(), version: r.uvarint()}
+		}
+	case secTrailer:
+		f.counts = snapCounts{pools: r.uvarint(), views: r.uvarint(), tasks: r.uvarint()}
+	default:
+		return f, fmt.Errorf("tasks: unknown snapshot section tag 0x%02x", f.kind)
+	}
+	if r.err != nil {
+		return f, r.err
+	}
+	if r.pos != len(payload) {
+		return f, fmt.Errorf("tasks: %d trailing bytes in snapshot section 0x%02x", len(payload)-r.pos, f.kind)
+	}
+	return f, nil
+}
+
+// task reads a task section's body up to its pinned view.
+func (r *recReader) task() *task {
+	t := &task{id: r.str(), spec: r.spec()}
+	t.status = statusCodes[r.enum(len(statusCodes))]
+	t.poolVersion = r.uvarint()
+	t.predictedJER = r.f64()
+	t.createdAt = r.time()
+	t.expiresAt = r.time()
+	n := r.count(minTaskJurorLen)
+	t.jurors = make([]TaskJuror, n)
+	t.index = make(map[string]int, n)
+	for i := range t.jurors {
+		j := &t.jurors[i]
+		j.ID, j.ErrorRate, j.Cost = r.str(), r.f64(), r.f64()
+		j.State = jurorStateCodes[r.enum(len(jurorStateCodes))]
+		if vote := r.enum(3); vote != 0 {
+			yes := vote == 2
+			j.Vote = &yes
+		}
+		j.InvitedAt = r.time()
+		t.index[j.ID] = i
+	}
+	t.declines = int(r.varint())
+	logOdds := r.f64()
+	t.post = estimate.RestoreVerdictPosterior(logOdds, int(r.varint()))
+	if r.enum(2) == 1 {
+		t.verdict = &Verdict{Answer: r.bool(), Confidence: r.f64(),
+			EarlyStopped: r.bool(), DecidedAt: r.time()}
+	}
+	return t
+}
+
+// frameReader reads a snapshot's frames one at a time into one reused
+// buffer.
+type frameReader struct {
+	r         *bufio.Reader
+	remaining int64 // bytes of the file not yet read
+	hdr       [walFrameOverhead]byte
+	buf       []byte
+}
+
+// next returns the next frame's payload, valid until the following
+// call, or io.EOF at a clean end between frames. A frame that fails its
+// length or CRC check is an error, not a torn tail: the snapshot was
+// renamed into place only after its fsync. The length is checked
+// against the bytes left in the file before anything is allocated.
+func (fr *frameReader) next() ([]byte, error) {
+	if fr.remaining == 0 {
+		return nil, io.EOF
+	}
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return nil, fmt.Errorf("reading frame header: %w", err)
+	}
+	fr.remaining -= walFrameOverhead
+	n := int64(binary.LittleEndian.Uint32(fr.hdr[:4]))
+	if n > maxRecordLen || n > fr.remaining {
+		return nil, fmt.Errorf("frame of %d bytes with %d left in the file", n, fr.remaining)
+	}
+	if int64(cap(fr.buf)) < n {
+		fr.buf = make([]byte, n)
+	}
+	payload := fr.buf[:n]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return nil, fmt.Errorf("reading frame payload: %w", err)
+	}
+	fr.remaining -= n
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(fr.hdr[4:]) {
+		return nil, errors.New("frame fails its CRC check")
+	}
+	return payload, nil
+}
+
+// loadSnapshot restores snapshot.bin, if present, decoding it frame by
+// frame. Called by Open before WAL replay. Any damaged frame, a section
+// out of order or a missing trailer fails the load; the pool store is
+// replaced only once the trailer has checked out.
 func (s *Store) loadSnapshot() error {
 	path := filepath.Join(s.dir, snapshotFileName)
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	var snap snapshotFile
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("tasks: decoding snapshot: %w", err)
-	}
-	if snap.Schema != snapshotSchema {
-		return fmt.Errorf("tasks: snapshot schema %q, want %q", snap.Schema, snapshotSchema)
-	}
-	if err := s.pools.Restore(snap.Pools); err != nil {
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
 		return err
 	}
-	for _, ts := range snap.Tasks {
-		t := &task{
-			id:           ts.ID,
-			spec:         ts.Spec,
-			status:       ts.Status,
-			poolVersion:  ts.PoolVersion,
-			predictedJER: ts.PredictedJER,
-			createdAt:    ts.CreatedAt,
-			expiresAt:    ts.ExpiresAt,
-			jurors:       make([]TaskJuror, len(ts.Jurors)),
-			index:        make(map[string]int, len(ts.Jurors)),
-			post:         estimate.RestoreVerdictPosterior(ts.LogOdds, ts.Votes),
-			declines:     ts.Declines,
-		}
-		for i, jv := range ts.Jurors {
-			t.jurors[i] = TaskJuror{ID: jv.ID, ErrorRate: jv.ErrorRate, Cost: jv.Cost,
-				State: jv.State, Vote: jv.Vote, InvitedAt: jv.InvitedAt}
-			t.index[jv.ID] = i
-		}
-		if ts.Verdict != nil {
-			t.verdict = &Verdict{Answer: ts.Verdict.Answer, Confidence: ts.Verdict.Confidence,
-				EarlyStopped: ts.Verdict.EarlyStopped, DecidedAt: ts.Verdict.DecidedAt}
-		}
-		if len(ts.Candidates) > 0 {
-			t.candidates = make([]jury.Juror, len(ts.Candidates))
-			for i, c := range ts.Candidates {
-				t.candidates[i] = jury.Juror{ID: c.ID, ErrorRate: c.ErrorRate, Cost: c.Cost}
-			}
-		}
-		s.shardFor(t.id).insert(t)
-		s.nTasks.Add(1)
-		switch t.status {
-		case StatusOpen:
-			s.nOpen.Add(1)
-		case StatusAwaitingVotes:
-			s.nAwaiting.Add(1)
-		case StatusDecided:
-			s.nDecided.Add(1)
-		case StatusExpired:
-			s.nExpired.Add(1)
-		}
+	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16), remaining: info.Size()}
+	if err := s.restore(fr); err != nil {
+		return fmt.Errorf("tasks: loading snapshot %s: %w", path, err)
 	}
-	s.nextTask.Store(snap.NextTask)
-	s.epoch = snap.Epoch
 	s.recovery.SnapshotLoaded = true
 	return nil
+}
+
+// restore decodes every section from fr into the store.
+func (s *Store) restore(fr *frameReader) error {
+	var (
+		hdr    snapHeader
+		last   byte
+		seen   snapCounts
+		pools  []*pool.Pool
+		byName = make(map[string]*pool.Pool)
+		views  = make(map[viewKey][]jury.Juror)
+		lastID string
+		tab    = newInternTable()
+	)
+	for {
+		payload, err := fr.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		f, err := decodeSnapshotFrame(payload, tab)
+		if err != nil {
+			return err
+		}
+		if (last == 0) != (f.kind == secHeader) || f.kind < last || last == secTrailer {
+			return fmt.Errorf("section 0x%02x out of order after 0x%02x", f.kind, last)
+		}
+		last = f.kind
+		switch f.kind {
+		case secHeader:
+			if f.header.schema != snapshotSchema {
+				return fmt.Errorf("schema %q, want %q", f.header.schema, snapshotSchema)
+			}
+			hdr = f.header
+		case secPool:
+			if len(pools) > 0 && f.pool.name <= pools[len(pools)-1].Name {
+				return fmt.Errorf("pool %q out of name order", f.pool.name)
+			}
+			p, err := pool.Rebuild(f.pool.name, f.pool.version, f.pool.updatedAt, f.pool.members)
+			if err != nil {
+				return err
+			}
+			pools = append(pools, p)
+			byName[p.Name] = p
+			seen.pools++
+		case secView:
+			if _, dup := views[f.view]; dup {
+				return fmt.Errorf("view %s v%d written twice", f.view.pool, f.view.version)
+			}
+			views[f.view] = f.jurors
+			seen.views++
+		case secTask:
+			t := f.task
+			if t.id <= lastID {
+				return fmt.Errorf("task %s out of ID order", t.id)
+			}
+			lastID = t.id
+			if key := f.pinned; key != nil {
+				// Tasks pinning one view share one slice, as live tasks
+				// share their pool's.
+				if p := byName[key.pool]; p != nil && p.Version == key.version {
+					t.candidates = p.Sorted()
+				} else if t.candidates = views[*key]; t.candidates == nil {
+					return fmt.Errorf("task %s pins view %s v%d, which the snapshot lacks", t.id, key.pool, key.version)
+				}
+			}
+			s.insertRestored(t)
+			seen.tasks++
+		case secTrailer:
+			if f.counts != seen {
+				return fmt.Errorf("trailer counts %+v, read %+v", f.counts, seen)
+			}
+		}
+	}
+	if last != secTrailer {
+		return errors.New("no trailer: the snapshot is cut short")
+	}
+	s.pools.Install(pools, hdr.floors)
+	s.nextTask.Store(hdr.nextTask)
+	s.epoch = hdr.epoch
+	return nil
+}
+
+// insertRestored adds a task decoded from the snapshot and counts it in
+// the gauges. No events: compaction folded the history they describe.
+func (s *Store) insertRestored(t *task) {
+	s.shardFor(t.id).insert(t)
+	s.nTasks.Add(1)
+	switch t.status {
+	case StatusOpen:
+		s.nOpen.Add(1)
+	case StatusAwaitingVotes:
+		s.nAwaiting.Add(1)
+	case StatusDecided:
+		s.nDecided.Add(1)
+	case StatusExpired:
+		s.nExpired.Add(1)
+	}
+}
+
+// snapshotWriter frames sections into w, building each payload in one
+// reused buffer: buf always has length zero between sections.
+type snapshotWriter struct {
+	w   *bufio.Writer
+	hdr [walFrameOverhead]byte
+	buf []byte
+}
+
+// put frames payload, which extends sw.buf, and keeps its storage.
+func (sw *snapshotWriter) put(payload []byte) error {
+	sw.buf = payload[:0]
+	if len(payload) > maxRecordLen {
+		return fmt.Errorf("%w: snapshot section of %d bytes", ErrRecordTooLarge, len(payload))
+	}
+	return writeFrame(sw.w, &sw.hdr, payload)
+}
+
+// encodeSnapshot streams the store state into w as the sections above,
+// reading pools and tasks in place. Callers hold every store lock.
+func (s *Store) encodeSnapshot(w *bufio.Writer, epoch uint64) error {
+	sw := &snapshotWriter{w: w}
+	var counts snapCounts
+	hdr := snapHeader{schema: snapshotSchema, epoch: epoch,
+		nextTask: s.nextTask.Load(), floors: s.pools.VersionFloors()}
+	if err := sw.put(appendHeaderSection(sw.buf, &hdr)); err != nil {
+		return err
+	}
+	for _, p := range s.pools.List() {
+		if err := sw.put(appendPoolSection(sw.buf, p.Name, p.Version, p.UpdatedAt, p.Jurors())); err != nil {
+			return err
+		}
+		counts.pools++
+	}
+	tasks := s.tasksSorted()
+	written := make(map[viewKey]bool)
+	for _, t := range tasks {
+		key, ok := s.pinnedView(t)
+		if !ok || written[key] {
+			continue
+		}
+		if p, live := s.pools.Get(key.pool); live && p.Version == key.version {
+			continue // the pool section carries it
+		}
+		if err := sw.put(appendViewSection(sw.buf, key, t.candidates)); err != nil {
+			return err
+		}
+		written[key] = true
+		counts.views++
+	}
+	for _, t := range tasks {
+		var pinned *viewKey
+		if key, ok := s.pinnedView(t); ok {
+			pinned = &key
+		}
+		if err := sw.put(appendTaskSection(sw.buf, t, pinned)); err != nil {
+			return err
+		}
+		counts.tasks++
+	}
+	return sw.put(appendTrailerSection(sw.buf, counts))
+}
+
+// pinnedView reports the candidate view an open task draws replacements
+// from: its pool at the version it was created against. Closed tasks
+// invite no one, so the snapshot drops their view.
+func (s *Store) pinnedView(t *task) (viewKey, bool) {
+	if t.status.closed() || len(t.candidates) == 0 {
+		return viewKey{}, false
+	}
+	return viewKey{pool: t.spec.Pool, version: t.poolVersion}, true
 }
 
 // Compact folds the entire store state into a fresh snapshot and starts
@@ -122,9 +561,11 @@ func (s *Store) loadSnapshot() error {
 // Safe to call at any time; mutations wait while it runs (it takes
 // every store lock — rare and bounded, so stopping the world is
 // cheaper than making the hot path compaction-aware). Crash-safe at
-// every step: the snapshot is written to a temp file and renamed into
+// every step: the snapshot is streamed to a temp file and renamed into
 // place before the old epoch's log is deleted, and recovery ignores log
-// epochs other than the snapshot's.
+// epochs other than the snapshot's. A failed store (a journal write
+// failed after its state applied) is not compacted: its memory may hold
+// state the log never did.
 func (s *Store) Compact() error {
 	s.compactGate.Lock()
 	defer s.compactGate.Unlock()
@@ -133,56 +574,19 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
-// compactLocked is Compact with every store lock held.
+// compactLocked is Compact with every store lock held. Its wall time,
+// which is how long writers stall, feeds the compaction histogram.
 func (s *Store) compactLocked() error {
 	wal := s.wal.Load()
 	if wal == nil {
 		return nil
 	}
-	tasksSorted := s.tasksSorted()
-	snap := snapshotFile{
-		Schema:   snapshotSchema,
-		Epoch:    s.epoch + 1,
-		Pools:    s.pools.Export(),
-		NextTask: s.nextTask.Load(),
-		Tasks:    make([]taskSnap, 0, len(tasksSorted)),
+	if s.failed.Load() {
+		return ErrStoreFailed
 	}
-	for _, t := range tasksSorted {
-		ts := taskSnap{
-			ID:           t.id,
-			Spec:         t.spec,
-			Status:       t.status,
-			PoolVersion:  t.poolVersion,
-			PredictedJER: t.predictedJER,
-			CreatedAt:    t.createdAt,
-			ExpiresAt:    t.expiresAt,
-			Jurors:       make([]JurorView, len(t.jurors)),
-			Declines:     t.declines,
-			LogOdds:      t.post.LogOdds(),
-			Votes:        t.post.Votes(),
-		}
-		for i, j := range t.jurors {
-			ts.Jurors[i] = JurorView{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost,
-				State: j.State, Vote: j.Vote, InvitedAt: j.InvitedAt}
-		}
-		if t.verdict != nil {
-			ts.Verdict = &VerdictView{Answer: t.verdict.Answer, Confidence: t.verdict.Confidence,
-				EarlyStopped: t.verdict.EarlyStopped, DecidedAt: t.verdict.DecidedAt}
-		}
-		if !t.status.closed() {
-			// Only open tasks can still invite replacements; closed tasks
-			// drop the candidate view from the snapshot.
-			ts.Candidates = make([]recJuror, len(t.candidates))
-			for i, c := range t.candidates {
-				ts.Candidates[i] = recJuror{ID: c.ID, ErrorRate: c.ErrorRate, Cost: c.Cost}
-			}
-		}
-		snap.Tasks = append(snap.Tasks, ts)
-	}
-	raw, err := json.Marshal(&snap)
-	if err != nil {
-		return err
-	}
+	start := time.Now()
+	defer func() { s.compactLat.Observe(time.Since(start).Nanoseconds()) }()
+	epoch := s.epoch + 1
 
 	// Open the new epoch's log BEFORE renaming the snapshot into place.
 	// Once a snapshot naming epoch N+1 is visible, recovery reads only
@@ -190,9 +594,9 @@ func (s *Store) compactLocked() error {
 	// that moment on. Opening first keeps the failure cases safe: an
 	// open error leaves the old (snapshot, full log) pair untouched,
 	// and after a successful rename only in-memory pointer swaps remain.
-	next, stale, err := OpenWAL(walFile(s.dir, snap.Epoch), WALOptions{Sync: wal.mode, FsyncObserver: wal.fsyncObs})
+	next, stale, err := OpenWAL(walFile(s.dir, epoch), WALOptions{Sync: wal.mode, FsyncObserver: wal.fsyncObs})
 	if err != nil {
-		return fmt.Errorf("tasks: opening wal epoch %d: %w", snap.Epoch, err)
+		return fmt.Errorf("tasks: opening wal epoch %d: %w", epoch, err)
 	}
 	if len(stale) > 0 {
 		// A crashed previous compaction left records in this epoch's
@@ -203,8 +607,7 @@ func (s *Store) compactLocked() error {
 			return err
 		}
 	}
-	path := filepath.Join(s.dir, snapshotFileName)
-	renamed, err := writeFileSync(path, raw)
+	renamed, err := s.writeSnapshot(filepath.Join(s.dir, snapshotFileName), epoch)
 	if err != nil {
 		next.Close() //nolint:errcheck
 		if renamed {
@@ -215,13 +618,13 @@ func (s *Store) compactLocked() error {
 			s.failed.Store(true)
 			return fmt.Errorf("tasks: snapshot rename finished but could not be confirmed durable: %w", err)
 		}
-		os.Remove(walFile(s.dir, snap.Epoch)) //nolint:errcheck // stale empty epoch
+		os.Remove(walFile(s.dir, epoch)) //nolint:errcheck // stale empty epoch
 		return fmt.Errorf("tasks: writing snapshot: %w", err)
 	}
 
 	oldPath := walFile(s.dir, s.epoch)
 	s.wal.Store(next)
-	s.epoch = snap.Epoch
+	s.epoch = epoch
 	s.sinceCompact.Store(0)
 	s.compactions.Add(1)
 	wal.Close()        //nolint:errcheck // superseded by the snapshot
@@ -229,12 +632,13 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
-// writeFileSync writes data durably: temp file in the same directory,
-// fsync, rename over path, fsync the directory. renamed reports whether
-// the rename was attempted — on a true return with a non-nil error the
-// file at path may or may not be the new content, and the caller must
-// treat the swap as having happened.
-func writeFileSync(path string, data []byte) (renamed bool, err error) {
+// writeSnapshot streams the snapshot naming epoch through one
+// bufio.Writer into a temp file beside path, fsyncs it, renames it over
+// path and fsyncs the directory. renamed reports whether the rename was
+// attempted — on a true return with a non-nil error the file at path
+// may or may not be the new snapshot, and the caller must treat the
+// swap as having happened.
+func (s *Store) writeSnapshot(path string, epoch uint64) (renamed bool, err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -242,7 +646,12 @@ func writeFileSync(path string, data []byte) (renamed bool, err error) {
 	}
 	tmp := f.Name()
 	defer os.Remove(tmp) // no-op after the rename
-	if _, err := f.Write(data); err != nil {
+	w := bufio.NewWriterSize(f, 1<<16)
+	if err := s.encodeSnapshot(w, epoch); err != nil {
+		f.Close()
+		return false, err
+	}
+	if err := w.Flush(); err != nil {
 		f.Close()
 		return false, err
 	}

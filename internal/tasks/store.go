@@ -104,6 +104,9 @@ type Stats struct {
 	Expired       int
 	Tasks         int
 	Compactions   int64
+	// CompactHist is the wall time of each compaction. Every store lock
+	// is held throughout, so it is also how long writers stalled.
+	CompactHist obs.HistSnapshot
 	// Shards is the configured shard count; ShardContention counts
 	// mutations that found their shard's mutex already held (a TryLock
 	// miss — the cross-task serialization the sharding exists to avoid).
@@ -255,6 +258,7 @@ type Store struct {
 	sinceCompact        atomic.Int64
 	compactGate         sync.Mutex // serializes compaction attempts
 	compactions         atomic.Int64
+	compactLat          obs.Histogram // compaction wall time = writer stall
 
 	poolMu    sync.RWMutex
 	shards    []shard
@@ -278,9 +282,6 @@ type Store struct {
 func walFile(dir string, epoch uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%06d.log", epoch))
 }
-
-// snapshotFileName is the compaction snapshot inside dir.
-const snapshotFileName = "snapshot.json"
 
 // Open builds a Store, recovering state from Dir when set: it loads the
 // compaction snapshot (if any), replays the current WAL epoch —
@@ -338,6 +339,12 @@ func Open(cfg Config) (*Store, error) {
 		return s, nil
 	}
 
+	v1 := filepath.Join(s.dir, v1SnapshotFileName)
+	if _, err := os.Stat(v1); err == nil {
+		return nil, fmt.Errorf("%s: %w", v1, ErrV1Snapshot)
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -470,6 +477,7 @@ func (s *Store) Stats() Stats {
 		Expired:       int(s.nExpired.Load()),
 		Tasks:         int(s.nTasks.Load()),
 		Compactions:   s.compactions.Load(),
+		CompactHist:   s.compactLat.Snapshot(),
 		Shards:        len(s.shards),
 	}
 	for i := range s.shards {

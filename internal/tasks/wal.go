@@ -160,6 +160,18 @@ type WAL struct {
 	fsyncObs func(latencyNS int64)
 }
 
+// writeFrame writes payload as one frame, its header built in hdr. The
+// WAL and the compaction snapshot share the framing.
+func writeFrame(w *bufio.Writer, hdr *[walFrameOverhead]byte, payload []byte) error {
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
 // walRecord is one intact record yielded by readWAL.
 type walRecord struct {
 	payload []byte
@@ -272,13 +284,7 @@ func (w *WAL) AppendAsync(payload []byte) (seq uint64, err error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	binary.LittleEndian.PutUint32(w.hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := w.w.Write(w.hdr[:]); err != nil {
-		w.err = err
-		return 0, err
-	}
-	if _, err := w.w.Write(payload); err != nil {
+	if err := writeFrame(w.w, &w.hdr, payload); err != nil {
 		w.err = err
 		return 0, err
 	}
