@@ -266,10 +266,7 @@ func simulBenches() []namedBench {
 		{"Simul/inprocess/serial", simBench(1)},
 		{"Simul/inprocess/parallel", simBench(0)},
 		{"JuryloadHTTP/select/n1001", func(b *testing.B) {
-			srv := server.New(server.Config{})
-			if _, err := srv.Store().Put("crowd", benchPoolJurors(1001)); err != nil {
-				b.Fatal(err)
-			}
+			srv := server.New(server.Config{Tasks: crowdStore(b, 1001)})
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			const clients = 4
@@ -628,6 +625,19 @@ func benchPoolJurors(n int) []jury.Juror {
 	return out
 }
 
+// crowdStore opens a memory-only task store holding benchPoolJurors(n)
+// as the pool "crowd", for a server to front.
+func crowdStore(b *testing.B, n int) *tasks.Store {
+	store, err := tasks.Open(tasks.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := store.PutPool("crowd", benchPoolJurors(n)); err != nil {
+		b.Fatal(err)
+	}
+	return store
+}
+
 // nullWriter is a minimal http.ResponseWriter for the handler-level
 // select benchmarks: the full-HTTP entries measure the wire, these
 // measure the server path itself (decode, snapshot read, cache probe or
@@ -648,10 +658,7 @@ func (w *nullWriter) WriteHeader(status int)      { w.status = status }
 // cost the cache saves).
 func handlerSelectBench(cacheEntries int) func(b *testing.B) {
 	return func(b *testing.B) {
-		srv := server.New(server.Config{SelectCacheEntries: cacheEntries})
-		if _, err := srv.Store().Put("crowd", benchPoolJurors(101)); err != nil {
-			b.Fatal(err)
-		}
+		srv := server.New(server.Config{Tasks: crowdStore(b, 101), SelectCacheEntries: cacheEntries})
 		h := srv.Handler()
 		body := []byte(`{"pool":"crowd"}`)
 		rdr := bytes.NewReader(body)
@@ -692,10 +699,10 @@ func handlerSelectInsightBench() func(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer store.Close() //nolint:errcheck
-		srv := server.New(server.Config{Tasks: store, Insight: ins, Lifecycle: lce})
-		if _, err := srv.Store().Put("crowd", benchPoolJurors(101)); err != nil {
+		if _, err := store.PutPool("crowd", benchPoolJurors(101)); err != nil {
 			b.Fatal(err)
 		}
+		srv := server.New(server.Config{Tasks: store, Insight: ins, Lifecycle: lce})
 		h := srv.Handler()
 		body := []byte(`{"pool":"crowd"}`)
 		rdr := bytes.NewReader(body)
@@ -778,13 +785,15 @@ func handlerTaskTimelineBench() func(b *testing.B) {
 // and the pool store's snapshot read and patch publication
 // (BenchmarkPoolSnapshot, BenchmarkPoolPatch).
 func serverBenches() []namedBench {
-	httpBench := func(path, body string, setup func(*server.Server)) func(b *testing.B) {
+	// httpBench posts body to path on a server over a pool of poolSize
+	// jurors (none when zero).
+	httpBench := func(path, body string, poolSize int) func(b *testing.B) {
 		return func(b *testing.B) {
-			srv := server.New(server.Config{})
-			if setup != nil {
-				setup(srv)
+			var cfg server.Config
+			if poolSize > 0 {
+				cfg.Tasks = crowdStore(b, poolSize)
 			}
-			ts := httptest.NewServer(srv.Handler())
+			ts := httptest.NewServer(server.New(cfg).Handler())
 			defer ts.Close()
 			raw := []byte(body)
 			b.ReportAllocs()
@@ -799,13 +808,6 @@ func serverBenches() []namedBench {
 				if resp.StatusCode != http.StatusOK {
 					b.Fatalf("%s: status %d", path, resp.StatusCode)
 				}
-			}
-		}
-	}
-	withPool := func(n int) func(*server.Server) {
-		return func(s *server.Server) {
-			if _, err := s.Store().Put("crowd", benchPoolJurors(n)); err != nil {
-				panic(err)
 			}
 		}
 	}
@@ -828,14 +830,14 @@ func serverBenches() []namedBench {
 		return sb.String()
 	}
 	return []namedBench{
-		{"ServerSelect/altr/n101", httpBench("/v1/select", `{"pool":"crowd"}`, withPool(101))},
-		{"ServerSelect/pay/n101", httpBench("/v1/select", `{"pool":"crowd","model":"pay","budget":5}`, withPool(101))},
+		{"ServerSelect/altr/n101", httpBench("/v1/select", `{"pool":"crowd"}`, 101)},
+		{"ServerSelect/pay/n101", httpBench("/v1/select", `{"pool":"crowd","model":"pay","budget":5}`, 101)},
 		{"ServerSelect/warm/n101", handlerSelectBench(0)},
 		{"ServerSelect/warm-insight/n101", handlerSelectInsightBench()},
 		{"ServerSelect/miss/n101", handlerSelectBench(-1)},
 		{"ServerTaskTimeline/n101", handlerTaskTimelineBench()},
-		{"ServerSelectBatch/http/n101x16", httpBench("/v1/select/batch", batchBody(16), withPool(101))},
-		{"ServerJER/n101", httpBench("/v1/jer", string(jerBody), nil)},
+		{"ServerSelectBatch/http/n101x16", httpBench("/v1/select/batch", batchBody(16), 101)},
+		{"ServerJER/n101", httpBench("/v1/jer", string(jerBody), 0)},
 		{"PoolSnapshot/n1001", func(b *testing.B) {
 			store := pool.NewStore()
 			if _, err := store.Put("crowd", benchPoolJurors(1001)); err != nil {

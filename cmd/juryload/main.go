@@ -13,8 +13,9 @@
 //
 // Modes:
 //
-//	inprocess  drive jury.Engine and the versioned pool store directly
-//	           (deterministic: same scenario + seed ⇒ bit-identical JSON)
+//	inprocess  drive a memory-mode task store and engine through the
+//	           calls juryd's handlers make, without HTTP (deterministic:
+//	           same scenario + seed ⇒ bit-identical JSON)
 //	http       drive a live juryd over its wire protocol (pool CRUD +
 //	           /v1/select per question), recording request latency and
 //	           absorbing 429 shedding via Retry-After backoff

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"juryselect/internal/tasks"
@@ -52,7 +54,7 @@ func TestSelectBatchParity(t *testing.T) {
 
 // TestSelectBatchLimits covers the batch envelope's own validation.
 func TestSelectBatchLimits(t *testing.T) {
-	s, hs := newTestServer(t, Config{MaxBatchItems: 2})
+	s, hs := newTestServer(t, Config{})
 	defer hs.Close()
 	putPool(t, hs.URL, "crowd", testJurors(9))
 
@@ -60,13 +62,16 @@ func TestSelectBatchLimits(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d: %s", code, body)
 	}
-	three := BatchSelectRequest{Selects: []SelectRequest{{Pool: "crowd"}, {Pool: "crowd"}, {Pool: "crowd"}}}
-	code, body = postSelect(s.Handler(), "/v1/select/batch", three)
-	if code != http.StatusBadRequest || !bytes.Contains(body, []byte("at most 2")) {
+	over := BatchSelectRequest{Selects: make([]SelectRequest, MaxBatchItems+1)}
+	for i := range over.Selects {
+		over.Selects[i] = SelectRequest{Pool: "crowd"}
+	}
+	code, body = postSelect(s.Handler(), "/v1/select/batch", over)
+	if code != http.StatusBadRequest || !bytes.Contains(body, []byte(fmt.Sprintf("at most %d", MaxBatchItems))) {
 		t.Fatalf("oversized batch: status %d: %s", code, body)
 	}
-	two := BatchSelectRequest{Selects: []SelectRequest{{Pool: "crowd"}, {Pool: "crowd"}}}
-	if code, body = postSelect(s.Handler(), "/v1/select/batch", two); code != http.StatusOK {
+	full := BatchSelectRequest{Selects: over.Selects[:MaxBatchItems]}
+	if code, body = postSelect(s.Handler(), "/v1/select/batch", full); code != http.StatusOK {
 		t.Fatalf("full batch: status %d: %s", code, body)
 	}
 }
@@ -143,4 +148,27 @@ func TestTaskVoteBatchHTTP(t *testing.T) {
 	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks/ghost/votes/batch",
 		TaskVoteBatchRequest{Votes: []TaskVoteRequest{{JurorID: "j000", Vote: &yes}}},
 		http.StatusNotFound, nil)
+}
+
+// TestTaskVoteBatchKeepsViewAfterRejectedItem: a rejected item after an
+// applied one leaves the response's task view at the applied item's,
+// not blanked to an empty view.
+func TestTaskVoteBatchKeepsViewAfterRejectedItem(t *testing.T) {
+	_, hs := newDurableTaskServer(t, Config{})
+	var created TaskResponse
+	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks",
+		TaskCreateRequest{Pool: "panel", TargetConfidence: 1}, http.StatusCreated, &created)
+	yes := true
+	j := created.Task.Jurors[0].ID
+	var resp TaskVoteBatchResponse
+	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks/"+created.Task.ID+"/votes/batch",
+		TaskVoteBatchRequest{Votes: []TaskVoteRequest{{JurorID: j, Vote: &yes}, {JurorID: j, Vote: &yes}}},
+		http.StatusOK, &resp)
+	if len(resp.Results) != 2 || !resp.Results[0].Applied || !strings.Contains(resp.Results[1].Error, "juror already voted") {
+		t.Fatalf("results = %+v, want [applied, juror already voted]", resp.Results)
+	}
+	if resp.Task.ID != created.Task.ID || resp.Task.Status != tasks.StatusAwaitingVotes || resp.Task.VotesSpent != 1 {
+		t.Fatalf("task view after the rejected item: id %q, status %q, %d votes; want %s, %s, 1",
+			resp.Task.ID, resp.Task.Status, resp.Task.VotesSpent, created.Task.ID, tasks.StatusAwaitingVotes)
+	}
 }

@@ -20,9 +20,9 @@ import "math"
 // strategy, budget) keys plus, at most, the flights in progress at each
 // write: a miss still computing when the write runs its drop inserts its
 // older version afterwards, and the pool's next write removes it. The
-// drop only reclaims memory; a late or missing drop (writes through
-// Server.Store skip it) leaves entries no request can probe, never a
-// stale answer.
+// drop only reclaims memory; a late or missing drop (a write straight
+// to the task store skips it) leaves entries no request can probe,
+// never a stale answer.
 //
 // The cache is a memo.Cache[selectKey, []byte]: the shared sharded LRU
 // with per-key singleflight, so a stampede on one cold key computes
@@ -31,37 +31,31 @@ import "math"
 // Write — no engine call, no sort, no encoder — and the probe itself
 // does not allocate.
 
-// selectKind canonicalizes the (model, exact) request pair.
-type selectKind uint8
-
-const (
-	kindAltr selectKind = iota
-	kindPay
-	kindPayExact
-)
-
 // selectKey identifies one cacheable selection: the pool snapshot
 // (name, version) and the canonical strategy parameters. TimeoutMS is
 // deliberately absent — it bounds the computation, not the result.
 type selectKey struct {
-	pool    string
-	version uint64
-	kind    selectKind
-	budget  float64
+	pool     string
+	version  uint64
+	strategy string // canonical: the tasks.Select strategy
+	budget   float64
 }
 
 // hash mixes the key into the memo hash, whose top bits pick the shard.
-// FNV-1a over the name plus a splitmix-style scramble of the version keeps
-// sibling versions of one pool on different shards; it runs without
-// allocating.
+// FNV-1a over the name and strategy plus a splitmix-style scramble of
+// the version keeps sibling versions of one pool on different shards; it
+// runs without allocating.
 func (k selectKey) hash() uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(k.pool); i++ {
 		h ^= uint64(k.pool[i])
 		h *= 1099511628211
 	}
+	for i := 0; i < len(k.strategy); i++ {
+		h ^= uint64(k.strategy[i])
+		h *= 1099511628211
+	}
 	h ^= k.version + 0x9e3779b97f4a7c15
-	h ^= uint64(k.kind) << 56
 	h ^= math.Float64bits(k.budget)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd

@@ -32,17 +32,19 @@ func postSelect(h http.Handler, path string, body any) (int, []byte) {
 }
 
 // TestSelectCacheParityUnderMutation is the invalidation correctness
-// proof: a cached server and an uncached server share one live store;
+// proof: a cached server and an uncached server share one task store;
 // a randomized sequence of PUT/PATCH/DELETE mutations interleaves with
 // selects, and after every mutation each strategy's cached response —
 // cold fill and warm hit alike — must be byte-identical to the freshly
 // computed uncached select at the same pool version. Version-keying is
 // the only invalidation mechanism under test: no entry is ever purged.
 func TestSelectCacheParityUnderMutation(t *testing.T) {
-	eng := jury.NewEngine(jury.BatchOptions{})
-	store := pool.NewStore()
-	cached := New(Config{Store: store, Engine: eng})
-	uncached := New(Config{Store: store, Engine: eng, SelectCacheEntries: -1})
+	store, err := tasks.Open(tasks.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := New(Config{Tasks: store})
+	uncached := New(Config{Tasks: store, SelectCacheEntries: -1})
 
 	rng := rand.New(rand.NewSource(7))
 	randomJurors := func(n int) []jury.Juror {
@@ -58,7 +60,7 @@ func TestSelectCacheParityUnderMutation(t *testing.T) {
 	}
 	pools := []string{"alpha", "beta"}
 	for _, name := range pools {
-		if _, err := store.Put(name, randomJurors(4+rng.Intn(8))); err != nil {
+		if _, err := store.PutPool(name, randomJurors(4+rng.Intn(8))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,15 +75,17 @@ func TestSelectCacheParityUnderMutation(t *testing.T) {
 		name := pools[rng.Intn(len(pools))]
 		switch op := rng.Intn(8); {
 		case op == 0: // full replacement
-			if _, err := store.Put(name, randomJurors(4+rng.Intn(8))); err != nil {
+			if _, err := store.PutPool(name, randomJurors(4+rng.Intn(8))); err != nil {
 				t.Fatal(err)
 			}
 		case op == 1: // delete (selects must agree on the 404 too)
-			store.Delete(name)
+			if _, err := store.DeletePool(name); err != nil {
+				t.Fatal(err)
+			}
 		default: // incremental patch
-			p, ok := store.Get(name)
+			p, ok := store.Pools().Get(name)
 			if !ok {
-				if _, err := store.Put(name, randomJurors(4+rng.Intn(8))); err != nil {
+				if _, err := store.PutPool(name, randomJurors(4+rng.Intn(8))); err != nil {
 					t.Fatal(err)
 				}
 				break
@@ -89,7 +93,7 @@ func TestSelectCacheParityUnderMutation(t *testing.T) {
 			members := p.Jurors()
 			rate := 0.02 + 0.46*rng.Float64()
 			up := pool.JurorUpdate{ID: members[rng.Intn(len(members))].ID, ErrorRate: &rate}
-			if _, err := store.Patch(name, []pool.JurorUpdate{up}); err != nil {
+			if _, err := store.PatchPool(name, []pool.JurorUpdate{up}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -125,18 +129,17 @@ func TestSelectCacheParityUnderMutation(t *testing.T) {
 // (Run under -race in CI.)
 func TestSelectCacheStalenessUnderRace(t *testing.T) {
 	s := New(Config{})
-	store := s.Store()
 	expected := make(map[uint64][]byte) // version -> uncached altr response bytes
 	record := func(p *pool.Pool) {
 		raw, err := s.computeSelectRaw(context.Background(),
-			selectPlan{req: &SelectRequest{Pool: "crowd"}, model: "altr", kind: kindAltr, pool: p})
+			selectPlan{req: &SelectRequest{Pool: "crowd"}, model: "altr", strategy: tasks.StrategyAltr, pool: p})
 		if err != nil {
 			t.Errorf("computing expected bytes at version %d: %v", p.Version, err)
 			return
 		}
 		expected[p.Version] = raw
 	}
-	p, err := store.Put("crowd", testJurors(15))
+	p, err := s.tasks.PutPool("crowd", testJurors(15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +184,7 @@ func TestSelectCacheStalenessUnderRace(t *testing.T) {
 	close(start)
 	for i := 0; i < patches; i++ {
 		rate := 0.05 + 0.4*float64(i%10)/10
-		p, err := store.Patch("crowd", []pool.JurorUpdate{{ID: "j007", ErrorRate: &rate}})
+		p, err := s.tasks.PatchPool("crowd", []pool.JurorUpdate{{ID: "j007", ErrorRate: &rate}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +220,7 @@ func TestSelectCacheStampede(t *testing.T) {
 	const m = 24
 	baselineEng := jury.NewEngine(jury.BatchOptions{CacheSize: -1})
 	base := New(Config{Engine: baselineEng})
-	if _, err := base.Store().Put("crowd", testJurors(24)); err != nil {
+	if _, err := base.tasks.PutPool("crowd", testJurors(24)); err != nil {
 		t.Fatal(err)
 	}
 	req := SelectRequest{Pool: "crowd", Model: "pay", Budget: 3}
@@ -231,7 +234,7 @@ func TestSelectCacheStampede(t *testing.T) {
 
 	eng := jury.NewEngine(jury.BatchOptions{CacheSize: -1})
 	s := New(Config{Engine: eng})
-	if _, err := s.Store().Put("crowd", testJurors(24)); err != nil {
+	if _, err := s.tasks.PutPool("crowd", testJurors(24)); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -281,8 +284,9 @@ func TestSelectCacheStampede(t *testing.T) {
 // the selects in between have refilled it, /metrics select_cache.entries
 // equals the live (pool, strategy, budget) count; a DELETE drops every
 // version of that pool and no other pool's; a re-PUT continues the
-// version sequence. It runs against the bare pool store and against a
-// task store, the two branches pool writes take.
+// version sequence. It runs against the memory-only task store New
+// opens (tasks=false) and against one passed in Config.Tasks
+// (tasks=true).
 func TestSelectCacheDropsSupersededVersions(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("tasks=%v", durable), func(t *testing.T) {
@@ -369,7 +373,7 @@ func TestSelectCacheDisabled(t *testing.T) {
 	if s.cache != nil {
 		t.Fatal("negative SelectCacheEntries should disable the cache")
 	}
-	if _, err := s.Store().Put("crowd", testJurors(9)); err != nil {
+	if _, err := s.tasks.PutPool("crowd", testJurors(9)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -385,7 +389,7 @@ func TestSelectCacheLRUEviction(t *testing.T) {
 	c := memo.New[selectKey, []byte](32)
 	raw := []byte("{}\n")
 	for v := uint64(0); v < 500; v++ {
-		k := selectKey{pool: "p", version: v, kind: kindAltr}
+		k := selectKey{pool: "p", version: v, strategy: tasks.StrategyAltr}
 		if _, _, err := c.Do(k, k.hash(), func() ([]byte, error) { return raw, nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +413,7 @@ func TestSelectCacheLRUEviction(t *testing.T) {
 // selectRaw it passes Do a closure, which must not escape.
 func BenchmarkSelectCacheHit(b *testing.B) {
 	c := memo.New[selectKey, []byte](DefaultSelectCacheEntries)
-	k := selectKey{pool: "bench-pool", version: 17, kind: kindPay, budget: 2.5}
+	k := selectKey{pool: "bench-pool", version: 17, strategy: tasks.StrategyPay, budget: 2.5}
 	raw := bytes.Repeat([]byte("x"), 512)
 	if _, _, err := c.Do(k, k.hash(), func() ([]byte, error) { return raw, nil }); err != nil {
 		b.Fatal(err)
@@ -432,7 +436,7 @@ func BenchmarkSelectCacheHit(b *testing.B) {
 // This is the ISSUE 6 sub-10µs target path.
 func BenchmarkServerSelectWarm(b *testing.B) {
 	s := New(Config{})
-	if _, err := s.Store().Put("crowd", testJurors(101)); err != nil {
+	if _, err := s.tasks.PutPool("crowd", testJurors(101)); err != nil {
 		b.Fatal(err)
 	}
 	body, err := json.Marshal(SelectRequest{Pool: "crowd"})

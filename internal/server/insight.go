@@ -9,7 +9,7 @@ import (
 )
 
 // requireInsight guards the /v1/insight endpoints: without an analytics
-// engine they do not exist, mirroring requireTasks.
+// engine they do not exist.
 func (s *Server) requireInsight(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.insight == nil {

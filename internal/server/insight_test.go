@@ -183,7 +183,7 @@ func TestInsightPromSeries(t *testing.T) {
 // from the raw counters and shard_entries sums to entries.
 func TestSelectCacheDerivedMetrics(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	if _, err := srv.Store().Put("crowd", testJurors(7)); err != nil {
+	if _, err := srv.tasks.PutPool("crowd", testJurors(7)); err != nil {
 		t.Fatal(err)
 	}
 	doJSON(t, ts.URL+"/v1/select", `{"pool":"crowd"}`, http.StatusOK)

@@ -7,7 +7,7 @@ import (
 )
 
 // requireLifecycle guards the timeline endpoints: without a lifecycle
-// engine they do not exist, mirroring requireTasks and requireInsight.
+// engine they do not exist, mirroring requireInsight.
 func (s *Server) requireLifecycle(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.lifecycle == nil {

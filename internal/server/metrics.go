@@ -36,18 +36,19 @@ type metrics struct {
 	draining atomic.Bool  // drain signal for /healthz
 }
 
-// healthResponse is the body of GET /healthz. The WAL fields appear
-// only when the server fronts a task store: commit-queue depth is the
-// early congestion signal (records appended but not yet durable), and
-// the last-recovery duration tells an operator what a restart costs.
+// healthResponse is the body of GET /healthz. The WAL fields read the
+// task store's journal (both 0 when it is memory-only): commit-queue
+// depth is the early congestion signal (records appended but not yet
+// durable), and the last-recovery duration tells an operator what a
+// restart costs.
 type healthResponse struct {
 	Status   string `json:"status"` // "ok" or "draining"
 	Pools    int    `json:"pools"`
 	Inflight int    `json:"inflight"`
 	Queued   int    `json:"queued"`
 
-	WALCommitQueueDepth *int64 `json:"wal_commit_queue_depth,omitempty"`
-	LastRecoveryNS      *int64 `json:"last_recovery_ns,omitempty"`
+	WALCommitQueueDepth int64 `json:"wal_commit_queue_depth"`
+	LastRecoveryNS      int64 `json:"last_recovery_ns"`
 
 	// Stall is the sweep watchdog's verdict, present when one is
 	// configured: tasks stuck past their juror timeout with no sweeper
@@ -61,16 +62,12 @@ type healthResponse struct {
 // in-flight requests finish.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{
-		Status:   "ok",
-		Pools:    s.store.Len(),
-		Inflight: len(s.sem),
-		Queued:   int(s.m.queued.Load()),
-	}
-	if s.tasks != nil {
-		depth := s.tasks.Stats().WAL.QueueDepth
-		recovery := s.tasks.Recovery().Duration.Nanoseconds()
-		resp.WALCommitQueueDepth = &depth
-		resp.LastRecoveryNS = &recovery
+		Status:              "ok",
+		Pools:               s.tasks.Pools().Len(),
+		Inflight:            len(s.sem),
+		Queued:              int(s.m.queued.Load()),
+		WALCommitQueueDepth: s.tasks.Stats().WAL.QueueDepth,
+		LastRecoveryNS:      s.tasks.Recovery().Duration.Nanoseconds(),
 	}
 	if s.watchdog != nil {
 		rep := s.watchdog.Check(time.Now().UTC())
@@ -173,7 +170,7 @@ func (s *Server) collect() *obs.Scrape {
 	sc.Set("max_queue", s.maxQueue)
 	sc.Add("inflight", len(s.sem), sc.Family("juryd_inflight", "gauge", "Evaluation requests currently executing."), "")
 	sc.Add("queued", s.m.queued.Load(), sc.Family("juryd_queued", "gauge", "Requests waiting for an inflight slot."), "")
-	sc.Add("pools", s.store.Len(), sc.Family("juryd_pools", "gauge", "Resident juror pools."), "")
+	sc.Add("pools", s.tasks.Pools().Len(), sc.Family("juryd_pools", "gauge", "Resident juror pools."), "")
 	sc.Add("selections", s.m.selections.Value(),
 		sc.Family("juryd_selections_total", "counter", "Successful select items (single and batch)."), "")
 
@@ -212,40 +209,38 @@ func (s *Server) collect() *obs.Scrape {
 		sc.Set("select_cache.shard_entries", lens)
 	}
 
-	if s.tasks != nil {
-		ts := s.tasks.Stats()
-		status := sc.Family("juryd_tasks", "gauge", "Tasks by lifecycle status.")
-		sc.Add("tasks.open", ts.Open, status, `status="open"`)
-		sc.Add("tasks.awaiting_votes", ts.AwaitingVotes, status, `status="awaiting_votes"`)
-		sc.Add("tasks.decided", ts.Decided, status, `status="decided"`)
-		sc.Add("tasks.expired", ts.Expired, status, `status="expired"`)
-		sc.Set("tasks.creates", s.m.taskCreates.Value())
-		sc.Set("tasks.votes", s.m.taskVotes.Value())
-		sc.Set("tasks.verdicts", s.m.taskVerdicts.Value())
-		sc.Add("tasks.wal_appends", ts.WAL.Appends, sc.Family("juryd_wal_appends_total", "counter", "WAL records appended."), "")
-		sc.Add("tasks.wal_fsyncs", ts.WAL.Fsyncs, sc.Family("juryd_wal_fsyncs_total", "counter", "WAL fsync calls."), "")
-		sc.Add("tasks.wal_commit_queue_depth", ts.WAL.QueueDepth,
-			sc.Family("juryd_wal_commit_queue_depth", "gauge", "Appended records not yet durable."), "")
-		sc.Add("tasks.wal_fsync", ts.WAL.FsyncHist,
-			sc.Family("juryd_wal_fsync_duration_seconds", "histogram", "WAL fsync call latency."), "")
-		sc.Add("tasks.wal_durable_wait", ts.WAL.DurableWaitHist,
-			sc.Family("juryd_wal_durable_wait_seconds", "histogram", "Append-to-durable wait seen by writers."), "")
-		// wal_fsync_p99_ns is kept for dashboards; wal_fsync holds the
-		// distribution it derives from. Bucket i of wal_fsync_batch_hist
-		// counts fsyncs covering ≤ 2^i records (the last is open-ended):
-		// load in bucket 0 means the group commit is not grouping.
-		sc.Set("tasks.wal_fsync_p99_ns", ts.WAL.FsyncP99NS)
-		sc.Set("tasks.wal_replay_records", ts.WAL.ReplayRecords)
-		sc.Set("tasks.wal_replay_ns", s.tasks.Recovery().Duration.Nanoseconds())
-		sc.Set("tasks.wal_compactions", ts.Compactions)
-		// Every store lock is held through a compaction, so its wall time
-		// is also how long writers stalled.
-		sc.Add("tasks.compact", ts.CompactHist,
-			sc.Family("juryd_tasks_compact_duration_seconds", "histogram", "Snapshot compaction wall time; writers stall throughout."), "")
-		sc.Set("tasks.wal_fsync_batch_hist", ts.WAL.FsyncBatchSizes[:])
-		sc.Set("tasks.shards", ts.Shards)
-		sc.Set("tasks.shard_contention", ts.ShardContention)
-	}
+	ts := s.tasks.Stats()
+	status := sc.Family("juryd_tasks", "gauge", "Tasks by lifecycle status.")
+	sc.Add("tasks.open", ts.Open, status, `status="open"`)
+	sc.Add("tasks.awaiting_votes", ts.AwaitingVotes, status, `status="awaiting_votes"`)
+	sc.Add("tasks.decided", ts.Decided, status, `status="decided"`)
+	sc.Add("tasks.expired", ts.Expired, status, `status="expired"`)
+	sc.Set("tasks.creates", s.m.taskCreates.Value())
+	sc.Set("tasks.votes", s.m.taskVotes.Value())
+	sc.Set("tasks.verdicts", s.m.taskVerdicts.Value())
+	sc.Add("tasks.wal_appends", ts.WAL.Appends, sc.Family("juryd_wal_appends_total", "counter", "WAL records appended."), "")
+	sc.Add("tasks.wal_fsyncs", ts.WAL.Fsyncs, sc.Family("juryd_wal_fsyncs_total", "counter", "WAL fsync calls."), "")
+	sc.Add("tasks.wal_commit_queue_depth", ts.WAL.QueueDepth,
+		sc.Family("juryd_wal_commit_queue_depth", "gauge", "Appended records not yet durable."), "")
+	sc.Add("tasks.wal_fsync", ts.WAL.FsyncHist,
+		sc.Family("juryd_wal_fsync_duration_seconds", "histogram", "WAL fsync call latency."), "")
+	sc.Add("tasks.wal_durable_wait", ts.WAL.DurableWaitHist,
+		sc.Family("juryd_wal_durable_wait_seconds", "histogram", "Append-to-durable wait seen by writers."), "")
+	// wal_fsync_p99_ns is kept for dashboards; wal_fsync holds the
+	// distribution it derives from. Bucket i of wal_fsync_batch_hist
+	// counts fsyncs covering ≤ 2^i records (the last is open-ended):
+	// load in bucket 0 means the group commit is not grouping.
+	sc.Set("tasks.wal_fsync_p99_ns", ts.WAL.FsyncP99NS)
+	sc.Set("tasks.wal_replay_records", ts.WAL.ReplayRecords)
+	sc.Set("tasks.wal_replay_ns", s.tasks.Recovery().Duration.Nanoseconds())
+	sc.Set("tasks.wal_compactions", ts.Compactions)
+	// Every store lock is held through a compaction, so its wall time
+	// is also how long writers stalled.
+	sc.Add("tasks.compact", ts.CompactHist,
+		sc.Family("juryd_tasks_compact_duration_seconds", "histogram", "Snapshot compaction wall time; writers stall throughout."), "")
+	sc.Set("tasks.wal_fsync_batch_hist", ts.WAL.FsyncBatchSizes[:])
+	sc.Set("tasks.shards", ts.Shards)
+	sc.Set("tasks.shard_contention", ts.ShardContention)
 
 	if s.insight != nil {
 		// Counters only: the full profiles live behind /v1/insight/*.

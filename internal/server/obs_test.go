@@ -237,24 +237,14 @@ func doJSON(t *testing.T, url, body string, wantStatus int) {
 	}
 }
 
-// TestHealthzReportsWALState checks the PR 8 healthz additions: commit
-// queue depth and last-recovery duration with a task store, absent
-// without one.
+// TestHealthzReportsWALState checks the healthz WAL fields: commit
+// queue depth and last-recovery duration.
 func TestHealthzReportsWALState(t *testing.T) {
 	_, hs := newDurableTaskServer(t, Config{})
 	var h map[string]json.RawMessage
 	doTaskJSON(t, http.MethodGet, hs.URL+"/healthz", nil, http.StatusOK, &h)
 	requireKeys(t, h, "/healthz", "status", "pools", "inflight", "queued",
 		"wal_commit_queue_depth", "last_recovery_ns")
-
-	_, plain := newTestServer(t, Config{})
-	var h2 map[string]json.RawMessage
-	if st := do(t, http.MethodGet, plain.URL+"/healthz", nil, &h2); st != http.StatusOK {
-		t.Fatalf("healthz status %d", st)
-	}
-	if _, ok := h2["wal_commit_queue_depth"]; ok {
-		t.Error("healthz without a task store should omit wal_commit_queue_depth")
-	}
 }
 
 // TestPrometheusExportParses drives traffic through every subsystem and
@@ -376,7 +366,7 @@ func TestWarmSelectAllocations(t *testing.T) {
 		t.Skip("race detector degrades sync.Pool reuse; allocation counts are not meaningful")
 	}
 	srv := New(Config{})
-	if _, err := srv.Store().Put("crowd", testJurors(101)); err != nil {
+	if _, err := srv.tasks.PutPool("crowd", testJurors(101)); err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()

@@ -36,25 +36,26 @@ const (
 	DefaultTimeout = 5 * time.Second
 	// DefaultMaxTimeout caps the deadline a request may ask for.
 	DefaultMaxTimeout = 30 * time.Second
-	// DefaultMaxBodyBytes bounds request bodies (candidate sets of about
-	// 100k jurors still fit).
-	DefaultMaxBodyBytes = 8 << 20
-	// DefaultMaxBatchItems caps how many selects (or votes) one batch
-	// request may carry.
-	DefaultMaxBatchItems = 256
+)
+
+// Request size limits.
+const (
+	// MaxBodyBytes bounds request bodies (candidate sets of about 100k
+	// jurors still fit).
+	MaxBodyBytes = 8 << 20
+	// MaxBatchItems caps how many selects (or votes) one batch request
+	// may carry.
+	MaxBatchItems = 256
 )
 
 // Config configures a Server. The zero value selects sensible defaults.
 type Config struct {
-	// Engine is the shared JER engine; nil constructs a default one.
+	// Engine is the shared JER engine; nil adopts the task store's.
 	Engine *jury.Engine
-	// Store is the pool store; nil constructs an empty one. When Tasks
-	// is set this must be the task store's pool store (or nil, which
-	// adopts it automatically).
-	Store *pool.Store
-	// Tasks is the durable decision-task store. When set, the /v1/tasks
-	// endpoints are served and every pool mutation is journaled through
-	// it, so a restarted juryd replays pools and tasks together.
+	// Tasks is the decision-task store the server fronts: it holds the
+	// pools, serves the /v1/tasks endpoints and journals every pool
+	// mutation, so a restarted juryd replays pools and tasks together.
+	// nil opens a memory-only store, as juryd does without -wal-dir.
 	Tasks *tasks.Store
 	// Insight is the decision-quality analytics engine. Attach the same
 	// engine to the task store (tasks.Config.Events) before Open, so WAL
@@ -90,9 +91,6 @@ type Config struct {
 	// MaxTimeout caps request-supplied deadlines. Zero selects
 	// DefaultMaxTimeout.
 	MaxTimeout time.Duration
-	// MaxBodyBytes bounds request bodies. Zero selects
-	// DefaultMaxBodyBytes.
-	MaxBodyBytes int64
 	// SelectCacheEntries bounds the version-keyed selection response
 	// cache (total entries, LRU-evicted). Selections are pure functions
 	// of (pool version, strategy, params), so the cache serves repeat
@@ -100,10 +98,6 @@ type Config struct {
 	// the encoder. Zero selects DefaultSelectCacheEntries; negative
 	// disables the cache.
 	SelectCacheEntries int
-	// MaxBatchItems caps the item count of one POST /v1/select/batch or
-	// POST /v1/tasks/{id}/votes/batch request. Zero selects
-	// DefaultMaxBatchItems.
-	MaxBatchItems int
 	// SlowRequest logs (and always traces) requests that take at least
 	// this long. Zero disables the slow-request log.
 	SlowRequest time.Duration
@@ -122,7 +116,6 @@ type Config struct {
 // all methods are safe for concurrent use.
 type Server struct {
 	eng       *jury.Engine
-	store     *pool.Store
 	tasks     *tasks.Store
 	insight   *insight.Engine
 	lifecycle *lifecycle.Engine
@@ -134,8 +127,6 @@ type Server struct {
 	maxQueue    int
 	defTimeout  time.Duration
 	maxTimeout  time.Duration
-	maxBody     int64
-	maxBatch    int
 
 	cache *memo.Cache[selectKey, []byte] // version-keyed select responses; nil = disabled
 	sem   chan struct{}                  // inflight slots for evaluation requests
@@ -165,7 +156,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{
 		eng:         cfg.Engine,
-		store:       cfg.Store,
 		tasks:       cfg.Tasks,
 		insight:     cfg.Insight,
 		lifecycle:   cfg.Lifecycle,
@@ -176,24 +166,17 @@ func New(cfg Config) *Server {
 		maxQueue:    cfg.MaxQueue,
 		defTimeout:  cfg.DefaultTimeout,
 		maxTimeout:  cfg.MaxTimeout,
-		maxBody:     cfg.MaxBodyBytes,
 	}
-	if s.tasks != nil {
-		// One pool directory and one engine serve selects and tasks: the
-		// task store's are authoritative so its journal covers every
-		// mutation the handlers apply.
-		if s.store == nil {
-			s.store = s.tasks.Pools()
+	if s.tasks == nil {
+		ts, err := tasks.Open(tasks.Config{Engine: s.eng})
+		if err != nil {
+			// Memory-only Open touches no disk and cannot fail.
+			panic(fmt.Sprintf("server: opening memory task store: %v", err))
 		}
-		if s.eng == nil {
-			s.eng = s.tasks.Engine()
-		}
+		s.tasks = ts
 	}
 	if s.eng == nil {
-		s.eng = jury.NewEngine(jury.BatchOptions{})
-	}
-	if s.store == nil {
-		s.store = pool.NewStore()
+		s.eng = s.tasks.Engine()
 	}
 	if s.maxInflight <= 0 {
 		s.maxInflight = runtime.GOMAXPROCS(0)
@@ -208,13 +191,6 @@ func New(cfg Config) *Server {
 	}
 	if s.maxTimeout <= 0 {
 		s.maxTimeout = DefaultMaxTimeout
-	}
-	if s.maxBody <= 0 {
-		s.maxBody = DefaultMaxBodyBytes
-	}
-	s.maxBatch = cfg.MaxBatchItems
-	if s.maxBatch <= 0 {
-		s.maxBatch = DefaultMaxBatchItems
 	}
 	if n := cfg.SelectCacheEntries; n == 0 {
 		s.cache = memo.New[selectKey, []byte](DefaultSelectCacheEntries)
@@ -236,11 +212,11 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("PUT /v1/pools/{name}/jurors", s.instrument(epPoolPut, s.handlePoolPut))
 	s.mux.HandleFunc("PATCH /v1/pools/{name}/jurors", s.instrument(epPoolPatch, s.handlePoolPatch))
 	s.mux.HandleFunc("DELETE /v1/pools/{name}", s.instrument(epPoolDelete, s.handlePoolDelete))
-	s.mux.HandleFunc("POST /v1/tasks", s.instrument(epTaskCreate, s.requireTasks(s.handleTaskCreate)))
-	s.mux.HandleFunc("GET /v1/tasks", s.instrument(epTaskList, s.requireTasks(s.handleTaskList)))
-	s.mux.HandleFunc("GET /v1/tasks/{id}", s.instrument(epTaskGet, s.requireTasks(s.handleTaskGet)))
-	s.mux.HandleFunc("POST /v1/tasks/{id}/votes", s.instrument(epTaskVote, s.requireTasks(s.handleTaskVote)))
-	s.mux.HandleFunc("POST /v1/tasks/{id}/votes/batch", s.instrument(epTaskVoteBatch, s.requireTasks(s.handleTaskVoteBatch)))
+	s.mux.HandleFunc("POST /v1/tasks", s.instrument(epTaskCreate, s.handleTaskCreate))
+	s.mux.HandleFunc("GET /v1/tasks", s.instrument(epTaskList, s.handleTaskList))
+	s.mux.HandleFunc("GET /v1/tasks/{id}", s.instrument(epTaskGet, s.handleTaskGet))
+	s.mux.HandleFunc("POST /v1/tasks/{id}/votes", s.instrument(epTaskVote, s.handleTaskVote))
+	s.mux.HandleFunc("POST /v1/tasks/{id}/votes/batch", s.instrument(epTaskVoteBatch, s.handleTaskVoteBatch))
 	s.mux.HandleFunc("GET /v1/insight/jurors", s.instrument(epInsightJurors, s.requireInsight(s.handleInsightJurors)))
 	s.mux.HandleFunc("GET /v1/insight/calibration", s.instrument(epInsightCalibration, s.requireInsight(s.handleInsightCalibration)))
 	s.mux.HandleFunc("GET /v1/insight/agreement", s.instrument(epInsightAgreement, s.requireInsight(s.handleInsightAgreement)))
@@ -260,16 +236,6 @@ func New(cfg Config) *Server {
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Store returns the server's pool store, e.g. for seeding pools before
-// serving. A write through it bypasses the HTTP handlers: when Tasks is
-// set it skips the write-ahead log, so a restart does not replay it, and
-// it never drops the select cache's entries for the versions it retires
-// (those are unreachable and leave by LRU age-out).
-func (s *Server) Store() *pool.Store { return s.store }
-
-// Engine returns the server's shared JER engine.
-func (s *Server) Engine() *jury.Engine { return s.eng }
 
 // SetDraining flips the health signal: while draining, /healthz returns
 // 503 so load balancers stop routing here, while in-flight and queued
@@ -356,7 +322,7 @@ func putBuf(buf *bytes.Buffer) {
 // The body is read into a pooled buffer; exceeding the size bound is a
 // 413, not a 400 — the request was well-formed, just too big.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer putBuf(buf)
 	if _, err := buf.ReadFrom(r.Body); err != nil {
@@ -471,11 +437,11 @@ func (s *Server) handleJER(w http.ResponseWriter, r *http.Request) {
 // response's pool_version and the cache key — reads that one immutable
 // snapshot, no matter how many PATCHes land meanwhile.
 type selectPlan struct {
-	req   *SelectRequest
-	model string
-	kind  selectKind
-	pool  *pool.Pool   // nil for inline candidates
-	cands []jury.Juror // inline candidates, validated; nil when pool is set
+	req      *SelectRequest
+	model    string
+	strategy string       // the tasks.Select strategy (model, exact) names
+	pool     *pool.Pool   // nil for inline candidates
+	cands    []jury.Juror // inline candidates, validated; nil when pool is set
 }
 
 // parseSelect validates one select request and resolves its candidate
@@ -492,7 +458,7 @@ func (s *Server) parseSelect(req *SelectRequest) (selectPlan, error) {
 	case req.Pool != "" && req.Candidates != nil:
 		return p, badRequest("pool and candidates are mutually exclusive")
 	case req.Pool != "":
-		snap, ok := s.store.Get(req.Pool)
+		snap, ok := s.tasks.Pools().Get(req.Pool)
 		if !ok {
 			return p, fmt.Errorf("%w: %q", pool.ErrPoolNotFound, req.Pool)
 		}
@@ -520,9 +486,9 @@ func (s *Server) parseSelect(req *SelectRequest) (selectPlan, error) {
 	}
 	switch {
 	case p.model == "altr":
-		p.kind = kindAltr
+		p.strategy = tasks.StrategyAltr
 	case req.Exact:
-		p.kind = kindPayExact
+		p.strategy = tasks.StrategyExact
 		n := len(p.cands)
 		if p.pool != nil {
 			n = len(p.pool.Sorted())
@@ -532,7 +498,7 @@ func (s *Server) parseSelect(req *SelectRequest) (selectPlan, error) {
 				jury.MaxExactCandidates, n)
 		}
 	default:
-		p.kind = kindPay
+		p.strategy = tasks.StrategyPay
 	}
 	return p, nil
 }
@@ -542,26 +508,17 @@ func (s *Server) parseSelect(req *SelectRequest) (selectPlan, error) {
 // for the same SelectResponse, so cached and uncached responses are
 // indistinguishable on the wire.
 func (s *Server) computeSelectRaw(ctx context.Context, p selectPlan) ([]byte, error) {
-	var sel jury.Selection
-	var err error
+	// A pool snapshot is validated and ε-sorted at ingest: the hot path
+	// runs with no re-validation, no sort, and no lock. Inline candidates
+	// are sorted here for altr only, where the solver requires it.
+	cands := p.cands
 	switch {
-	case p.kind == kindAltr && p.pool != nil:
-		// The snapshot is validated and ε-sorted at ingest: the hot path
-		// runs with no re-validation, no sort, and no lock.
-		sel, err = s.eng.SelectAltruisticSnapshot(ctx, p.pool.Sorted())
-	case p.kind == kindAltr:
-		sel, err = s.eng.SelectAltruisticSnapshot(ctx, core.SortedByErrorRate(p.cands))
-	default: // pay
-		cands := p.cands
-		if p.pool != nil {
-			cands = p.pool.Sorted()
-		}
-		if p.kind == kindPayExact {
-			sel, err = s.eng.SelectExactContext(ctx, cands, p.req.Budget)
-		} else {
-			sel, err = s.eng.SelectBudgetedContext(ctx, cands, p.req.Budget)
-		}
+	case p.pool != nil:
+		cands = p.pool.Sorted()
+	case p.strategy == tasks.StrategyAltr:
+		cands = core.SortedByErrorRate(cands)
 	}
+	sel, err := tasks.Select(ctx, s.eng, cands, p.strategy, p.req.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +544,7 @@ func (s *Server) computeSelectRaw(ctx context.Context, p selectPlan) ([]byte, er
 // collapsed onto another flight books its wait as engine time.
 func (s *Server) selectRaw(ctx context.Context, w http.ResponseWriter, p selectPlan) ([]byte, bool, error) {
 	if p.pool != nil && s.cache != nil {
-		key := selectKey{pool: p.pool.Name, version: p.pool.Version, kind: p.kind, budget: p.req.Budget}
+		key := selectKey{pool: p.pool.Name, version: p.pool.Version, strategy: p.strategy, budget: p.req.Budget}
 		raw, out, err := s.cache.Do(key, key.hash(), func() ([]byte, error) {
 			release, err := s.admit(ctx)
 			if err != nil {
@@ -664,8 +621,8 @@ func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequest("selects must be non-empty"))
 		return
 	}
-	if len(req.Selects) > s.maxBatch {
-		s.fail(w, badRequest("batch accepts at most %d selects, got %d", s.maxBatch, len(req.Selects)))
+	if len(req.Selects) > MaxBatchItems {
+		s.fail(w, badRequest("batch accepts at most %d selects, got %d", MaxBatchItems, len(req.Selects)))
 		return
 	}
 	d, err := s.deadline(req.TimeoutMS)
@@ -706,7 +663,7 @@ func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 
 // handlePoolList serves GET /v1/pools.
 func (s *Server) handlePoolList(w http.ResponseWriter, r *http.Request) {
-	pools := s.store.List()
+	pools := s.tasks.Pools().List()
 	out := PoolListResponse{Pools: make([]PoolResponse, len(pools))}
 	for i, p := range pools {
 		out.Pools[i] = poolResponse(p, false)
@@ -717,7 +674,7 @@ func (s *Server) handlePoolList(w http.ResponseWriter, r *http.Request) {
 // handlePoolGet serves GET /v1/pools/{name}.
 func (s *Server) handlePoolGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	p, ok := s.store.Get(name)
+	p, ok := s.tasks.Pools().Get(name)
 	if !ok {
 		s.fail(w, fmt.Errorf("%w: %q", pool.ErrPoolNotFound, name))
 		return
@@ -795,17 +752,12 @@ func (s *Server) handlePoolDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// putPool, patchPool and deletePool route pool mutations through the
-// task store's write-ahead log when one is configured — the durability
-// contract: every mutation a restarted juryd must replay goes through
-// one journal — and straight to the in-memory store otherwise. Each
-// drops the select cache's entries for the versions its write retired.
+// putPool, patchPool and deletePool journal pool mutations through the
+// task store — the durability contract: every mutation a restarted juryd
+// must replay goes through one journal. Each drops the select cache's
+// entries for the versions its write retired.
 func (s *Server) putPool(name string, jurors []jury.Juror) (*pool.Pool, error) {
-	put := s.store.Put
-	if s.tasks != nil {
-		put = s.tasks.PutPool
-	}
-	p, err := put(name, jurors)
+	p, err := s.tasks.PutPool(name, jurors)
 	if err == nil {
 		s.dropSelects(name, p.Version)
 	}
@@ -813,11 +765,7 @@ func (s *Server) putPool(name string, jurors []jury.Juror) (*pool.Pool, error) {
 }
 
 func (s *Server) patchPool(name string, ups []pool.JurorUpdate) (*pool.Pool, error) {
-	patch := s.store.Patch
-	if s.tasks != nil {
-		patch = s.tasks.PatchPool
-	}
-	p, err := patch(name, ups)
+	p, err := s.tasks.PatchPool(name, ups)
 	if err == nil {
 		s.dropSelects(name, p.Version)
 	}
@@ -825,13 +773,7 @@ func (s *Server) patchPool(name string, ups []pool.JurorUpdate) (*pool.Pool, err
 }
 
 func (s *Server) deletePool(name string) (bool, error) {
-	var existed bool
-	var err error
-	if s.tasks != nil {
-		existed, err = s.tasks.DeletePool(name)
-	} else {
-		existed = s.store.Delete(name)
-	}
+	existed, err := s.tasks.DeletePool(name)
 	if existed {
 		s.dropSelects(name, math.MaxUint64)
 	}

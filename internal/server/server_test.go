@@ -538,8 +538,8 @@ func TestConcurrentSelectsDuringPatches(t *testing.T) {
 }
 
 func TestRequestBodyTooLargeIs413(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 128})
-	big := JERRequest{ErrorRates: make([]float64, 200)}
+	_, ts := newTestServer(t, Config{})
+	big := JERRequest{ErrorRates: make([]float64, MaxBodyBytes/len("0.25,")+1)}
 	for i := range big.ErrorRates {
 		big.ErrorRates[i] = 0.25
 	}
@@ -547,7 +547,7 @@ func TestRequestBodyTooLargeIs413(t *testing.T) {
 	if code := do(t, http.MethodPost, ts.URL+"/v1/jer", big, &errResp); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d (%s)", code, errResp.Error)
 	}
-	if !strings.Contains(errResp.Error, "128-byte limit") {
+	if want := fmt.Sprintf("%d-byte limit", MaxBodyBytes); !strings.Contains(errResp.Error, want) {
 		t.Errorf("error does not mention the limit: %q", errResp.Error)
 	}
 }

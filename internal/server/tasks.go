@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -54,11 +52,7 @@ type TaskListResponse struct {
 // TaskVoteRequest is the body of POST /v1/tasks/{id}/votes: either a
 // vote or an explicit decline (which releases the juror and invites the
 // next-best replacement).
-type TaskVoteRequest struct {
-	JurorID string `json:"juror_id"`
-	Vote    *bool  `json:"vote,omitempty"`
-	Decline bool   `json:"decline,omitempty"`
-}
+type TaskVoteRequest = tasks.Ballot
 
 // handleTaskCreate serves POST /v1/tasks: select a jury and open the
 // task. Selection is the expensive step, so creation passes through the
@@ -143,8 +137,8 @@ func (s *Server) handleTaskVote(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if req.JurorID == "" {
-		s.fail(w, badRequest("juror_id must be set"))
+	if err := req.Check(); err != nil {
+		s.fail(w, badRequest("%v", err))
 		return
 	}
 	var (
@@ -152,17 +146,10 @@ func (s *Server) handleTaskVote(w http.ResponseWriter, r *http.Request) {
 		err  error
 	)
 	ctx := s.traceCtx(r.Context(), w)
-	switch {
-	case req.Decline && req.Vote != nil:
-		s.fail(w, badRequest("vote and decline are mutually exclusive"))
-		return
-	case req.Decline:
+	if req.Decline {
 		view, err = s.tasks.Decline(ctx, id, req.JurorID)
-	case req.Vote != nil:
+	} else {
 		view, err = s.tasks.Vote(ctx, id, req.JurorID, *req.Vote)
-	default:
-		s.fail(w, badRequest("body must carry vote or decline"))
-		return
 	}
 	if err != nil {
 		s.fail(w, err)
@@ -183,31 +170,17 @@ type TaskVoteBatchRequest struct {
 	Votes []TaskVoteRequest `json:"votes"`
 }
 
-// TaskVoteBatchResult is one batch item's outcome. Exactly one of
-// Applied, Skipped, or Error describes it: Skipped marks votes that
-// arrived after the task closed (sequential early stop decided it
-// mid-batch) — expected under the paper's voting model, not a failure.
-type TaskVoteBatchResult struct {
-	JurorID string `json:"juror_id"`
-	Applied bool   `json:"applied,omitempty"`
-	Skipped bool   `json:"skipped,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
 // TaskVoteBatchResponse is the body of a successful batch vote: the
 // per-item outcomes and the task view after the last applied item.
 type TaskVoteBatchResponse struct {
-	Results []TaskVoteBatchResult `json:"results"`
-	Task    tasks.View            `json:"task"`
+	Results []tasks.BallotResult `json:"results"`
+	Task    tasks.View           `json:"task"`
 }
 
-// handleTaskVoteBatch serves POST /v1/tasks/{id}/votes/batch: apply a
-// batch of votes sequentially — the store's early-stop semantics are
-// order-dependent, so the batch preserves the client's order exactly.
-// Once the task closes (a vote decided it, or it was already closed),
-// the remaining items are skipped without touching the store. Item
-// validation failures are per-item errors; only an unknown task fails
-// the whole batch.
+// handleTaskVoteBatch serves POST /v1/tasks/{id}/votes/batch: the votes
+// apply in order through tasks.Store.VoteBatch, which skips the items
+// after the task closes and reports item failures per item; only an
+// unknown task fails the whole batch.
 func (s *Server) handleTaskVoteBatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	setTraceTask(w, id)
@@ -220,79 +193,29 @@ func (s *Server) handleTaskVoteBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequest("votes must be non-empty"))
 		return
 	}
-	if len(req.Votes) > s.maxBatch {
-		s.fail(w, badRequest("batch accepts at most %d votes, got %d", s.maxBatch, len(req.Votes)))
+	if len(req.Votes) > MaxBatchItems {
+		s.fail(w, badRequest("batch accepts at most %d votes, got %d", MaxBatchItems, len(req.Votes)))
 		return
 	}
-	resp := TaskVoteBatchResponse{Results: make([]TaskVoteBatchResult, len(req.Votes))}
-	ctx := s.traceCtx(r.Context(), w)
-	var (
-		view    tasks.View
-		applied bool
-		closed  bool
-	)
-	for i, v := range req.Votes {
-		res := TaskVoteBatchResult{JurorID: v.JurorID}
-		switch {
-		case closed:
-			res.Skipped = true
-		case v.JurorID == "":
-			res.Error = "juror_id must be set"
-		case v.Decline && v.Vote != nil:
-			res.Error = "vote and decline are mutually exclusive"
-		case !v.Decline && v.Vote == nil:
-			res.Error = "body must carry vote or decline"
-		default:
-			var err error
-			if v.Decline {
-				view, err = s.tasks.Decline(ctx, id, v.JurorID)
-			} else {
-				view, err = s.tasks.Vote(ctx, id, v.JurorID, *v.Vote)
-			}
-			switch {
-			case errors.Is(err, tasks.ErrTaskNotFound):
-				s.fail(w, err)
-				return
-			case errors.Is(err, tasks.ErrTaskClosed):
-				res.Skipped = true
-				closed = true
-			case err != nil:
-				res.Error = err.Error()
-			default:
-				applied = true
-				res.Applied = true
-				s.m.taskVotes.Add(1)
-				if view.Status == tasks.StatusDecided && view.Verdict != nil {
-					s.m.taskVerdicts.Add(1)
-					closed = true
-				}
-			}
-		}
-		resp.Results[i] = res
+	results, view, err := s.tasks.VoteBatch(s.traceCtx(r.Context(), w), id, req.Votes)
+	if err != nil {
+		s.fail(w, err)
+		return
 	}
-	if !applied {
-		v, err := s.tasks.Get(id)
-		if err != nil {
-			s.fail(w, err)
-			return
+	var applied int64
+	for _, res := range results {
+		if res.Applied {
+			applied++
 		}
-		view = v
 	}
-	resp.Task = view
+	s.m.taskVotes.Add(applied)
+	// At most one applied item can close the task, and the view is the
+	// one after the last applied item.
+	if applied > 0 && view.Status == tasks.StatusDecided && view.Verdict != nil {
+		s.m.taskVerdicts.Add(1)
+	}
+	resp := TaskVoteBatchResponse{Results: results, Task: view}
 	mark(w, obs.StageStore)
 	s.m.batchVotes.Add(1)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// requireTasks guards the task routes when the server was built without
-// a task store.
-func (s *Server) requireTasks(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.tasks == nil {
-			s.fail(w, &httpError{status: http.StatusNotFound,
-				msg: fmt.Sprintf("%s: task store not configured", r.URL.Path)})
-			return
-		}
-		h(w, r)
-	}
 }

@@ -195,28 +195,6 @@ func TestTaskEndpointErrors(t *testing.T) {
 	doTaskJSON(t, http.MethodPost, votesURL, TaskVoteRequest{JurorID: j0, Vote: &yes}, http.StatusConflict, nil)
 }
 
-// TestTasksRoutesAbsentWithoutStore: a server built without a task store
-// 404s the task routes but serves everything else.
-func TestTasksRoutesAbsentWithoutStore(t *testing.T) {
-	srv := New(Config{})
-	if _, err := srv.Store().Put("crowd", testJurors(5)); err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks", TaskCreateRequest{Pool: "crowd"},
-		http.StatusNotFound, nil)
-	resp, err := http.Post(hs.URL+"/v1/select", "application/json",
-		bytes.NewReader([]byte(`{"pool":"crowd"}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("select without tasks: status %d", resp.StatusCode)
-	}
-}
-
 // TestPoolWritesJournaledThroughTaskStore: with a durable task store
 // behind the server, a pool PUT + PATCH sequence recovers across a
 // simulated crash, versions intact.

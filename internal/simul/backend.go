@@ -60,23 +60,6 @@ type taskOutcome struct {
 	LatencyNS int64
 }
 
-// voteOp is one item of a TaskVoteBatch call: a vote or a decline.
-type voteOp struct {
-	JurorID string
-	Vote    bool // meaningful only when Decline is false
-	Decline bool
-}
-
-// voteResult is one batch item's outcome, mirroring the wire form:
-// Applied means the store recorded it, Skipped means the task closed
-// before the item's turn (expected under early stop), Err carries a
-// per-item rejection.
-type voteResult struct {
-	Applied bool
-	Skipped bool
-	Err     string
-}
-
 // taskProgress is the task state after one vote or decline.
 type taskProgress struct {
 	// Closed reports a terminal status; Decided distinguishes a verdict
@@ -93,6 +76,22 @@ type taskProgress struct {
 	// decline pulled in a replacement; the caller feeds the new tail
 	// into its vote queue.
 	Invited []invitee
+}
+
+// outcomeFromView flattens a created task's view into the
+// backend-neutral shape.
+func outcomeFromView(v tasks.View) taskOutcome {
+	out := taskOutcome{
+		ID:           v.ID,
+		Invited:      make([]invitee, len(v.Jurors)),
+		PredictedJER: v.PredictedJER,
+		PoolVersion:  v.PoolVersion,
+	}
+	for i, j := range v.Jurors {
+		out.Invited[i] = invitee{ID: j.ID, Rate: j.ErrorRate}
+		out.Cost += j.Cost
+	}
+	return out
 }
 
 // progressFromView flattens a task view into the backend-neutral shape.
@@ -139,26 +138,24 @@ type backend interface {
 	// next-best replacement.
 	TaskDecline(ctx context.Context, id, juror string) (taskProgress, error)
 	// TaskVoteBatch applies a whole invitation round in order with the
-	// semantics of POST /v1/tasks/{id}/votes/batch: items after the task
-	// closes are skipped, and the returned progress reflects the task
-	// after the last applied item. Results correspond 1:1 to ops.
-	TaskVoteBatch(ctx context.Context, id string, ops []voteOp) ([]voteResult, taskProgress, error)
+	// semantics of tasks.Store.VoteBatch: items after the task closes are
+	// skipped, and the returned progress reflects the task after the last
+	// applied item. Results correspond 1:1 to ballots.
+	TaskVoteBatch(ctx context.Context, id string, ballots []tasks.Ballot) ([]tasks.BallotResult, taskProgress, error)
 	// DeletePool drops the pool (end-of-replication cleanup).
 	DeletePool(ctx context.Context, name string) error
 	// Close releases client resources.
 	Close() error
 }
 
-// localBackend runs the service stack in-process: the same versioned
-// copy-on-write pool store, memory-mode task store and shared JER
-// engine juryd serves from, minus HTTP. Its Select mirrors
-// internal/server.handleSelect's dispatch exactly, and its task ops are
-// the very store methods the /v1/tasks handlers call, so a scenario
-// replayed over HTTP walks an identical trajectory.
+// localBackend runs the service stack in-process: the memory-mode task
+// store and shared JER engine juryd serves from, minus HTTP. Each method
+// is one call into the code the juryd handlers call — tasks.Select, the
+// store's pool writes, Create, Vote, Decline and VoteBatch — plus type
+// conversion, so a scenario replayed over HTTP walks an identical
+// trajectory.
 type localBackend struct {
-	store *pool.Store
 	tasks *tasks.Store
-	eng   *jury.Engine
 }
 
 // newLocalBackend builds an in-process backend with a fresh store. The
@@ -173,7 +170,7 @@ func newLocalBackend(eng *jury.Engine, shards int) *localBackend {
 		// anyway so a future failure mode is loud.
 		panic(fmt.Sprintf("simul: opening memory task store: %v", err))
 	}
-	return &localBackend{store: ts.Pools(), tasks: ts, eng: eng}
+	return &localBackend{tasks: ts}
 }
 
 func (lb *localBackend) PutPool(_ context.Context, name string, jurors []jury.Juror) error {
@@ -186,6 +183,18 @@ func (lb *localBackend) Patch(_ context.Context, name string, ups []pool.JurorUp
 	return err
 }
 
+func (lb *localBackend) Select(ctx context.Context, name string, sc Scenario) (selectOutcome, error) {
+	p, ok := lb.tasks.Pools().Get(name)
+	if !ok {
+		return selectOutcome{}, fmt.Errorf("simul: pool %q not in store", name)
+	}
+	sel, err := tasks.Select(ctx, lb.tasks.Engine(), p.Sorted(), sc.Strategy, sc.Budget)
+	if err != nil {
+		return selectOutcome{}, err
+	}
+	return outcomeFromSelection(sel, p.Version), nil
+}
+
 func (lb *localBackend) CreateTask(ctx context.Context, name string, sc Scenario) (taskOutcome, error) {
 	view, err := lb.tasks.Create(ctx, tasks.Spec{
 		Pool:             name,
@@ -196,17 +205,7 @@ func (lb *localBackend) CreateTask(ctx context.Context, name string, sc Scenario
 	if err != nil {
 		return taskOutcome{}, err
 	}
-	out := taskOutcome{
-		ID:           view.ID,
-		Invited:      make([]invitee, len(view.Jurors)),
-		PredictedJER: view.PredictedJER,
-		PoolVersion:  view.PoolVersion,
-	}
-	for i, j := range view.Jurors {
-		out.Invited[i] = invitee{ID: j.ID, Rate: j.ErrorRate}
-		out.Cost += j.Cost
-	}
-	return out, nil
+	return outcomeFromView(view), nil
 }
 
 func (lb *localBackend) TaskVote(ctx context.Context, id, juror string, voteYes bool) (taskProgress, error) {
@@ -225,78 +224,12 @@ func (lb *localBackend) TaskDecline(ctx context.Context, id, juror string) (task
 	return progressFromView(view), nil
 }
 
-// TaskVoteBatch mirrors internal/server.handleTaskVoteBatch exactly —
-// sequential application, skip-after-close, per-item errors — so the
-// in-process and HTTP backends report identical batch outcomes.
-func (lb *localBackend) TaskVoteBatch(ctx context.Context, id string, ops []voteOp) ([]voteResult, taskProgress, error) {
-	results := make([]voteResult, len(ops))
-	var (
-		view    tasks.View
-		applied bool
-		closed  bool
-	)
-	for i, op := range ops {
-		if closed {
-			results[i].Skipped = true
-			continue
-		}
-		var err error
-		if op.Decline {
-			view, err = lb.tasks.Decline(ctx, id, op.JurorID)
-		} else {
-			view, err = lb.tasks.Vote(ctx, id, op.JurorID, op.Vote)
-		}
-		switch {
-		case errors.Is(err, tasks.ErrTaskNotFound):
-			return nil, taskProgress{}, err
-		case errors.Is(err, tasks.ErrTaskClosed):
-			results[i].Skipped = true
-			closed = true
-		case err != nil:
-			results[i].Err = err.Error()
-		default:
-			applied = true
-			results[i].Applied = true
-			if view.Status == tasks.StatusDecided && view.Verdict != nil {
-				closed = true
-			}
-		}
-	}
-	if !applied {
-		v, err := lb.tasks.Get(id)
-		if err != nil {
-			return nil, taskProgress{}, err
-		}
-		view = v
+func (lb *localBackend) TaskVoteBatch(ctx context.Context, id string, ballots []tasks.Ballot) ([]tasks.BallotResult, taskProgress, error) {
+	results, view, err := lb.tasks.VoteBatch(ctx, id, ballots)
+	if err != nil {
+		return nil, taskProgress{}, err
 	}
 	return results, progressFromView(view), nil
-}
-
-func (lb *localBackend) Select(ctx context.Context, name string, sc Scenario) (selectOutcome, error) {
-	pool, ok := lb.store.Get(name)
-	if !ok {
-		return selectOutcome{}, fmt.Errorf("simul: pool %q not in store", name)
-	}
-	var (
-		sel jury.Selection
-		err error
-	)
-	switch sc.Strategy {
-	case StrategyPay:
-		sel, err = lb.eng.SelectBudgetedContext(ctx, pool.Sorted(), sc.Budget)
-	case StrategyExact:
-		if len(pool.Sorted()) > jury.MaxExactCandidates {
-			return selectOutcome{}, fmt.Errorf("simul: exact strategy accepts at most %d candidates, got %d",
-				jury.MaxExactCandidates, len(pool.Sorted()))
-		}
-		sel, err = lb.eng.SelectExactContext(ctx, pool.Sorted(), sc.Budget)
-	default: // altr
-		sel, err = lb.eng.SelectAltruisticSnapshot(ctx, pool.Sorted())
-	}
-	if err != nil {
-		return selectOutcome{}, err
-	}
-	return outcomeFromSelection(sel, pool.Version), nil
 }
 
 func (lb *localBackend) DeletePool(_ context.Context, name string) error {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"juryselect/internal/server"
 )
 
 // TestBatchHTTPMatchesInProcess is the batch-protocol parity contract:
@@ -20,6 +22,11 @@ func TestBatchHTTPMatchesInProcess(t *testing.T) {
 		{Name: "batch-task-parity-fixed", Seed: 41, Steps: 15, Population: 14, Replications: 1,
 			Lifecycle: LifecycleTask, TargetConfidence: 1, Availability: 0.9,
 			Drift: DriftSpec{Model: DriftWalk, Sigma: 0.02}, ChurnPerStep: 0.5},
+		// Budget 0.5 buys a three-juror jury with little slack: most
+		// declines free too little for any replacement to fit, and some
+		// tasks expire with their jury exhausted.
+		{Name: "batch-task-parity-pay", Seed: 41, Steps: 15, Population: 14, Replications: 1,
+			Lifecycle: LifecycleTask, Strategy: StrategyPay, Budget: 0.5, Availability: 0.8},
 		{Name: "batch-select-parity", Seed: 13, Steps: 30, Population: 12, Replications: 2,
 			Drift: DriftSpec{Model: DriftWalk, Sigma: 0.02}, ChurnPerStep: 0.7, Availability: 0.8},
 	}
@@ -31,7 +38,7 @@ func TestBatchHTTPMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := newTaskJuryd(t)
+			ts := newJuryd(t, server.Config{})
 			remote, err := Run(context.Background(), sc, Options{
 				Mode: ModeHTTP, Addr: ts.URL, Client: ts.Client(), Batch: true, Trace: true,
 			})

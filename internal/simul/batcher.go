@@ -16,14 +16,14 @@ import (
 // selectBatcher coalesces concurrent single selects — issued by
 // independent replication workers — into POST /v1/select/batch round
 // trips, group-commit style: the first arrival leads a flight and
-// carries every request pending at takeoff; arrivals during a flight
-// park and form the next one. Selection is a pure function of (pool
-// version, strategy, params), so riding in a batch cannot change any
-// caller's result — only how many round trips carry it.
+// carries every request pending at takeoff, up to server.MaxBatchItems;
+// arrivals during a flight park and form the next one. Selection is a
+// pure function of (pool version, strategy, params), so riding in a
+// batch cannot change any caller's result — only how many round trips
+// carry it.
 type selectBatcher struct {
 	base   string
 	client *http.Client
-	max    int // items per flight
 
 	mu      sync.Mutex
 	leading bool
@@ -41,12 +41,11 @@ type batchCall struct {
 }
 
 // newSelectBatcher returns a batcher posting to the juryd at base.
-// max <= 0 selects the server's default batch cap.
 func newSelectBatcher(base string, client *http.Client) *selectBatcher {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &selectBatcher{base: base, client: client, max: server.DefaultMaxBatchItems}
+	return &selectBatcher{base: base, client: client}
 }
 
 // do submits one select and blocks until its flight lands. A shed item
@@ -70,9 +69,9 @@ func (sb *selectBatcher) do(ctx context.Context, req server.SelectRequest) (serv
 	sb.leading = true
 	for {
 		batch := sb.pending
-		if len(batch) > sb.max {
-			batch = batch[:sb.max:sb.max]
-			sb.pending = sb.pending[sb.max:]
+		if len(batch) > server.MaxBatchItems {
+			batch = batch[:server.MaxBatchItems:server.MaxBatchItems]
+			sb.pending = sb.pending[server.MaxBatchItems:]
 		} else {
 			sb.pending = nil
 		}

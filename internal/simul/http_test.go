@@ -17,23 +17,13 @@ import (
 	"juryselect/jury"
 )
 
-// newJuryd boots an httptest juryd with the given config.
+// newJuryd boots an httptest juryd with the given config; with no task
+// store configured it fronts a memory-only one.
 func newJuryd(t testing.TB, cfg server.Config) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(server.New(cfg).Handler())
 	t.Cleanup(ts.Close)
 	return ts
-}
-
-// newTaskJuryd boots an httptest juryd fronting a memory-mode task
-// store, the server shape the task-lifecycle scenarios require.
-func newTaskJuryd(t testing.TB) *httptest.Server {
-	t.Helper()
-	store, err := tasks.Open(tasks.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newJuryd(t, server.Config{Tasks: store})
 }
 
 // TestHTTPMatchesInProcess is the closed-loop parity contract: the same
@@ -109,7 +99,7 @@ func TestTaskLifecycleHTTPMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := newTaskJuryd(t)
+			ts := newJuryd(t, server.Config{})
 			remote, err := Run(context.Background(), sc, Options{
 				Mode: ModeHTTP, Addr: ts.URL, Client: ts.Client(), Trace: true,
 			})
@@ -142,13 +132,6 @@ func TestTaskLifecycleHTTPMatchesInProcess(t *testing.T) {
 // absorbed as Retry-After backoffs or recorded as shed steps, and the
 // step accounting still partitions.
 func TestOverloadShedsGracefully(t *testing.T) {
-	// The select cache would absorb the hammer (every round trip after
-	// the first is a version-keyed hit that bypasses admission), so this
-	// test disables it: overload shedding is about uncacheable work.
-	srv := server.New(server.Config{MaxInflight: 1, MaxQueue: -1, SelectCacheEntries: -1})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
 	// The hammer pool makes each slot occupancy O(N²)-expensive while
 	// request parsing stays trivial, so the admission slot is busy for
 	// nearly the whole hammer round trip.
@@ -156,9 +139,17 @@ func TestOverloadShedsGracefully(t *testing.T) {
 	for i := range hammer {
 		hammer[i] = jury.Juror{ID: fmt.Sprintf("h%04d", i), ErrorRate: 0.1 + 0.00005*float64(i)}
 	}
-	if _, err := srv.Store().Put("hammer", hammer); err != nil {
+	store, err := tasks.Open(tasks.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := store.PutPool("hammer", hammer); err != nil {
+		t.Fatal(err)
+	}
+	// The select cache would absorb the hammer (every round trip after
+	// the first is a version-keyed hit that bypasses admission), so this
+	// test disables it: overload shedding is about uncacheable work.
+	ts := newJuryd(t, server.Config{Tasks: store, MaxInflight: 1, MaxQueue: -1, SelectCacheEntries: -1})
 	hctx, hcancel := context.WithCancel(context.Background())
 	defer hcancel()
 	var wg sync.WaitGroup

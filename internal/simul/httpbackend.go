@@ -13,6 +13,7 @@ import (
 	"juryselect/internal/dataio"
 	"juryselect/internal/pool"
 	"juryselect/internal/server"
+	"juryselect/internal/tasks"
 	"juryselect/jury"
 )
 
@@ -210,18 +211,8 @@ func (hb *httpBackend) CreateTask(ctx context.Context, name string, sc Scenario)
 		_, err := hb.doJSON(ctx, http.MethodPost, "/v1/tasks", req, &resp, http.StatusCreated)
 		latency := time.Since(start).Nanoseconds()
 		if err == nil {
-			out := taskOutcome{
-				ID:           resp.Task.ID,
-				Invited:      make([]invitee, len(resp.Task.Jurors)),
-				PredictedJER: resp.Task.PredictedJER,
-				PoolVersion:  resp.Task.PoolVersion,
-				Retried:      retried,
-				LatencyNS:    latency,
-			}
-			for i, j := range resp.Task.Jurors {
-				out.Invited[i] = invitee{ID: j.ID, Rate: j.ErrorRate}
-				out.Cost += j.Cost
-			}
+			out := outcomeFromView(resp.Task)
+			out.Retried, out.LatencyNS = retried, latency
 			return out, nil
 		}
 		ra, shed := err.(retryAfterError)
@@ -261,28 +252,17 @@ func (hb *httpBackend) TaskDecline(ctx context.Context, id, juror string) (taskP
 	return progressFromView(resp.Task), nil
 }
 
-func (hb *httpBackend) TaskVoteBatch(ctx context.Context, id string, ops []voteOp) ([]voteResult, taskProgress, error) {
-	req := server.TaskVoteBatchRequest{Votes: make([]server.TaskVoteRequest, len(ops))}
-	for i, op := range ops {
-		req.Votes[i] = server.TaskVoteRequest{JurorID: op.JurorID, Decline: op.Decline}
-		if !op.Decline {
-			v := op.Vote
-			req.Votes[i].Vote = &v
-		}
-	}
+func (hb *httpBackend) TaskVoteBatch(ctx context.Context, id string, ballots []tasks.Ballot) ([]tasks.BallotResult, taskProgress, error) {
 	var resp server.TaskVoteBatchResponse
-	_, err := hb.doJSON(ctx, http.MethodPost, "/v1/tasks/"+id+"/votes/batch", req, &resp, http.StatusOK)
+	_, err := hb.doJSON(ctx, http.MethodPost, "/v1/tasks/"+id+"/votes/batch",
+		server.TaskVoteBatchRequest{Votes: ballots}, &resp, http.StatusOK)
 	if err != nil {
 		return nil, taskProgress{}, err
 	}
-	if len(resp.Results) != len(ops) {
-		return nil, taskProgress{}, fmt.Errorf("simul: batch vote: %d results for %d votes", len(resp.Results), len(ops))
+	if len(resp.Results) != len(ballots) {
+		return nil, taskProgress{}, fmt.Errorf("simul: batch vote: %d results for %d votes", len(resp.Results), len(ballots))
 	}
-	results := make([]voteResult, len(resp.Results))
-	for i, r := range resp.Results {
-		results[i] = voteResult{Applied: r.Applied, Skipped: r.Skipped, Err: r.Error}
-	}
-	return results, progressFromView(resp.Task), nil
+	return resp.Results, progressFromView(resp.Task), nil
 }
 
 func (hb *httpBackend) DeletePool(ctx context.Context, name string) error {

@@ -15,7 +15,7 @@ import (
 
 // Run modes.
 const (
-	// ModeInProcess drives the service stack in-process: the same pool
+	// ModeInProcess drives the service stack in-process: the same task
 	// store and JER engine juryd serves from, without HTTP.
 	ModeInProcess = "inprocess"
 	// ModeHTTP drives a live juryd over its wire protocol.

@@ -22,7 +22,7 @@
 // rates, aggregates the majority decision, folds the observations back
 // into the estimator, and records decision accuracy, regret against the
 // oracle-ε jury, JER calibration error and spend. The same scenario can
-// run in-process (against jury.Engine and the versioned pool store) or
+// run in-process (against a memory-mode task store and jury.Engine) or
 // over HTTP against a live juryd — the randomness is consumed
 // identically, so the two modes produce the same decision trajectory,
 // modulo requests the service sheds under overload.

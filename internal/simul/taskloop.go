@@ -7,6 +7,7 @@ import (
 
 	"juryselect/internal/obs"
 	"juryselect/internal/pool"
+	"juryselect/internal/tasks"
 	"juryselect/jury"
 )
 
@@ -282,33 +283,34 @@ func walkQueueBatch(ctx context.Context, sc Scenario, w *world, be backend, id s
 	)
 	for start := 0; start < len(queue); {
 		round := queue[start:]
-		ops := make([]voteOp, len(round))
+		ballots := make([]tasks.Ballot, len(round))
+		votes := make([]bool, len(round)) // backs the ballots' Vote pointers
 		for i, j := range round {
 			if w.avail.Bernoulli(sc.Availability) {
 				wj, ok := w.find(j.ID)
 				if !ok {
 					return queue, nil, nil, final, fmt.Errorf("invitee %q vanished", j.ID)
 				}
-				v := truth
+				votes[i] = truth
 				if w.votes.Bernoulli(wj.TrueRate) {
-					v = !truth
+					votes[i] = !truth
 				}
-				ops[i] = voteOp{JurorID: j.ID, Vote: v}
+				ballots[i] = tasks.Ballot{JurorID: j.ID, Vote: &votes[i]}
 			} else {
-				ops[i] = voteOp{JurorID: j.ID, Decline: true}
+				ballots[i] = tasks.Ballot{JurorID: j.ID, Decline: true}
 			}
 		}
-		results, prog, err := be.TaskVoteBatch(ctx, id, ops)
+		results, prog, err := be.TaskVoteBatch(ctx, id, ballots)
 		if err != nil {
 			return queue, nil, nil, final, fmt.Errorf("batch vote: %w", err)
 		}
 		for k, r := range results {
-			if r.Err != "" {
-				return queue, nil, nil, final, fmt.Errorf("batch vote item %q: %s", ops[k].JurorID, r.Err)
+			if r.Error != "" {
+				return queue, nil, nil, final, fmt.Errorf("batch vote item %q: %s", ballots[k].JurorID, r.Error)
 			}
-			if r.Applied && !ops[k].Decline {
-				responders = append(responders, ops[k].JurorID)
-				votesCast = append(votesCast, ops[k].Vote)
+			if r.Applied && !ballots[k].Decline {
+				responders = append(responders, ballots[k].JurorID)
+				votesCast = append(votesCast, votes[k])
 			}
 		}
 		start = len(queue)

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"juryselect/internal/estimate"
 	"juryselect/internal/obs"
 	"juryselect/internal/pool"
 	"juryselect/jury"
@@ -59,11 +58,11 @@ type Config struct {
 	// CompactEvery triggers snapshot compaction after that many WAL
 	// records (0 = DefaultCompactEvery, negative = never).
 	CompactEvery int
-	// DefaultJurorTimeout, DefaultExpiry and DefaultTargetConfidence fill
-	// unset Spec fields at creation.
-	DefaultJurorTimeout     time.Duration
-	DefaultExpiry           time.Duration
-	DefaultTargetConfidence float64
+	// DefaultJurorTimeout and DefaultExpiry fill unset Spec fields at
+	// creation; an unset TargetConfidence reads
+	// estimate.DefaultTargetConfidence.
+	DefaultJurorTimeout time.Duration
+	DefaultExpiry       time.Duration
 	// Events receives the task event stream (see events.go): every
 	// lifecycle transition, emitted identically by live mutations and by
 	// WAL replay during Open. Attach before Open so recovery feeds the
@@ -253,7 +252,6 @@ type Store struct {
 
 	defaultJurorTimeout time.Duration
 	defaultExpiry       time.Duration
-	defaultTarget       float64
 	compactEvery        int
 	sinceCompact        atomic.Int64
 	compactGate         sync.Mutex // serializes compaction attempts
@@ -295,7 +293,6 @@ func Open(cfg Config) (*Store, error) {
 		events:              cfg.Events,
 		defaultJurorTimeout: cfg.DefaultJurorTimeout,
 		defaultExpiry:       cfg.DefaultExpiry,
-		defaultTarget:       cfg.DefaultTargetConfidence,
 		compactEvery:        cfg.CompactEvery,
 		dir:                 cfg.Dir,
 	}
@@ -328,9 +325,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if s.defaultExpiry <= 0 {
 		s.defaultExpiry = DefaultExpiry
-	}
-	if s.defaultTarget == 0 {
-		s.defaultTarget = estimate.DefaultTargetConfidence
 	}
 	if s.compactEvery == 0 {
 		s.compactEvery = DefaultCompactEvery
@@ -672,12 +666,7 @@ func (s *Store) Create(ctx context.Context, spec Spec) (View, error) {
 	if !ok {
 		return View{}, fmt.Errorf("%w: %q", pool.ErrPoolNotFound, spec.Pool)
 	}
-	var sel jury.Selection
-	if spec.Strategy == StrategyPay {
-		sel, err = s.eng.SelectBudgetedContext(ctx, p.Sorted(), spec.Budget)
-	} else {
-		sel, err = s.eng.SelectAltruisticSnapshot(ctx, p.Sorted())
-	}
+	sel, err := Select(ctx, s.eng, p.Sorted(), spec.Strategy, spec.Budget)
 	if err != nil {
 		return View{}, err
 	}
@@ -910,6 +899,63 @@ func (s *Store) decline(ctx context.Context, id, jurorID string, timeout bool) (
 		return View{}, err
 	}
 	return view, nil
+}
+
+// VoteBatch applies ballots to one task in order; early stop depends on
+// the order, so it is kept exactly. Once the task closes, the remaining
+// ballots are skipped without touching it. A malformed ballot, or one
+// the task rejects, is a per-item error; only an unknown task fails the
+// whole batch. The view is the task after the last applied ballot, or
+// its current view when none applied.
+func (s *Store) VoteBatch(ctx context.Context, id string, ballots []Ballot) ([]BallotResult, View, error) {
+	results := make([]BallotResult, len(ballots))
+	var (
+		view    View
+		applied bool
+		closed  bool
+	)
+	for i, b := range ballots {
+		res := &results[i]
+		res.JurorID = b.JurorID
+		if closed {
+			res.Skipped = true
+			continue
+		}
+		if err := b.Check(); err != nil {
+			res.Error = err.Error()
+			continue
+		}
+		var (
+			v   View
+			err error
+		)
+		if b.Decline {
+			v, err = s.Decline(ctx, id, b.JurorID)
+		} else {
+			v, err = s.Vote(ctx, id, b.JurorID, *b.Vote)
+		}
+		switch {
+		case errors.Is(err, ErrTaskNotFound):
+			return nil, View{}, err
+		case errors.Is(err, ErrTaskClosed):
+			res.Skipped = true
+			closed = true
+		case err != nil:
+			res.Error = err.Error()
+		default:
+			res.Applied = true
+			view, applied = v, true
+			closed = v.Status.closed()
+		}
+	}
+	if !applied {
+		v, err := s.Get(id)
+		if err != nil {
+			return nil, View{}, err
+		}
+		view = v
+	}
+	return results, view, nil
 }
 
 // applyDecline releases the juror, invites a replacement when one fits,

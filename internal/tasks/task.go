@@ -1,6 +1,7 @@
 package tasks
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -44,11 +45,30 @@ const (
 	JurorTimedOut JurorState = "timed_out"
 )
 
-// Strategy names accepted by Spec.Strategy.
+// Strategy names. Spec.Strategy accepts altr and pay; Select also runs
+// exact.
 const (
-	StrategyAltr = "altr"
-	StrategyPay  = "pay"
+	StrategyAltr  = "altr"
+	StrategyPay   = "pay"
+	StrategyExact = "exact"
 )
+
+// Select runs the solver a strategy names: AltrALG for StrategyAltr, the
+// PayALG greedy for StrategyPay and exact enumeration for StrategyExact,
+// the last two under budget. StrategyAltr requires cands validated and
+// ε-sorted, as a pool snapshot's Sorted() is. Task creation, the select
+// endpoint and the simulator's in-process backend all select through it.
+func Select(ctx context.Context, eng *jury.Engine, cands []jury.Juror, strategy string, budget float64) (jury.Selection, error) {
+	switch strategy {
+	case StrategyAltr:
+		return eng.SelectAltruisticSnapshot(ctx, cands)
+	case StrategyPay:
+		return eng.SelectBudgetedContext(ctx, cands, budget)
+	case StrategyExact:
+		return eng.SelectExactContext(ctx, cands, budget)
+	}
+	return jury.Selection{}, fmt.Errorf("%w: unknown strategy %q", ErrInvalidSpec, strategy)
+}
 
 // Lifecycle errors surfaced on the task endpoints.
 var (
@@ -194,7 +214,7 @@ func (s *Store) normalizeSpec(spec Spec) (Spec, error) {
 		return spec, fmt.Errorf("%w: unknown strategy %q (want %s or %s)", ErrInvalidSpec, spec.Strategy, StrategyAltr, StrategyPay)
 	}
 	if spec.TargetConfidence == 0 {
-		spec.TargetConfidence = s.defaultTarget
+		spec.TargetConfidence = estimate.DefaultTargetConfidence
 	}
 	if math.IsNaN(spec.TargetConfidence) || spec.TargetConfidence <= 0.5 || spec.TargetConfidence > 1 {
 		return spec, fmt.Errorf("%w: target_confidence %g outside (0.5, 1]", ErrInvalidSpec, spec.TargetConfidence)
@@ -255,6 +275,47 @@ type View struct {
 	Declines         int          `json:"declines,omitempty"`
 	PYes             float64      `json:"p_yes"`
 	Verdict          *VerdictView `json:"verdict,omitempty"`
+}
+
+// Ballot is one juror's answer to an invitation, a vote or a decline: the
+// body of POST /v1/tasks/{id}/votes and one item of VoteBatch.
+type Ballot struct {
+	JurorID string `json:"juror_id"`
+	Vote    *bool  `json:"vote,omitempty"`
+	Decline bool   `json:"decline,omitempty"`
+}
+
+// Malformed-ballot errors. Their text is the whole message, so a single
+// vote's 400 and a batch item's error read the same.
+var (
+	errNoJuror        = errors.New("juror_id must be set")
+	errVoteAndDecline = errors.New("vote and decline are mutually exclusive")
+	errNoVote         = errors.New("body must carry vote or decline")
+)
+
+// Check reports why the ballot is malformed, or nil: it must name a
+// juror and carry exactly one of a vote and a decline.
+func (b Ballot) Check() error {
+	switch {
+	case b.JurorID == "":
+		return errNoJuror
+	case b.Decline && b.Vote != nil:
+		return errVoteAndDecline
+	case !b.Decline && b.Vote == nil:
+		return errNoVote
+	}
+	return nil
+}
+
+// BallotResult is one VoteBatch item's outcome. Exactly one of Applied,
+// Skipped and Error describes it. Skipped marks a ballot that arrived
+// after the task closed, e.g. after an early stop decided it mid-batch:
+// expected under the paper's voting model, not a failure.
+type BallotResult struct {
+	JurorID string `json:"juror_id"`
+	Applied bool   `json:"applied,omitempty"`
+	Skipped bool   `json:"skipped,omitempty"`
+	Error   string `json:"error,omitempty"`
 }
 
 // view renders the task's external state. Callers hold the task's shard
