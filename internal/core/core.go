@@ -155,16 +155,33 @@ func totalCost(jurors []Juror) float64 {
 func SortedByErrorRate(cands []Juror) []Juror { return sortByErrorRate(cands) }
 
 // sortByErrorRate returns a copy of cands sorted ascending by ε, breaking
-// ties by ID for determinism.
+// ties by ID for determinism. It sorts pointer-free (ε, index) keys with
+// one unstable sort, which moves 16 bytes per swap and pays no write
+// barriers, and gathers the jurors in key order. The index is the last
+// tie-break, so the result is the slice a stable sort yields even when
+// IDs repeat, as inline candidates may.
 func sortByErrorRate(cands []Juror) []Juror {
-	out := make([]Juror, len(cands))
-	copy(out, cands)
-	slices.SortStableFunc(out, func(a, b Juror) int {
-		if c := cmp.Compare(a.ErrorRate, b.ErrorRate); c != 0 {
+	type key struct {
+		eps float64
+		i   int
+	}
+	keys := make([]key, len(cands))
+	for i, c := range cands {
+		keys[i] = key{c.ErrorRate, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.eps, b.eps); c != 0 {
 			return c
 		}
-		return strings.Compare(a.ID, b.ID)
+		if c := strings.Compare(cands[a.i].ID, cands[b.i].ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
 	})
+	out := make([]Juror, len(keys))
+	for k, key := range keys {
+		out[k] = cands[key.i]
+	}
 	return out
 }
 

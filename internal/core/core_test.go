@@ -188,3 +188,20 @@ func TestSortsMatchSliceStable(t *testing.T) {
 		t.Fatal("no input had tied ε·r at different costs")
 	}
 }
+
+// BenchmarkSortByErrorRate sorts 1,001 jurors with random ε: the sort
+// every pool version and every inline altruistic select pays once.
+func BenchmarkSortByErrorRate(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	cands := make([]Juror, 1001)
+	for i := range cands {
+		cands[i] = Juror{ID: fmt.Sprintf("j%d", i), ErrorRate: rng.Float64(), Cost: rng.Float64()}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(sortByErrorRate(cands)) != len(cands) {
+			b.Fatal("short result")
+		}
+	}
+}

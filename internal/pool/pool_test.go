@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"juryselect/internal/core"
 	"juryselect/internal/estimate"
 	"juryselect/jury"
 )
@@ -388,5 +391,68 @@ func TestStoreVersionSurvivesDeleteAndRecreate(t *testing.T) {
 	// cached v2 must see the re-created pool as newer, not stale.
 	if p.Version != 3 {
 		t.Fatalf("re-created pool version %d, want 3", p.Version)
+	}
+}
+
+// TestSortedViewMatchesStableSort checks every snapshot's ε view against
+// core.SortedByErrorRate of its members: after a PUT, after each step of
+// a random PATCH sequence and through Rebuild, on pools whose ε values
+// tie heavily and whose insertion order is not ID order.
+func TestSortedViewMatchesStableSort(t *testing.T) {
+	rates := []float64{0.05, 0.1, 0.2, 0.3, 0.4}
+	rng := rand.New(rand.NewSource(11))
+	check := func(p *Pool, where string) {
+		t.Helper()
+		cands := make([]jury.Juror, p.Size())
+		for i, m := range p.Jurors() {
+			cands[i] = m.Juror
+		}
+		if want := core.SortedByErrorRate(cands); !slices.Equal(p.Sorted(), want) {
+			t.Fatalf("%s: sorted view diverges from core.SortedByErrorRate:\ngot  %v\nwant %v", where, p.Sorted(), want)
+		}
+		if r, err := Rebuild(p.Name, p.Version, p.UpdatedAt, slices.Clone(p.Jurors())); err != nil || !slices.Equal(r.Sorted(), p.Sorted()) {
+			t.Fatalf("%s: Rebuild sorts differently (err %v)", where, err)
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(200)
+		if trial == 0 {
+			n = 1001
+		}
+		jurors := make([]jury.Juror, n)
+		for i, k := range rng.Perm(n) {
+			jurors[i] = jury.Juror{ID: fmt.Sprintf("j%d", k), ErrorRate: rates[rng.Intn(len(rates))], Cost: float64(rng.Intn(3))}
+		}
+		s := NewStore()
+		p, err := s.Put("crowd", jurors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(p, fmt.Sprintf("trial %d put", trial))
+		fresh := n
+		for step := 0; step < 25; step++ {
+			members := p.Jurors()
+			k := 1 + rng.Intn(min(4, len(members)))
+			var ups []JurorUpdate
+			for _, i := range rng.Perm(len(members))[:k] {
+				id := members[i].ID
+				switch op := rng.Intn(4); {
+				case op == 0:
+					ups = append(ups, JurorUpdate{ID: id, ErrorRate: f64(rates[rng.Intn(len(rates))])})
+				case op == 1:
+					total := int64(1 + rng.Intn(10))
+					ups = append(ups, JurorUpdate{ID: id, Votes: &VoteObservation{Wrong: rng.Int63n(total + 1), Total: total}})
+				case op == 2 && len(members) > k:
+					ups = append(ups, JurorUpdate{ID: id, Remove: true})
+				default:
+					ups = append(ups, JurorUpdate{ID: fmt.Sprintf("j%d", fresh), ErrorRate: f64(rates[rng.Intn(len(rates))])})
+					fresh++
+				}
+			}
+			if p, err = s.Patch("crowd", ups); err != nil {
+				t.Fatal(err)
+			}
+			check(p, fmt.Sprintf("trial %d patch %d", trial, step))
+		}
 	}
 }

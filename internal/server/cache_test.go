@@ -459,3 +459,46 @@ func BenchmarkServerSelectWarm(b *testing.B) {
 		}
 	}
 }
+
+// TestWarmSelectSkipsEngine tests the invariant BenchmarkServerSelectWarm
+// times: after one cold select, each repeat of it is one select-cache
+// hit booked under select_warm, and the engine neither evaluates nor
+// probes its memo. Unlike the ns/op guard, this catches a lost cache on
+// any machine. The default engine runs, with its memo on; a cold pay
+// select evaluates through it, while altr's incremental solver runs
+// beside it.
+func TestWarmSelectSkipsEngine(t *testing.T) {
+	s := New(Config{})
+	if _, err := s.tasks.PutPool("crowd", flatJurors(101)); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, req := range []SelectRequest{{Pool: "crowd", Model: "altr"}, {Pool: "crowd", Model: "pay", Budget: 3}} {
+		evals, misses := s.eng.Stats().Evaluations, s.cache.Counts().Computed
+		if code, body := postSelect(h, "/v1/select", req); code != http.StatusOK {
+			t.Fatalf("%s cold select: status %d: %s", req.Model, code, body)
+		}
+		if got := s.cache.Counts().Computed; got != misses+1 {
+			t.Fatalf("%s cold select: select_cache misses %d→%d, want +1", req.Model, misses, got)
+		}
+		if req.Model == "pay" && s.eng.Stats().Evaluations == evals {
+			t.Fatal("pay cold select made no engine evaluations; the warm checks would be vacuous")
+		}
+		for i := 0; i < 5; i++ {
+			eng, hits, warm := s.eng.Stats(), s.cache.Counts().Hits, s.eps[epSelectWarm].requests.Load()
+			if code, body := postSelect(h, "/v1/select", req); code != http.StatusOK {
+				t.Fatalf("%s repeat %d: status %d: %s", req.Model, i, code, body)
+			}
+			if got := s.eng.Stats(); got.Evaluations != eng.Evaluations || got.CacheHits != eng.CacheHits {
+				t.Errorf("%s repeat %d: engine evaluations %d→%d, memo hits %d→%d, want both unchanged",
+					req.Model, i, eng.Evaluations, got.Evaluations, eng.CacheHits, got.CacheHits)
+			}
+			if got := s.cache.Counts().Hits; got != hits+1 {
+				t.Errorf("%s repeat %d: select_cache hits %d→%d, want +1", req.Model, i, hits, got)
+			}
+			if got := s.eps[epSelectWarm].requests.Load(); got != warm+1 {
+				t.Errorf("%s repeat %d: select_warm requests %d→%d, want +1", req.Model, i, warm, got)
+			}
+		}
+	}
+}

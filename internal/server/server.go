@@ -319,26 +319,50 @@ func putBuf(buf *bytes.Buffer) {
 }
 
 // decode parses a JSON request body with a size bound and strict fields.
-// The body is read into a pooled buffer; exceeding the size bound is a
-// 413, not a 400 — the request was well-formed, just too big.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) error {
+	buf, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	defer putBuf(buf)
+	if err := decodeJSON(buf.Bytes(), into); err != nil {
+		return err
+	}
+	mark(w, obs.StageDecode)
+	return nil
+}
+
+// readBody reads a request body into a pooled buffer, which the caller
+// returns with putBuf. Exceeding the size bound is a 413, not a 400 —
+// the request was well-formed, just too big.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	buf := bufPool.Get().(*bytes.Buffer)
-	defer putBuf(buf)
 	if _, err := buf.ReadFrom(r.Body); err != nil {
+		putBuf(buf)
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
+			return nil, &httpError{status: http.StatusRequestEntityTooLarge,
 				msg: fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit)}
 		}
-		return badRequest("reading request body: %v", err)
+		return nil, badRequest("reading request body: %v", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	return buf, nil
+}
+
+// decodeJSON decodes the JSON value body holds, rejecting unknown
+// fields and anything but whitespace after the value.
+func decodeJSON(body []byte, into any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		return badRequest("decoding request body: %v", err)
 	}
-	mark(w, obs.StageDecode)
+	for _, c := range body[dec.InputOffset():] {
+		if !isSpace(c) {
+			return badRequest("decoding request body: invalid character %q after top-level value", c)
+		}
+	}
 	return nil
 }
 
@@ -686,23 +710,45 @@ func (s *Server) handlePoolGet(w http.ResponseWriter, r *http.Request) {
 // (creating the pool when absent).
 func (s *Server) handlePoolPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req PutJurorsRequest
-	if err := s.decode(w, r, &req); err != nil {
+	buf, err := readBody(w, r)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	jurors := make([]jury.Juror, len(req.Jurors))
-	for i, j := range req.Jurors {
-		jurors[i] = j.Juror()
+	// A canonical body takes the one-pass decodeJurors; any other goes
+	// through jsonJurors, which therefore decides every error.
+	jurors, ok := decodeJurors(buf.Bytes())
+	if !ok {
+		jurors, err = jsonJurors(buf.Bytes())
 	}
+	putBuf(buf)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	mark(w, obs.StageDecode)
 	p, err := s.putPool(name, jurors)
 	if err != nil {
-		s.fail(w, badRequest("%v", err))
+		s.fail(w, poolWriteError(err))
 		return
 	}
 	mark(w, obs.StageStore)
 	s.m.poolWrites.Add(1)
 	writeJSON(w, http.StatusOK, poolResponse(p, false))
+}
+
+// jsonJurors decodes a PUT body with decodeJSON, as every other
+// endpoint decodes its body.
+func jsonJurors(body []byte) ([]jury.Juror, error) {
+	var req PutJurorsRequest
+	if err := decodeJSON(body, &req); err != nil {
+		return nil, err
+	}
+	jurors := make([]jury.Juror, len(req.Jurors))
+	for i, j := range req.Jurors {
+		jurors[i] = j.Juror()
+	}
+	return jurors, nil
 }
 
 // handlePoolPatch serves PATCH /v1/pools/{name}/jurors: incremental
@@ -723,16 +769,23 @@ func (s *Server) handlePoolPatch(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := s.patchPool(name, ups)
 	if err != nil {
-		if errors.Is(err, pool.ErrPoolNotFound) {
-			s.fail(w, err)
-		} else {
-			s.fail(w, badRequest("%v", err))
-		}
+		s.fail(w, poolWriteError(err))
 		return
 	}
 	mark(w, obs.StageStore)
 	s.m.poolWrites.Add(1)
 	writeJSON(w, http.StatusOK, poolResponse(p, false))
+}
+
+// poolWriteError maps a failed PUT or PATCH for fail. A missing pool and
+// a journal or durability failure (tasks.ErrStoreFailed) keep their own
+// status, 404 and 500; anything else is input the pool store rejected,
+// a 400 carrying its text.
+func poolWriteError(err error) error {
+	if errors.Is(err, pool.ErrPoolNotFound) || errors.Is(err, tasks.ErrStoreFailed) {
+		return err
+	}
+	return badRequest("%v", err)
 }
 
 // handlePoolDelete serves DELETE /v1/pools/{name}.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"juryselect/internal/dataio"
+	"juryselect/internal/tasks"
 	"juryselect/jury"
 )
 
@@ -549,6 +550,135 @@ func TestRequestBodyTooLargeIs413(t *testing.T) {
 	}
 	if want := fmt.Sprintf("%d-byte limit", MaxBodyBytes); !strings.Contains(errResp.Error, want) {
 		t.Errorf("error does not mention the limit: %q", errResp.Error)
+	}
+}
+
+// TestRequestBodyTrailingData checks that only whitespace may follow a
+// request's JSON value, on the one-pass PUT decoder and the shared
+// decoder alike: trailing data answers 400 and changes nothing, while
+// the newline json.Encoder writes stays accepted.
+func TestRequestBodyTrailingData(t *testing.T) {
+	hs := newTaskServer(t, 25)
+	var created TaskResponse
+	doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks", TaskCreateRequest{Pool: "crowd"}, http.StatusCreated, &created)
+	task := hs.URL + "/v1/tasks/" + created.Task.ID
+	cases := []struct {
+		name, method, url, body string
+		ok                      int
+	}{
+		{"put", http.MethodPut, hs.URL + "/v1/pools/p/jurors", `{"jurors":[{"id":"a","error_rate":0.2}]}`, http.StatusOK},
+		{"put fallback", http.MethodPut, hs.URL + "/v1/pools/q/jurors", `{"jurors":[{"ID":"a","error_rate":0.2}]}`, http.StatusOK},
+		{"select", http.MethodPost, hs.URL + "/v1/select", `{"pool":"crowd"}`, http.StatusOK},
+		{"task create", http.MethodPost, hs.URL + "/v1/tasks", `{"pool":"crowd"}`, http.StatusCreated},
+		{"vote", http.MethodPost, task + "/votes", `{"juror_id":"` + created.Task.Jurors[0].ID + `","vote":true}`, http.StatusOK},
+	}
+	send := func(method, url, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e errorResponse
+		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
+		return resp.StatusCode, e.Error
+	}
+	for _, tc := range cases {
+		for _, tail := range []string{" garbage", "{}", "\n}", "\x00"} {
+			code, msg := send(tc.method, tc.url, tc.body+tail)
+			if code != http.StatusBadRequest || !strings.HasPrefix(msg, "decoding request body: ") {
+				t.Errorf("%s with trailing %q: status %d %q, want 400 decoding request body", tc.name, tail, code, msg)
+			}
+		}
+		if code, msg := send(tc.method, tc.url, tc.body+" \t\r\n"); code != tc.ok {
+			t.Errorf("%s with trailing whitespace: status %d %q, want %d", tc.name, code, msg, tc.ok)
+		}
+	}
+	// The rejected writes changed nothing: each pool is at version 1, the
+	// one create is the second task, and the juror's vote counted once.
+	for _, name := range []string{"p", "q"} {
+		var p PoolResponse
+		if code := do(t, http.MethodGet, hs.URL+"/v1/pools/"+name, nil, &p); code != http.StatusOK || p.Version != 1 {
+			t.Errorf("pool %s: status %d version %d, want 200 version 1", name, code, p.Version)
+		}
+	}
+	var list TaskListResponse
+	doTaskJSON(t, http.MethodGet, hs.URL+"/v1/tasks", nil, http.StatusOK, &list)
+	if len(list.Tasks) != 2 {
+		t.Errorf("%d tasks, want 2", len(list.Tasks))
+	}
+	var got TaskResponse
+	doTaskJSON(t, http.MethodGet, task, nil, http.StatusOK, &got)
+	if got.Task.VotesSpent != 1 {
+		t.Errorf("votes spent %d, want 1", got.Task.VotesSpent)
+	}
+}
+
+// TestPoolWriteStoreFailureIs500 checks that a PUT or PATCH the journal
+// fails answers 500, as DELETE does: the store failed, not the request,
+// so it counts in errors_5xx. Input the pool store rejects still answers
+// 400 with its text.
+func TestPoolWriteStoreFailureIs500(t *testing.T) {
+	store, err := tasks.Open(tasks.Config{Dir: t.TempDir(), Sync: tasks.SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs := newTestServer(t, Config{Tasks: store})
+	url := hs.URL + "/v1/pools/crowd/jurors"
+	putPool(t, hs.URL, "crowd", testJurors(5))
+	dup := PutJurorsRequest{Jurors: []dataio.JurorJSON{{ID: "a", ErrorRate: 0.2}, {ID: "a", ErrorRate: 0.3}}}
+	var e errorResponse
+	if code := do(t, http.MethodPut, url, dup, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, "duplicate juror id") {
+		t.Fatalf("duplicate IDs: status %d %q, want 400 naming the duplicate", code, e.Error)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, url string
+		body        any
+	}{
+		{http.MethodPut, url, PutJurorsRequest{Jurors: []dataio.JurorJSON{{ID: "a", ErrorRate: 0.2}}}},
+		{http.MethodPatch, url, PatchJurorsRequest{Updates: []JurorUpdateJSON{{ID: "j000", ErrorRate: f64(0.3)}}}},
+		{http.MethodDelete, hs.URL + "/v1/pools/crowd", nil},
+	} {
+		var e errorResponse
+		if code := do(t, tc.method, tc.url, tc.body, &e); code != http.StatusInternalServerError || !strings.Contains(e.Error, "store failed") {
+			t.Errorf("%s on a closed store: status %d %q, want 500 store failed", tc.method, code, e.Error)
+		}
+	}
+	var m struct {
+		Errors4xx int64 `json:"errors_4xx"`
+		Errors5xx int64 `json:"errors_5xx"`
+	}
+	if code := do(t, http.MethodGet, hs.URL+"/metrics", nil, &m); code != http.StatusOK || m.Errors4xx != 1 || m.Errors5xx != 3 {
+		t.Errorf("metrics status %d: errors_4xx %d errors_5xx %d, want 1 and 3", code, m.Errors4xx, m.Errors5xx)
+	}
+}
+
+// BenchmarkPoolPut measures PUT /v1/pools/{name}/jurors of 1,001 jurors
+// drawn as perfbench draws its pools, through the handler on a
+// memory-only store without TCP: read, decode, validation, the ε sort
+// and the acknowledgement.
+func BenchmarkPoolPut(b *testing.B) {
+	h := New(Config{}).Handler()
+	body, err := json.Marshal(PutJurorsRequest{Jurors: crowdJurors(1001, 1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPut, "/v1/pools/crowd/jurors", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
 	}
 }
 

@@ -33,9 +33,12 @@ const (
 	maxTaskShards = 1024
 )
 
-// ErrStoreFailed reports that a previous journal write failed: the
-// in-memory state may be ahead of the log, so further mutations are
-// refused until the process restarts and replays.
+// ErrStoreFailed reports a journal failure. A failed append fails the
+// store: the in-memory state may be ahead of the log, so further
+// mutations are refused until the process restarts and replays. A
+// failed durability wait (the log's flush or fsync failed) wraps it too,
+// so callers answer both as a server error, but does not itself fail
+// the store; the log's sticky error fails the next append.
 var ErrStoreFailed = errors.New("tasks: store failed (journal write error)")
 
 // Config configures Open. The zero value of every field selects a
@@ -534,18 +537,24 @@ func (s *Store) journal(rec *record) (commit, error) {
 // have been superseded by a compaction meanwhile; its Close
 // acknowledged everything buffered, so the wait still ends. A traced
 // request (ctx carries an obs.Trace) gets the wait recorded as a
-// wal_wait span; untraced requests pay no clock reads here.
+// wal_wait span; untraced requests pay no clock reads here. A failed
+// wait wraps ErrStoreFailed without failing the store.
 func (s *Store) waitDurable(ctx context.Context, c commit) error {
 	if c.wal == nil || c.seq == 0 {
 		return nil
 	}
+	var err error
 	if tr := obs.TraceFromContext(ctx); tr != nil {
 		start := time.Now()
-		err := c.wal.WaitDurable(c.seq)
+		err = c.wal.WaitDurable(c.seq)
 		tr.Add(obs.StageWALWait, time.Since(start).Nanoseconds())
-		return err
+	} else {
+		err = c.wal.WaitDurable(c.seq)
 	}
-	return c.wal.WaitDurable(c.seq)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrStoreFailed, err)
+	}
+	return nil
 }
 
 // maybeCompact triggers compaction when the log has grown past the

@@ -138,10 +138,11 @@ type WAL struct {
 	f       *os.File
 	w       *bufio.Writer
 	hdr     [walFrameOverhead]byte
-	written uint64 // records buffered (monotonic)
-	synced  uint64 // records durable
-	err     error  // sticky write/sync error
-	closed  bool
+	written uint64     // records buffered (monotonic)
+	synced  uint64     // records durable
+	err     error      // sticky write/sync error
+	closed  bool       // Close has begun: appends fail
+	shut    bool       // Close's final flush and sync are done: synced or err is final
 	durable *sync.Cond // broadcast when synced advances
 
 	mode     SyncMode
@@ -311,15 +312,17 @@ func (w *WAL) AppendAsync(payload []byte) (seq uint64, err error) {
 }
 
 // WaitDurable blocks until the record with the given sequence number is
-// durable per the sync mode (a no-op for SyncOff). The wait is recorded
-// in the durable-wait histogram — zero for the already-synced fast path,
+// durable per the sync mode (a no-op for SyncOff). A wait that races
+// Close lasts until Close's final flush and sync settle it, so only a
+// write or sync error fails it. The wait is recorded in the
+// durable-wait histogram — zero for the already-synced fast path,
 // clock-timed when the caller actually parks.
 func (w *WAL) WaitDurable(seq uint64) error {
 	w.mu.Lock()
 	var waited int64 // 0 for the already-synced fast path
-	if w.synced < seq && w.err == nil && !w.closed {
+	if w.synced < seq && w.err == nil && !w.shut {
 		start := time.Now()
-		for w.synced < seq && w.err == nil && !w.closed {
+		for w.synced < seq && w.err == nil && !w.shut {
 			w.durable.Wait()
 		}
 		waited = time.Since(start).Nanoseconds()
@@ -475,11 +478,15 @@ func (w *WAL) Close() error {
 
 	syncErr := w.f.Sync()
 	w.mu.Lock()
-	if flushErr == nil && syncErr == nil && w.err == nil {
+	if syncErr != nil && w.err == nil {
+		w.err = syncErr
+	}
+	if w.err == nil {
 		// The final flush+sync covered everything buffered: acknowledge
 		// any waiter that raced the shutdown.
 		w.synced = w.written
 	}
+	w.shut = true
 	w.durable.Broadcast()
 	w.mu.Unlock()
 	closeErr := w.f.Close()

@@ -217,6 +217,34 @@ func TestWALAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestWALWaitDurableRacingClose checks that durability waits racing
+// Close end with its final flush and sync, not with ErrWALClosed:
+// compaction closes a superseded log while writers may still wait on
+// records it holds, and those records are durable.
+func TestWALWaitDurableRacingClose(t *testing.T) {
+	const rounds, n = 50, 32
+	for round := 0; round < rounds; round++ {
+		w, _ := openTestWAL(t, filepath.Join(t.TempDir(), "wal.log"), WALOptions{Sync: SyncBatch})
+		for i := 0; i < n; i++ {
+			if _, err := w.AppendAsync([]byte("r")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		errs := make(chan error, n)
+		for seq := uint64(1); seq <= n; seq++ {
+			go func(seq uint64) { errs <- w.WaitDurable(seq) }(seq)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: a wait racing Close = %v, want nil", round, err)
+			}
+		}
+	}
+}
+
 // TestWALAppendAllocFree is the alloc guard of the BENCH_PR5 trajectory:
 // the append hot path (frame + CRC + buffered write) must not allocate.
 func TestWALAppendAllocFree(t *testing.T) {
