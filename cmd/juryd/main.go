@@ -10,9 +10,8 @@
 //	      [-wal-dir DIR] [-fsync batch] [-compact-every N] [-task-shards N]
 //	      [-sweep 1s] [-juror-timeout 60s] [-task-expiry 1h]
 //	      [-slow-ms N] [-trace-every N] [-trace-ring N] [-pprof-addr ADDR]
-//	      [-insight] [-insight-pairs N]
-//	      [-lifecycle] [-lifecycle-timelines N]
-//	      [-slo] [-slo-eval 10s] [-slo-compress N] [-stall-grace D]
+//	      [-insight-pairs N] [-lifecycle-timelines N]
+//	      [-slo-eval 10s] [-slo-compress N] [-stall-grace D]
 //	      [-slo-verdict-threshold 60s] [-slo-verdict-target 0.99]
 //	      [-slo-expired-target 0.99] [-slo-http-target 0.999]
 //	      [-slo-fsync-threshold 50ms] [-slo-fsync-target 0.999]
@@ -49,17 +48,18 @@
 // listener, kept off the service port so profiling is never exposed
 // through the load balancer.
 //
-// Lifecycle and SLOs: -lifecycle (default on) reconstructs every
-// task's timeline from the same event stream that feeds -insight —
-// attached before WAL replay, so a restarted juryd serves byte-identical
-// timelines. -slo (default on) tracks four declarative objectives as
-// error budgets — verdict latency, undecided/expired rate, HTTP 5xx
-// rate, and WAL fsync latency — with multi-window burn-rate alerting
-// (fast 5m/1h pair at 14.4×, slow 6h/3d pair at 1×); trips are logged
-// and exported as juryd_slo_* series. -slo-compress N divides every
-// window by N (CI smokes compress 1000× to trip alerts in seconds).
-// The sweep watchdog flags tasks stuck past their juror timeout with
-// no sweeper progress into /healthz ("degraded" + stall block).
+// Derived views: the insight engine (juror profiles, JER calibration,
+// co-vote agreement) and the lifecycle engine (per-task timelines) read
+// the task event stream from before WAL replay, so a restarted juryd
+// serves byte-identical fingerprints and timelines. The SLO tracker
+// holds four objectives as error budgets — verdict latency, expired
+// rate, HTTP 5xx rate, WAL fsync latency — with burn-rate alerting (fast
+// 5m/1h pair at 14.4×, slow 6h/3d pair at 1×), logged and exported as
+// juryd_slo_* series. -slo-eval 0 evaluates only when /v1/slo or a
+// metrics endpoint is read; -slo-compress N divides every window by N
+// (CI smokes compress to trip alerts in seconds). The sweep watchdog
+// flags tasks stuck past their juror timeout with no sweeper progress
+// into /healthz ("degraded" + stall block).
 //
 // Durability: with -wal-dir set, every pool and task mutation is
 // journaled to a CRC-framed write-ahead log and periodically folded into
@@ -157,13 +157,9 @@ type config struct {
 	traceRing  int
 	pprofAddr  string
 
-	insightOn bool
-	pairCap   int
-
-	lifecycleOn bool
+	pairCap     int
 	timelineCap int
 
-	sloOn            bool
 	sloEval          time.Duration
 	sloCompress      int
 	stallGrace       time.Duration
@@ -222,11 +218,8 @@ func main() {
 	flag.IntVar(&cfg.traceEvery, "trace-every", 0, "sample every Nth request into /debug/traces (0 = off)")
 	flag.IntVar(&cfg.traceRing, "trace-ring", 0, "trace ring capacity (0 = default)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
-	flag.BoolVar(&cfg.insightOn, "insight", true, "maintain juror/calibration/agreement analytics from the task event stream (serves /v1/insight/*)")
 	flag.IntVar(&cfg.pairCap, "insight-pairs", 0, "co-vote pair tracker capacity (0 = default)")
-	flag.BoolVar(&cfg.lifecycleOn, "lifecycle", true, "reconstruct per-task timelines from the task event stream (serves /v1/tasks/{id}/timeline and /v1/lifecycle)")
 	flag.IntVar(&cfg.timelineCap, "lifecycle-timelines", 0, "closed timelines retained before lowest-ID eviction (0 = default)")
-	flag.BoolVar(&cfg.sloOn, "slo", true, "track SLOs as error budgets with burn-rate alerts (serves /v1/slo, exports juryd_slo_*)")
 	flag.DurationVar(&cfg.sloEval, "slo-eval", 10*time.Second, "burn-rate evaluation and HTTP-SLI poll period (0 = evaluate only on scrape)")
 	flag.IntVar(&cfg.sloCompress, "slo-compress", 1, "divide every alerting window by N (CI smoke runs compressed policies)")
 	flag.DurationVar(&cfg.stallGrace, "stall-grace", 0, "slack past the juror timeout before the watchdog flags a task as stalled (0 = 3 sweep periods)")
@@ -275,30 +268,14 @@ func run(ctx context.Context, cfg config, logger *slog.Logger, ready chan<- stri
 	// replays the whole task history into them; the live tail then feeds
 	// the same sinks, which is what makes /v1/insight fingerprints and
 	// /v1/tasks/{id}/timeline bytes restart-stable.
-	var ins *insight.Engine
-	var sinks []tasks.EventSink
-	if cfg.insightOn {
-		ins = insight.New(cfg.pairCap)
-		sinks = append(sinks, ins)
-	}
-	var lce *lifecycle.Engine
-	if cfg.lifecycleOn {
-		lce = lifecycle.New(cfg.timelineCap)
-		sinks = append(sinks, lce)
-	}
-	var slo *lifecycle.SLO
-	var fsyncObs func(int64)
-	if cfg.sloOn {
-		windows := lifecycle.DefaultBurnWindows().Compress(cfg.sloCompress)
-		slo = lifecycle.NewSLO(cfg.objectives(), windows, nil, logger)
-		fsyncObs = slo.ObserveFsync
-		if lce != nil {
-			// Verdict-latency and expired-rate events flow through the
-			// lifecycle engine with journaled timestamps, so replay
-			// backfills the same burn windows a live feed filled.
-			lce.AttachSLO(slo)
-		}
-	}
+	ins := insight.New(cfg.pairCap)
+	lce := lifecycle.New(cfg.timelineCap)
+	windows := lifecycle.DefaultBurnWindows().Compress(cfg.sloCompress)
+	slo := lifecycle.NewSLO(cfg.objectives(), windows, nil, logger)
+	// Verdict-latency and expired-rate events flow through the lifecycle
+	// engine with journaled timestamps, so replay backfills the same burn
+	// windows a live feed filled.
+	lce.AttachSLO(slo)
 	store, err := tasks.Open(tasks.Config{
 		Dir:                 cfg.walDir,
 		Sync:                syncMode,
@@ -307,8 +284,8 @@ func run(ctx context.Context, cfg config, logger *slog.Logger, ready chan<- stri
 		Shards:              cfg.taskShards,
 		DefaultJurorTimeout: cfg.jurorTimeout,
 		DefaultExpiry:       cfg.taskExpiry,
-		Events:              tasks.Sinks(sinks...),
-		FsyncObserver:       fsyncObs,
+		Events:              tasks.Sinks(ins, lce),
+		FsyncObserver:       slo.ObserveFsync,
 	})
 	if err != nil {
 		return err
@@ -398,7 +375,7 @@ func run(ctx context.Context, cfg config, logger *slog.Logger, ready chan<- stri
 	// event-driven SLIs (verdicts, fsyncs) accumulate continuously; this
 	// loop only decides when alerts flip.
 	stopSLO := func() {}
-	if slo != nil && cfg.sloEval > 0 {
+	if cfg.sloEval > 0 {
 		sloDone := make(chan struct{})
 		sloExited := make(chan struct{})
 		var sloOnce sync.Once

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"juryselect/internal/lifecycle"
 	"juryselect/internal/tasks"
 )
 
@@ -410,5 +411,147 @@ func TestRunFailsOnUnbindableAddr(t *testing.T) {
 	}, slog.New(slog.NewTextHandler(io.Discard, nil)), nil, nil)
 	if err == nil {
 		t.Fatal("unbindable address accepted")
+	}
+}
+
+// startRun boots run with cfg on a kernel-picked port and returns its
+// base URL. The test's cleanup cancels it (the in-process SIGTERM) and
+// requires a clean drain.
+func startRun(t *testing.T, cfg config) string {
+	t.Helper()
+	cfg.addr = "127.0.0.1:0"
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, cfg, slog.New(slog.NewTextHandler(io.Discard, nil)), ready, nil)
+	}()
+	select {
+	case addr := <-ready:
+		t.Cleanup(func() {
+			cancel()
+			if err := <-done; err != nil {
+				t.Errorf("drain failed: %v", err)
+			}
+		})
+		return "http://" + addr
+	case err := <-done:
+		cancel()
+		t.Fatalf("server exited before ready: %v", err)
+	case <-time.After(10 * time.Second):
+		cancel()
+		t.Fatal("server never became ready")
+	}
+	return ""
+}
+
+// call sends one request with a JSON body (none when body is empty),
+// requires a 200 or 201, and decodes the response into out.
+func call(t *testing.T, method, url, body string, out any) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
+		t.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, raw)
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		t.Fatalf("%s %s: %v: %s", method, url, err, raw)
+	}
+}
+
+// objective returns the named objective of an SLO snapshot.
+func objective(t *testing.T, snap lifecycle.SLOSnapshot, name string) lifecycle.ObjectiveStatus {
+	t.Helper()
+	for _, o := range snap.Objectives {
+		if o.Name == name {
+			return o
+		}
+	}
+	t.Fatalf("no objective %q in %+v", name, snap.Objectives)
+	return lifecycle.ObjectiveStatus{}
+}
+
+// TestRunServesEveryView boots run from the config the other run tests
+// use, plus a verdict-latency threshold, and decides one task. Every
+// derived view must have seen the verdict: insight and lifecycle count
+// it, the task's timeline is served, and both objectives fed by
+// verdicts count it.
+func TestRunServesEveryView(t *testing.T) {
+	base := startRun(t, config{
+		pools:            poolFlags{"crowd=" + writeSample(t, "crowd.csv", sampleCSV)},
+		drain:            5 * time.Second,
+		verdictThreshold: time.Minute,
+	})
+	var created struct {
+		Task tasks.View `json:"task"`
+	}
+	call(t, http.MethodPost, base+"/v1/tasks", `{"pool":"crowd"}`, &created)
+	id := created.Task.ID
+	for _, j := range created.Task.Jurors {
+		var out struct {
+			Task tasks.View `json:"task"`
+		}
+		call(t, http.MethodPost, base+"/v1/tasks/"+id+"/votes", `{"juror_id":"`+j.ID+`","vote":true}`, &out)
+		if out.Task.Status == tasks.StatusDecided {
+			break
+		}
+	}
+
+	for _, path := range []string{"/v1/insight/calibration", "/v1/lifecycle"} {
+		var view struct {
+			TasksDecided int64 `json:"tasks_decided"`
+		}
+		call(t, http.MethodGet, base+path, "", &view)
+		if view.TasksDecided != 1 {
+			t.Errorf("%s: tasks_decided = %d, want 1", path, view.TasksDecided)
+		}
+	}
+	var tl lifecycle.Timeline
+	call(t, http.MethodGet, base+"/v1/tasks/"+id+"/timeline", "", &tl)
+	if tl.Task != id || tl.Outcome != "decided" {
+		t.Errorf("timeline = %s/%s, want %s/decided", tl.Task, tl.Outcome, id)
+	}
+	var snap lifecycle.SLOSnapshot
+	call(t, http.MethodGet, base+"/v1/slo", "", &snap)
+	for _, name := range []string{"verdict-latency", "task-expiry"} {
+		if o := objective(t, snap, name); o.Good != 1 || o.Bad != 0 {
+			t.Errorf("%s: good=%d bad=%d, want the one verdict counted good", name, o.Good, o.Bad)
+		}
+	}
+}
+
+// TestRunSLOEvalZeroPollsOnScrape: with -slo-eval 0 no evaluation ticker
+// runs, so each read must poll the HTTP counters itself. /v1/slo counts
+// five selects good under http-availability; the /metrics scrape that
+// follows counts the /v1/slo read as a sixth, and the ops scrape not at
+// all.
+func TestRunSLOEvalZeroPollsOnScrape(t *testing.T) {
+	base := startRun(t, config{
+		pools: poolFlags{"crowd=" + writeSample(t, "crowd.csv", sampleCSV)},
+		drain: 5 * time.Second,
+	})
+	for i := 0; i < 5; i++ {
+		var sel map[string]any
+		call(t, http.MethodPost, base+"/v1/select", `{"pool":"crowd"}`, &sel)
+	}
+	var snap lifecycle.SLOSnapshot
+	call(t, http.MethodGet, base+"/v1/slo", "", &snap)
+	if o := objective(t, snap, "http-availability"); o.Good != 5 || o.Bad != 0 {
+		t.Errorf("/v1/slo: http-availability good=%d bad=%d, want 5/0", o.Good, o.Bad)
+	}
+	var m struct {
+		SLO lifecycle.SLOSnapshot `json:"slo"`
+	}
+	call(t, http.MethodGet, base+"/metrics", "", &m)
+	if o := objective(t, m.SLO, "http-availability"); o.Good != 6 || o.Bad != 0 {
+		t.Errorf("/metrics: http-availability good=%d bad=%d, want 6/0", o.Good, o.Bad)
 	}
 }

@@ -94,14 +94,7 @@ type Engine struct {
 	calib      Reliability
 	byStrategy map[string]*Reliability
 
-	events       int64
-	tasksCreated int64
-	tasksDecided int64
-	tasksExpired int64
-	votesSeen    int64
-	declinesSeen int64
-	timeoutsSeen int64
-	unknownTask  int64
+	tally        tasks.Tally
 	droppedPairs int64
 }
 
@@ -140,10 +133,10 @@ func (e *Engine) juror(id string, eps float64) *jurorStats {
 func (e *Engine) TaskEvent(ev tasks.Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.events++
+	ot := e.open[ev.Task]
+	e.tally.Observe(ev, ot != nil)
 	switch ev.Type {
 	case tasks.EvTaskCreated:
-		e.tasksCreated++
 		e.open[ev.Task] = &openTask{
 			strategy:     ev.Strategy,
 			predictedJER: ev.PredictedJER,
@@ -153,43 +146,29 @@ func (e *Engine) TaskEvent(ev tasks.Event) {
 		}
 	case tasks.EvJurorInvited:
 		e.juror(ev.Juror, ev.ErrorRate).invites++
-		if e.open[ev.Task] == nil {
-			e.unknownTask++
-		}
 	case tasks.EvVoteRecorded:
-		e.votesSeen++
 		j := e.juror(ev.Juror, ev.ErrorRate)
 		j.votes++
 		if ev.Vote {
 			j.yesVotes++
 		}
 		j.latency.Observe(ev.LatencyNS)
-		if ot := e.open[ev.Task]; ot != nil {
+		if ot != nil {
 			ot.votes = append(ot.votes, coVote{juror: ev.Juror, yes: ev.Vote})
-		} else {
-			e.unknownTask++
 		}
 	case tasks.EvJurorReleased:
 		j := e.juror(ev.Juror, ev.ErrorRate)
 		if ev.Timeout {
-			e.timeoutsSeen++
 			j.timeouts++
 		} else {
-			e.declinesSeen++
 			j.declines++
 		}
-		if e.open[ev.Task] == nil {
-			e.unknownTask++
-		}
 	case tasks.EvTaskClosed:
-		ot := e.open[ev.Task]
 		if ot == nil {
-			e.unknownTask++
 			return
 		}
 		delete(e.open, ev.Task)
 		if ev.Decided {
-			e.tasksDecided++
 			// Production has no oracle: the posterior's own expected
 			// error (1 − confidence) is the realized sample. Simlab
 			// layers oracle 0/1 outcomes through its own Reliability.
@@ -208,8 +187,6 @@ func (e *Engine) TaskEvent(ev tasks.Event) {
 					j.wrong++
 				}
 			}
-		} else {
-			e.tasksExpired++
 		}
 		e.recordPairs(ot.votes)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"juryselect/internal/estimate"
 	"juryselect/internal/obs"
+	"juryselect/internal/tasks"
 )
 
 // JurorProfile is one juror's rendered profile: participation counts,
@@ -68,14 +69,7 @@ type AgreementReport struct {
 // event multiset render byte-identical JSON — which is what Fingerprint
 // hashes and the live≡replay checks compare.
 type Snapshot struct {
-	Events            int64             `json:"events"`
-	TasksCreated      int64             `json:"tasks_created"`
-	TasksDecided      int64             `json:"tasks_decided"`
-	TasksExpired      int64             `json:"tasks_expired"`
-	TasksOpen         int               `json:"tasks_open"`
-	Votes             int64             `json:"votes"`
-	Declines          int64             `json:"declines"`
-	Timeouts          int64             `json:"timeouts"`
+	tasks.Totals
 	UnknownTaskEvents int64             `json:"unknown_task_events"`
 	Jurors            []JurorProfile    `json:"jurors"`
 	Calibration       CalibrationReport `json:"calibration"`
@@ -86,14 +80,7 @@ type Snapshot struct {
 // Stats is the cheap counter block for /metrics: no maps are walked and
 // no quantiles computed, so scraping stays O(1) in crowd size.
 type Stats struct {
-	Events             int64   `json:"events"`
-	TasksCreated       int64   `json:"tasks_created"`
-	TasksDecided       int64   `json:"tasks_decided"`
-	TasksExpired       int64   `json:"tasks_expired"`
-	TasksOpen          int     `json:"tasks_open"`
-	Votes              int64   `json:"votes"`
-	Declines           int64   `json:"declines"`
-	Timeouts           int64   `json:"timeouts"`
+	tasks.Totals
 	UnknownTaskEvents  int64   `json:"unknown_task_events"`
 	JurorsTracked      int     `json:"jurors_tracked"`
 	PairsTracked       int     `json:"pairs_tracked"`
@@ -111,15 +98,8 @@ func (e *Engine) Stats() Stats {
 		brier = float64(e.calib.brier) / fpScale / float64(e.calib.total)
 	}
 	return Stats{
-		Events:             e.events,
-		TasksCreated:       e.tasksCreated,
-		TasksDecided:       e.tasksDecided,
-		TasksExpired:       e.tasksExpired,
-		TasksOpen:          len(e.open),
-		Votes:              e.votesSeen,
-		Declines:           e.declinesSeen,
-		Timeouts:           e.timeoutsSeen,
-		UnknownTaskEvents:  e.unknownTask,
+		Totals:             e.tally.Totals,
+		UnknownTaskEvents:  e.tally.Unknown,
 		JurorsTracked:      len(e.jurors),
 		PairsTracked:       len(e.pairs),
 		PairsDropped:       e.droppedPairs,
@@ -135,15 +115,8 @@ func (e *Engine) Snapshot() *Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := &Snapshot{
-		Events:            e.events,
-		TasksCreated:      e.tasksCreated,
-		TasksDecided:      e.tasksDecided,
-		TasksExpired:      e.tasksExpired,
-		TasksOpen:         len(e.open),
-		Votes:             e.votesSeen,
-		Declines:          e.declinesSeen,
-		Timeouts:          e.timeoutsSeen,
-		UnknownTaskEvents: e.unknownTask,
+		Totals:            e.tally.Totals,
+		UnknownTaskEvents: e.tally.Unknown,
 		Jurors:            e.jurorProfiles(),
 		Calibration:       e.calibrationReport(),
 		Agreement:         e.agreementReport(),

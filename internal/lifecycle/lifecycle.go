@@ -120,16 +120,8 @@ type Engine struct {
 
 	slo *SLO // optional; fed time-to-verdict samples at close
 
-	events       int64
-	tasksCreated int64
-	tasksDecided int64
-	tasksExpired int64
-	votesSeen    int64
-	declinesSeen int64
-	timeoutsSeen int64
-	replacements int64
-	unknownTask  int64
-	evicted      int64
+	tally   tasks.Tally
+	evicted int64
 }
 
 // New returns an engine retaining at most taskCap closed timelines;
@@ -156,10 +148,9 @@ func (e *Engine) AttachSLO(s *SLO) { e.slo = s }
 func (e *Engine) TaskEvent(ev tasks.Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.events++
-	switch ev.Type {
-	case tasks.EvTaskCreated:
-		e.tasksCreated++
+	r := e.records[ev.Task]
+	e.tally.Observe(ev, r != nil)
+	if ev.Type == tasks.EvTaskCreated {
 		jury := make([]tasks.EventJuror, len(ev.Jury))
 		copy(jury, ev.Jury)
 		e.records[ev.Task] = &taskRecord{
@@ -173,60 +164,39 @@ func (e *Engine) TaskEvent(ev tasks.Event) {
 			jury:         jury,
 			firstVoteNS:  -1,
 		}
+		return
+	}
+	if r == nil {
+		return // beyond the compaction horizon: no timeline to extend
+	}
+	switch ev.Type {
 	case tasks.EvJurorInvited:
-		e.replacements++
-		e.append(ev.Task, taskEvent{kind: evInvite, at: ev.At, juror: ev.Juror, eps: ev.ErrorRate})
+		r.events = append(r.events, taskEvent{kind: evInvite, at: ev.At, juror: ev.Juror, eps: ev.ErrorRate})
 	case tasks.EvVoteRecorded:
-		e.votesSeen++
-		r := e.append(ev.Task, taskEvent{kind: evVote, at: ev.At, juror: ev.Juror,
+		r.events = append(r.events, taskEvent{kind: evVote, at: ev.At, juror: ev.Juror,
 			eps: ev.ErrorRate, vote: ev.Vote, latencyNS: ev.LatencyNS})
-		if r != nil && r.firstVoteNS < 0 {
+		if r.firstVoteNS < 0 {
 			r.firstVoteNS = ev.At.Sub(r.createdAt).Nanoseconds()
 		}
 	case tasks.EvJurorReleased:
 		kind := evDecline
 		if ev.Timeout {
 			kind = evTimeout
-			e.timeoutsSeen++
-		} else {
-			e.declinesSeen++
 		}
-		e.append(ev.Task, taskEvent{kind: kind, at: ev.At, juror: ev.Juror, eps: ev.ErrorRate})
+		r.events = append(r.events, taskEvent{kind: kind, at: ev.At, juror: ev.Juror, eps: ev.ErrorRate})
 	case tasks.EvTaskClosed:
-		r := e.records[ev.Task]
-		if r == nil {
-			e.unknownTask++
-			return
-		}
 		r.closed = true
 		r.closedAt = ev.At
 		r.decided = ev.Decided
 		r.answer = ev.Answer
 		r.confidence = ev.Confidence
 		r.earlyStopped = ev.EarlyStopped
-		if ev.Decided {
-			e.tasksDecided++
-		} else {
-			e.tasksExpired++
-		}
 		e.fold(r)
 		if e.slo != nil {
 			e.slo.ObserveVerdict(ev.At, ev.At.Sub(r.createdAt).Nanoseconds(), ev.Decided)
 		}
 		e.retain(ev.Task)
 	}
-}
-
-// append records a post-create event on the task, returning its record
-// (nil for tasks beyond the compaction horizon).
-func (e *Engine) append(task string, te taskEvent) *taskRecord {
-	r := e.records[task]
-	if r == nil {
-		e.unknownTask++
-		return nil
-	}
-	r.events = append(r.events, te)
-	return r
 }
 
 // retain enters a freshly closed task into the bounded closed set,

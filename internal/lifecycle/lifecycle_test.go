@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"testing"
 	"time"
 
+	"juryselect/internal/insight"
 	"juryselect/internal/lifecycle"
 	"juryselect/internal/tasks"
 	"juryselect/jury"
@@ -349,5 +351,83 @@ func TestWatchdogFlagsStallsAndRecovery(t *testing.T) {
 	rep = wd.Check(clk.advance(10 * time.Minute))
 	if !rep.SweeperStalled {
 		t.Fatalf("silent-sweeper report = %+v", rep)
+	}
+}
+
+// TestEnginesAgreeOnTotals feeds one seeded random event stream to both
+// derived-view engines, at small caps and with tasks neither saw open
+// (their creation lies beyond a compaction horizon). The engines must
+// report the same totals and unknown-task count, in Stats and Snapshot
+// alike, and those must match what the generator emitted.
+func TestEnginesAgreeOnTotals(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ins, lce := insight.New(4), lifecycle.New(3)
+		at := time.Date(2026, 8, 1, 9, 0, 0, 0, time.UTC)
+		var events, unknown, invites, open int64
+		known := map[string]bool{} // every task still open → seen created
+		var ids []string
+		emit := func(ev tasks.Event) {
+			at = at.Add(time.Duration(1+rng.Intn(5000)) * time.Millisecond)
+			ev.At = at
+			ins.TaskEvent(ev)
+			lce.TaskEvent(ev)
+			events++
+			if ev.Type != tasks.EvTaskCreated && !known[ev.Task] {
+				unknown++
+			}
+		}
+		juror := func() string { return fmt.Sprintf("j%d", rng.Intn(6)) }
+		for step := 0; step < 80; step++ {
+			if len(ids) == 0 || rng.Float64() < 0.2 {
+				id := fmt.Sprintf("t%08d", step)
+				ids = append(ids, id)
+				if rng.Float64() < 0.3 {
+					continue // restored from a snapshot: no TaskCreated
+				}
+				known[id] = true
+				open++
+				emit(tasks.Event{Type: tasks.EvTaskCreated, Task: id, Strategy: "altr",
+					PredictedJER: rng.Float64() / 2, Jury: []tasks.EventJuror{
+						{ID: juror(), ErrorRate: 0.2}, {ID: juror(), ErrorRate: 0.3}}})
+				continue
+			}
+			i := rng.Intn(len(ids))
+			id := ids[i]
+			switch r := rng.Float64(); {
+			case r < 0.15:
+				invites++
+				emit(tasks.Event{Type: tasks.EvJurorInvited, Task: id, Juror: juror(), ErrorRate: 0.25})
+			case r < 0.55:
+				emit(tasks.Event{Type: tasks.EvVoteRecorded, Task: id, Juror: juror(), ErrorRate: 0.25,
+					Vote: rng.Intn(2) == 0, LatencyNS: rng.Int63n(1e9)})
+			case r < 0.75:
+				emit(tasks.Event{Type: tasks.EvJurorReleased, Task: id, Juror: juror(), Timeout: rng.Intn(2) == 0})
+			default:
+				emit(tasks.Event{Type: tasks.EvTaskClosed, Task: id, Decided: rng.Intn(3) > 0,
+					Answer: rng.Intn(2) == 0, Confidence: 0.5 + rng.Float64()/2})
+				if known[id] {
+					open--
+				}
+				delete(known, id)
+				ids = append(ids[:i], ids[i+1:]...) // closed: no further events
+			}
+		}
+
+		is, ls := ins.Stats(), lce.Stats()
+		if is.Totals != ls.Totals || is.UnknownTaskEvents != ls.UnknownTaskEvents {
+			t.Fatalf("seed %d: insight %+v/%d, lifecycle %+v/%d", seed,
+				is.Totals, is.UnknownTaskEvents, ls.Totals, ls.UnknownTaskEvents)
+		}
+		if is.Events != events || is.UnknownTaskEvents != unknown || is.TasksOpen != open || ls.Replacements != invites {
+			t.Fatalf("seed %d: totals %+v unknown %d replacements %d, emitted %d events (%d unknown, %d invites, %d open)",
+				seed, is.Totals, is.UnknownTaskEvents, ls.Replacements, events, unknown, invites, open)
+		}
+		if s := ins.Snapshot(); s.Totals != is.Totals || s.UnknownTaskEvents != is.UnknownTaskEvents {
+			t.Fatalf("seed %d: insight snapshot %+v differs from stats %+v", seed, s.Totals, is.Totals)
+		}
+		if s := lce.Snapshot(); s.Totals != ls.Totals || s.UnknownTaskEvents != ls.UnknownTaskEvents {
+			t.Fatalf("seed %d: lifecycle snapshot %+v differs from stats %+v", seed, s.Totals, ls.Totals)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"juryselect/internal/obs"
+	"juryselect/internal/tasks"
 )
 
 // AggregateRow is one (strategy, outcome) latency bucket: how many
@@ -29,14 +30,7 @@ type AggregateRow struct {
 // consumed the same event multiset render byte-identical JSON; that is
 // what Fingerprint hashes and the live≡replay checks compare.
 type Snapshot struct {
-	Events            int64          `json:"events"`
-	TasksCreated      int64          `json:"tasks_created"`
-	TasksDecided      int64          `json:"tasks_decided"`
-	TasksExpired      int64          `json:"tasks_expired"`
-	TasksOpen         int64          `json:"tasks_open"`
-	Votes             int64          `json:"votes"`
-	Declines          int64          `json:"declines"`
-	Timeouts          int64          `json:"timeouts"`
+	tasks.Totals
 	Replacements      int64          `json:"replacements"`
 	UnknownTaskEvents int64          `json:"unknown_task_events"`
 	TimelinesRetained int64          `json:"timelines_retained"`
@@ -48,24 +42,11 @@ type Snapshot struct {
 // Stats is the cheap counter block for /metrics: no maps walked, no
 // quantiles computed.
 type Stats struct {
-	Events            int64 `json:"events"`
-	TasksCreated      int64 `json:"tasks_created"`
-	TasksDecided      int64 `json:"tasks_decided"`
-	TasksExpired      int64 `json:"tasks_expired"`
-	TasksOpen         int64 `json:"tasks_open"`
-	Votes             int64 `json:"votes"`
-	Declines          int64 `json:"declines"`
-	Timeouts          int64 `json:"timeouts"`
+	tasks.Totals
 	Replacements      int64 `json:"replacements"`
 	UnknownTaskEvents int64 `json:"unknown_task_events"`
 	TimelinesRetained int64 `json:"timelines_retained"`
 	TimelinesEvicted  int64 `json:"timelines_evicted"`
-}
-
-// openCount is the number of tracked, still-open tasks. Callers hold
-// e.mu. Retained records are open records plus the closed set.
-func (e *Engine) openCount() int64 {
-	return int64(len(e.records) - len(e.closedIDs))
 }
 
 // Stats returns the counter block.
@@ -73,16 +54,9 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return Stats{
-		Events:            e.events,
-		TasksCreated:      e.tasksCreated,
-		TasksDecided:      e.tasksDecided,
-		TasksExpired:      e.tasksExpired,
-		TasksOpen:         e.openCount(),
-		Votes:             e.votesSeen,
-		Declines:          e.declinesSeen,
-		Timeouts:          e.timeoutsSeen,
-		Replacements:      e.replacements,
-		UnknownTaskEvents: e.unknownTask,
+		Totals:            e.tally.Totals,
+		Replacements:      e.tally.Replacements,
+		UnknownTaskEvents: e.tally.Unknown,
 		TimelinesRetained: int64(len(e.records)),
 		TimelinesEvicted:  e.evicted,
 	}
@@ -95,16 +69,9 @@ func (e *Engine) Snapshot() *Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := &Snapshot{
-		Events:            e.events,
-		TasksCreated:      e.tasksCreated,
-		TasksDecided:      e.tasksDecided,
-		TasksExpired:      e.tasksExpired,
-		TasksOpen:         e.openCount(),
-		Votes:             e.votesSeen,
-		Declines:          e.declinesSeen,
-		Timeouts:          e.timeoutsSeen,
-		Replacements:      e.replacements,
-		UnknownTaskEvents: e.unknownTask,
+		Totals:            e.tally.Totals,
+		Replacements:      e.tally.Replacements,
+		UnknownTaskEvents: e.tally.Unknown,
 		TimelinesRetained: int64(len(e.records)),
 		TimelinesEvicted:  e.evicted,
 		Aggregates:        make([]AggregateRow, 0, len(e.aggs)),

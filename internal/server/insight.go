@@ -1,25 +1,11 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 
 	"juryselect/internal/insight"
 )
-
-// requireInsight guards the /v1/insight endpoints: without an analytics
-// engine they do not exist.
-func (s *Server) requireInsight(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.insight == nil {
-			s.fail(w, &httpError{status: http.StatusNotFound,
-				msg: fmt.Sprintf("%s: insight engine not configured", r.URL.Path)})
-			return
-		}
-		h(w, r)
-	}
-}
 
 // insightLimit parses the optional ?limit query (0 = unlimited).
 func insightLimit(r *http.Request) (int, error) {

@@ -6,31 +6,6 @@ import (
 	"time"
 )
 
-// requireLifecycle guards the timeline endpoints: without a lifecycle
-// engine they do not exist, mirroring requireInsight.
-func (s *Server) requireLifecycle(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.lifecycle == nil {
-			s.fail(w, &httpError{status: http.StatusNotFound,
-				msg: fmt.Sprintf("%s: lifecycle engine not configured", r.URL.Path)})
-			return
-		}
-		h(w, r)
-	}
-}
-
-// requireSLO guards GET /v1/slo.
-func (s *Server) requireSLO(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.slo == nil {
-			s.fail(w, &httpError{status: http.StatusNotFound,
-				msg: fmt.Sprintf("%s: slo tracker not configured", r.URL.Path)})
-			return
-		}
-		h(w, r)
-	}
-}
-
 // handleTaskTimeline serves GET /v1/tasks/{id}/timeline: the task's
 // reconstructed life as ordered spans, with durations, the pinned pool
 // version, and the outcome. The rendering is deterministic in the
@@ -57,8 +32,10 @@ func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSLO serves GET /v1/slo: every objective's burn rates and alert
-// state, evaluated at request time.
+// state, evaluated at request time over the HTTP counters as of the
+// request, so it reads current even when no evaluation ticker runs.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
+	s.PollSLO()
 	writeJSON(w, http.StatusOK, s.slo.Snapshot(time.Now().UTC()))
 }
 
@@ -66,8 +43,9 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 // per-endpoint counters: every non-ops request served since the last
 // poll counts good, every non-ops 5xx counts bad. Ops endpoints are
 // excluded so a draining /healthz returning 503 (the probe working as
-// designed) cannot burn availability budget. cmd/juryd calls this on
-// the SLO evaluation ticker; the request hot path carries no SLO
+// designed) cannot burn availability budget. GET /v1/slo and every
+// metrics scrape call this before they evaluate, and cmd/juryd calls it
+// on the SLO evaluation ticker; the request hot path carries no SLO
 // bookkeeping at all.
 func (s *Server) PollSLO() {
 	if s.slo == nil {

@@ -14,6 +14,7 @@ import (
 
 	"juryselect/internal/lifecycle"
 	"juryselect/internal/obs"
+	"juryselect/internal/tasks"
 )
 
 // metrics holds the server's counters: expvar vars owned by the Server
@@ -245,11 +246,7 @@ func (s *Server) collect() *obs.Scrape {
 	if s.insight != nil {
 		// Counters only: the full profiles live behind /v1/insight/*.
 		st := s.insight.Stats()
-		sc.Add("insight.events", st.Events,
-			sc.Family("juryd_insight_events_total", "counter", "Task events consumed by the insight engine."), "")
-		outcome := sc.Family("juryd_insight_tasks_total", "counter", "Tasks observed by the insight engine, by outcome.")
-		sc.Add("insight.tasks_decided", st.TasksDecided, outcome, `outcome="decided"`)
-		sc.Add("insight.tasks_expired", st.TasksExpired, outcome, `outcome="expired"`)
+		addTotals(sc, "insight", st.Totals, st.UnknownTaskEvents)
 		sc.Add("insight.jurors_tracked", st.JurorsTracked,
 			sc.Family("juryd_insight_jurors_tracked", "gauge", "Jurors with insight profiles."), "")
 		sc.Add("insight.pairs_tracked", st.PairsTracked,
@@ -260,41 +257,27 @@ func (s *Server) collect() *obs.Scrape {
 			sc.Family("juryd_insight_calibration_samples_total", "counter", "Verdicts folded into the JER reliability diagram."), "")
 		sc.Add("insight.brier", st.Brier,
 			sc.Family("juryd_insight_brier_score", "gauge", "Brier score of predicted JER against realized error."), "")
-		sc.Set("insight.tasks_created", st.TasksCreated)
-		sc.Set("insight.tasks_open", st.TasksOpen)
-		sc.Set("insight.votes", st.Votes)
-		sc.Set("insight.declines", st.Declines)
-		sc.Set("insight.timeouts", st.Timeouts)
-		sc.Set("insight.unknown_task_events", st.UnknownTaskEvents)
 	}
 
 	if s.lifecycle != nil {
 		// Counters only: timelines and aggregates live behind
 		// /v1/tasks/{id}/timeline and /v1/lifecycle.
 		st := s.lifecycle.Stats()
-		sc.Add("lifecycle.events", st.Events,
-			sc.Family("juryd_lifecycle_events_total", "counter", "Task events consumed by the lifecycle engine."), "")
-		outcome := sc.Family("juryd_lifecycle_tasks_total", "counter", "Tasks observed by the lifecycle engine, by outcome.")
-		sc.Add("lifecycle.tasks_decided", st.TasksDecided, outcome, `outcome="decided"`)
-		sc.Add("lifecycle.tasks_expired", st.TasksExpired, outcome, `outcome="expired"`)
+		addTotals(sc, "lifecycle", st.Totals, st.UnknownTaskEvents)
 		sc.Add("lifecycle.replacements", st.Replacements,
 			sc.Family("juryd_lifecycle_replacements_total", "counter", "Replacement invites observed after task creation."), "")
 		sc.Add("lifecycle.timelines_retained", st.TimelinesRetained,
 			sc.Family("juryd_lifecycle_timelines_retained", "gauge", "Task timelines resident in the engine."), "")
 		sc.Add("lifecycle.timelines_evicted", st.TimelinesEvicted,
 			sc.Family("juryd_lifecycle_timelines_evicted_total", "counter", "Closed timelines evicted at the retention cap."), "")
-		sc.Set("lifecycle.tasks_created", st.TasksCreated)
-		sc.Set("lifecycle.tasks_open", st.TasksOpen)
-		sc.Set("lifecycle.votes", st.Votes)
-		sc.Set("lifecycle.declines", st.Declines)
-		sc.Set("lifecycle.timeouts", st.Timeouts)
-		sc.Set("lifecycle.unknown_task_events", st.UnknownTaskEvents)
 	}
 
 	if s.slo != nil {
-		// One evaluation feeds the JSON block and every juryd_slo_*
-		// family. Every value is finite by construction (burn is 0 on an
-		// empty window), which the exposition parser requires.
+		// One evaluation, over the HTTP counters as of this scrape, feeds
+		// the JSON block and every juryd_slo_* family. Every value is
+		// finite by construction (burn is 0 on an empty window), which
+		// the exposition parser requires.
+		s.PollSLO()
 		snap := s.slo.Snapshot(time.Now().UTC())
 		sc.Set("slo", snap)
 		events := sc.Family("juryd_slo_events_total", "counter", "SLI events by objective and classification.")
@@ -338,6 +321,24 @@ func (s *Server) collect() *obs.Scrape {
 	sc.Set("runtime.num_gc", ms.NumGC)
 	sc.Set("runtime.gc_pause_p99_ns", float64HistQuantile(gcPauses(), 0.99)*1e9)
 	return sc
+}
+
+// addTotals records a derived view's task totals under the view's
+// /metrics block, exporting events and the decided and expired counts
+// as the juryd_<view>_events_total and juryd_<view>_tasks_total
+// families; the rest are JSON only.
+func addTotals(sc *obs.Scrape, view string, t tasks.Totals, unknownTaskEvents int64) {
+	sc.Add(view+".events", t.Events,
+		sc.Family("juryd_"+view+"_events_total", "counter", "Task events consumed by the "+view+" engine."), "")
+	outcome := sc.Family("juryd_"+view+"_tasks_total", "counter", "Tasks observed by the "+view+" engine, by outcome.")
+	sc.Add(view+".tasks_decided", t.TasksDecided, outcome, `outcome="decided"`)
+	sc.Add(view+".tasks_expired", t.TasksExpired, outcome, `outcome="expired"`)
+	sc.Set(view+".tasks_created", t.TasksCreated)
+	sc.Set(view+".tasks_open", t.TasksOpen)
+	sc.Set(view+".votes", t.Votes)
+	sc.Set(view+".declines", t.Declines)
+	sc.Set(view+".timeouts", t.Timeouts)
+	sc.Set(view+".unknown_task_events", unknownTaskEvents)
 }
 
 // buildStats identifies the binary serving the metrics: module version,

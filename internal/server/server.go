@@ -70,8 +70,9 @@ type Config struct {
 	Lifecycle *lifecycle.Engine
 	// SLO is the error-budget tracker. When set, GET /v1/slo is served,
 	// /metrics gains an slo block, and /metrics/prometheus exports
-	// juryd_slo_* series. Feed it via Lifecycle (AttachSLO), the task
-	// store's FsyncObserver, and PollSLO on the evaluation ticker.
+	// juryd_slo_* series. Feed it via Lifecycle (AttachSLO) and the task
+	// store's FsyncObserver; /v1/slo and every scrape call PollSLO, and
+	// an evaluation ticker may call it between scrapes.
 	SLO *lifecycle.SLO
 	// Watchdog flags tasks stuck past their juror timeout with no sweeper
 	// progress; when set, /healthz gains a stall block.
@@ -217,12 +218,12 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/tasks/{id}", s.instrument(epTaskGet, s.handleTaskGet))
 	s.mux.HandleFunc("POST /v1/tasks/{id}/votes", s.instrument(epTaskVote, s.handleTaskVote))
 	s.mux.HandleFunc("POST /v1/tasks/{id}/votes/batch", s.instrument(epTaskVoteBatch, s.handleTaskVoteBatch))
-	s.mux.HandleFunc("GET /v1/insight/jurors", s.instrument(epInsightJurors, s.requireInsight(s.handleInsightJurors)))
-	s.mux.HandleFunc("GET /v1/insight/calibration", s.instrument(epInsightCalibration, s.requireInsight(s.handleInsightCalibration)))
-	s.mux.HandleFunc("GET /v1/insight/agreement", s.instrument(epInsightAgreement, s.requireInsight(s.handleInsightAgreement)))
-	s.mux.HandleFunc("GET /v1/tasks/{id}/timeline", s.instrument(epTaskTimeline, s.requireLifecycle(s.handleTaskTimeline)))
-	s.mux.HandleFunc("GET /v1/lifecycle", s.instrument(epLifecycle, s.requireLifecycle(s.handleLifecycle)))
-	s.mux.HandleFunc("GET /v1/slo", s.instrument(epSLO, s.requireSLO(s.handleSLO)))
+	s.mux.HandleFunc("GET /v1/insight/jurors", s.instrument(epInsightJurors, s.requireView(s.insight != nil, "insight engine", s.handleInsightJurors)))
+	s.mux.HandleFunc("GET /v1/insight/calibration", s.instrument(epInsightCalibration, s.requireView(s.insight != nil, "insight engine", s.handleInsightCalibration)))
+	s.mux.HandleFunc("GET /v1/insight/agreement", s.instrument(epInsightAgreement, s.requireView(s.insight != nil, "insight engine", s.handleInsightAgreement)))
+	s.mux.HandleFunc("GET /v1/tasks/{id}/timeline", s.instrument(epTaskTimeline, s.requireView(s.lifecycle != nil, "lifecycle engine", s.handleTaskTimeline)))
+	s.mux.HandleFunc("GET /v1/lifecycle", s.instrument(epLifecycle, s.requireView(s.lifecycle != nil, "lifecycle engine", s.handleLifecycle)))
+	s.mux.HandleFunc("GET /v1/slo", s.instrument(epSLO, s.requireView(s.slo != nil, "slo tracker", s.handleSLO)))
 	// Ops routes ride the same instrumentation as the /v1 families (PR
 	// 10): scrapes and probes get latency histograms and trace sampling
 	// for free, and the pooled reqWriter keeps the added alloc count at
@@ -232,6 +233,19 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics/prometheus", s.instrument(epOpsMetricsProm, s.handleMetricsProm))
 	s.mux.HandleFunc("GET /debug/traces", s.instrument(epOpsDebugTraces, s.handleDebugTraces))
 	return s
+}
+
+// requireView guards a derived view's routes: on a server built without
+// the view (configured is false) they do not exist, and answer 404
+// naming what is missing.
+func (s *Server) requireView(configured bool, what string, h http.HandlerFunc) http.HandlerFunc {
+	if configured {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.fail(w, &httpError{status: http.StatusNotFound,
+			msg: fmt.Sprintf("%s: %s not configured", r.URL.Path, what)})
+	}
 }
 
 // Handler returns the service's HTTP handler.

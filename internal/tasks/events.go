@@ -24,7 +24,8 @@ import "time"
 //     re-emitted: compaction folds history the journal no longer
 //     carries. A sink rebuilt by replay covers the retained WAL horizon
 //     only (votes on snapshot-restored tasks still arrive, prefixed by
-//     no TaskCreated — sinks should ignore tasks they never saw open).
+//     no TaskCreated — sinks should ignore tasks they never saw open;
+//     Tally below encodes the rule for the counts every sink reports).
 //
 // Sinks are called synchronously under the shard mutex and must not
 // call back into the Store.
@@ -94,6 +95,68 @@ type Event struct {
 // and must not call back into the emitting Store.
 type EventSink interface {
 	TaskEvent(ev Event)
+}
+
+// Totals are the task-level counts every derived view reports. Field
+// order is JSON key order: views embed Totals first in their Stats and
+// Snapshot types.
+type Totals struct {
+	Events       int64 `json:"events"`
+	TasksCreated int64 `json:"tasks_created"`
+	TasksDecided int64 `json:"tasks_decided"`
+	TasksExpired int64 `json:"tasks_expired"`
+	TasksOpen    int64 `json:"tasks_open"`
+	Votes        int64 `json:"votes"`
+	Declines     int64 `json:"declines"`
+	Timeouts     int64 `json:"timeouts"`
+}
+
+// Tally counts a sink's Totals, the replacement invites it saw, and the
+// events it got for tasks it never saw open (Unknown). Such a task's
+// invites, votes and releases still count; its close does not, since the
+// sink never counted it open. Every update is an integer increment, so
+// a tally is order-invariant across tasks. It is not safe for concurrent
+// use: sinks call Observe under their own lock.
+type Tally struct {
+	Totals
+	Replacements int64
+	Unknown      int64
+}
+
+// Observe counts one event. known reports whether the sink saw the
+// task's TaskCreated; a TaskCreated itself ignores it.
+func (t *Tally) Observe(ev Event, known bool) {
+	t.Events++
+	if ev.Type == EvTaskCreated {
+		t.TasksCreated++
+		t.TasksOpen++
+		return
+	}
+	if !known {
+		t.Unknown++
+	}
+	switch ev.Type {
+	case EvJurorInvited:
+		t.Replacements++
+	case EvVoteRecorded:
+		t.Votes++
+	case EvJurorReleased:
+		if ev.Timeout {
+			t.Timeouts++
+		} else {
+			t.Declines++
+		}
+	case EvTaskClosed:
+		if !known {
+			return
+		}
+		t.TasksOpen--
+		if ev.Decided {
+			t.TasksDecided++
+		} else {
+			t.TasksExpired++
+		}
+	}
 }
 
 // multiSink fans one event stream out to several sinks, in order.
