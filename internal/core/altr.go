@@ -48,7 +48,7 @@ func SelectAltr(cands []Juror, opts AltrOptions) (Selection, error) {
 		if err := ValidateCandidates(cands); err != nil {
 			return Selection{}, err
 		}
-		sorted = sortByErrorRate(cands)
+		sorted = SortedByErrorRate(cands)
 	} else if len(sorted) == 0 {
 		return Selection{}, ErrNoCandidates
 	}

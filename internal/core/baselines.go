@@ -65,7 +65,7 @@ func SelectTopK(cands []Juror, k int) (Selection, error) {
 	if k%2 == 0 {
 		return Selection{}, errors.New("core: top-k size must be odd")
 	}
-	sorted := sortByErrorRate(cands)
+	sorted := SortedByErrorRate(cands)
 	jury := append([]Juror(nil), sorted[:k]...)
 	rates := make([]float64, k)
 	for i, j := range jury {

@@ -152,15 +152,25 @@ func totalCost(jurors []Juror) float64 {
 // ties broken by ID — the ordering whose prefixes are size-wise optimal
 // under AltrM (Lemma 3). Exposed for callers that evaluate the prefix
 // juries themselves, e.g. the batch engine's parallel altruistic solver.
-func SortedByErrorRate(cands []Juror) []Juror { return sortByErrorRate(cands) }
+func SortedByErrorRate(cands []Juror) []Juror { return sortByErrorRate(cands, nil) }
 
-// sortByErrorRate returns a copy of cands sorted ascending by ε, breaking
-// ties by ID for determinism. It sorts pointer-free (ε, index) keys with
-// one unstable sort, which moves 16 bytes per swap and pays no write
-// barriers, and gathers the jurors in key order. The index is the last
-// tie-break, so the result is the slice a stable sort yields even when
-// IDs repeat, as inline candidates may.
-func sortByErrorRate(cands []Juror) []Juror {
+// RankByErrorRate returns SortedByErrorRate(cands) together with each
+// candidate's position in it: sorted[rank[i]] is cands[i]. A caller that
+// keeps only the sorted copy can still walk the input order through
+// rank, at 4 bytes per juror. len(cands) must fit in an int32.
+func RankByErrorRate(cands []Juror) (sorted []Juror, rank []int32) {
+	rank = make([]int32, len(cands))
+	return sortByErrorRate(cands, rank), rank
+}
+
+// sortByErrorRate is the one implementation of the Lemma 3 order: a
+// copy of cands sorted ascending by ε, ties broken by ID. It sorts
+// pointer-free (ε, index) keys with one unstable sort, which moves 16
+// bytes per swap and pays no write barriers, and gathers the jurors in
+// key order, recording each one's position in rank when rank is
+// non-nil. The index is the last tie-break, so the result is the slice
+// a stable sort yields even when IDs repeat, as inline candidates may.
+func sortByErrorRate(cands []Juror, rank []int32) []Juror {
 	type key struct {
 		eps float64
 		i   int
@@ -181,6 +191,9 @@ func sortByErrorRate(cands []Juror) []Juror {
 	out := make([]Juror, len(keys))
 	for k, key := range keys {
 		out[k] = cands[key.i]
+		if rank != nil {
+			rank[key.i] = int32(k)
+		}
 	}
 	return out
 }

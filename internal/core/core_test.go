@@ -92,7 +92,7 @@ func TestSelectionAccessors(t *testing.T) {
 
 func TestSortByErrorRateStableDeterministic(t *testing.T) {
 	cands := figure1()
-	sorted := sortByErrorRate(cands)
+	sorted := SortedByErrorRate(cands)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i-1].ErrorRate > sorted[i].ErrorRate {
 			t.Fatalf("not sorted at %d: %v", i, sorted)
@@ -126,7 +126,8 @@ func TestSortByCostQuality(t *testing.T) {
 // same keys and tie-breaks, kept here as the reference. A stable sort is
 // fixed by its comparator, so the orders must agree exactly on inputs
 // with tied ε, tied ε·r at different costs, and duplicate IDs at
-// different costs, which only stability orders.
+// different costs, which only stability orders. RankByErrorRate must
+// return the same order, and its ranks must place every candidate.
 func TestSortsMatchSliceStable(t *testing.T) {
 	refByErrorRate := func(cands []Juror) []Juror {
 		out := append([]Juror(nil), cands...)
@@ -177,8 +178,20 @@ func TestSortsMatchSliceStable(t *testing.T) {
 				productTies++
 			}
 		}
-		if got, want := sortByErrorRate(cands), refByErrorRate(cands); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: sortByErrorRate diverges from sort.SliceStable:\ngot  %v\nwant %v", trial, got, want)
+		want := refByErrorRate(cands)
+		if got := SortedByErrorRate(cands); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: SortedByErrorRate diverges from sort.SliceStable:\ngot  %v\nwant %v", trial, got, want)
+		}
+		sorted, rank := RankByErrorRate(cands)
+		if !slices.Equal(sorted, want) {
+			t.Fatalf("trial %d: RankByErrorRate sorts differently from sort.SliceStable", trial)
+		}
+		placed := make([]bool, n)
+		for i, r := range rank {
+			if placed[r] || sorted[r] != cands[i] {
+				t.Fatalf("trial %d: rank[%d] = %d does not place candidate %d", trial, i, r, i)
+			}
+			placed[r] = true
 		}
 		if got, want := sortByCostQuality(cands), refByCostQuality(cands); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: sortByCostQuality diverges from sort.SliceStable:\ngot  %v\nwant %v", trial, got, want)
@@ -200,7 +213,7 @@ func BenchmarkSortByErrorRate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(sortByErrorRate(cands)) != len(cands) {
+		if len(SortedByErrorRate(cands)) != len(cands) {
 			b.Fatal("short result")
 		}
 	}

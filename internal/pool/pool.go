@@ -16,6 +16,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,6 +60,11 @@ type PoolJuror struct {
 // the store's directory pointer, so a reader holding a *Pool sees one
 // consistent version for as long as it keeps the pointer, with no lock
 // held.
+//
+// Each juror is stored once, in the ε-sorted view selection reads;
+// insertion order is a permutation over that view, and the vote records
+// are kept only once a PATCH has added one. A pool of n jurors retains
+// ~37n bytes besides the ID strings.
 type Pool struct {
 	// Name is the pool's identifier in the store.
 	Name string
@@ -69,11 +75,15 @@ type Pool struct {
 	Version uint64
 	// UpdatedAt is the time the snapshot was published.
 	UpdatedAt time.Time
-	// jurors holds the pool members in insertion order.
-	jurors []PoolJuror
-	// sorted is the ε-ascending view selection reads. It is validated at
-	// ingest, so SelectAltruisticSnapshot runs without re-validation.
+	// sorted is the ε-ascending view selection reads, and the pool's only
+	// juror array. It is validated at ingest, so
+	// SelectAltruisticSnapshot runs without re-validation.
 	sorted []jury.Juror
+	// order is insertion order: the i-th member added is sorted[order[i]].
+	order []int32
+	// votes holds the members' vote records by insertion rank, or nil
+	// while every record is zero, as after any Put.
+	votes []VoteObservation
 	// intervals caches the per-juror credible intervals GET responses
 	// report. They are a pure function of the immutable member list, so
 	// they are computed at most once per snapshot, on first use — the
@@ -94,11 +104,12 @@ type RateInterval struct{ Lo, Hi float64 }
 // its response JSON, and subsequent GETs pay nothing.
 func (p *Pool) CredibleIntervals() []RateInterval {
 	p.intervalsOnce.Do(func() {
-		out := make([]RateInterval, len(p.jurors))
-		for i, m := range p.jurors {
+		out := make([]RateInterval, p.Size())
+		for i := range out {
 			// The pair (posterior mean, prior weight + observed votes)
 			// determines the Beta posterior exactly; pool rates are
 			// validated in (0,1) at ingest, so this cannot fail.
+			m := p.Member(i)
 			lo, hi, err := estimate.CredibleInterval(m.ErrorRate,
 				estimate.DefaultPriorWeight+float64(m.TotalVotes), estimate.DefaultCredibleLevel)
 			if err == nil {
@@ -111,11 +122,17 @@ func (p *Pool) CredibleIntervals() []RateInterval {
 }
 
 // Size returns the number of jurors in the snapshot.
-func (p *Pool) Size() int { return len(p.jurors) }
+func (p *Pool) Size() int { return len(p.sorted) }
 
-// Jurors returns the pool members in insertion order. The slice is shared
-// with the snapshot and must not be mutated.
-func (p *Pool) Jurors() []PoolJuror { return p.jurors }
+// Member returns the i-th member in insertion order, 0 ≤ i < Size(),
+// with its vote record.
+func (p *Pool) Member(i int) PoolJuror {
+	m := PoolJuror{Juror: p.sorted[p.order[i]]}
+	if p.votes != nil {
+		m.WrongVotes, m.TotalVotes = p.votes[i].Wrong, p.votes[i].Total
+	}
+	return m
+}
 
 // Sorted returns the validated, ε-ascending candidate view. The slice is
 // shared with the snapshot and must not be mutated; it feeds
@@ -205,22 +222,30 @@ func (s *Store) Put(name string, jurors []jury.Juror) (*Pool, error) {
 
 // PutAt is Put with an explicit publication time, the form WAL replay
 // uses to republish snapshots byte-identical to the original writes.
+// The pool neither keeps nor reorders jurors.
 func (s *Store) PutAt(name string, jurors []jury.Juror, at time.Time) (*Pool, error) {
-	if err := core.ValidateCandidates(jurors); err != nil {
+	if err := validateMembers(jurors); err != nil {
 		return nil, err
-	}
-	seen := make(map[string]struct{}, len(jurors))
-	members := make([]PoolJuror, len(jurors))
-	for i, j := range jurors {
-		if _, dup := seen[j.ID]; dup {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateJuror, j.ID)
-		}
-		seen[j.ID] = struct{}{}
-		members[i] = PoolJuror{Juror: j}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.publish(name, s.lastVersion[name]+1, members, at), nil
+	return s.publish(newPool(name, s.lastVersion[name]+1, at, jurors, nil)), nil
+}
+
+// validateMembers checks a pool's juror set the way the write path
+// requires it: non-empty, every juror valid, no ID repeated.
+func validateMembers(jurors []jury.Juror) error {
+	if err := core.ValidateCandidates(jurors); err != nil {
+		return err
+	}
+	seen := make(map[string]struct{}, len(jurors))
+	for _, j := range jurors {
+		if _, dup := seen[j.ID]; dup {
+			return fmt.Errorf("%w: %q", ErrDuplicateJuror, j.ID)
+		}
+		seen[j.ID] = struct{}{}
+	}
+	return nil
 }
 
 // Patch applies incremental updates to the named pool and publishes the
@@ -241,12 +266,17 @@ func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrPoolNotFound, name)
 	}
-	// Copy-on-write: mutate a private copy, publish it only when every
-	// update validated.
-	members := append([]PoolJuror(nil), cur.jurors...)
-	index := make(map[string]int, len(members))
-	for i, m := range members {
-		index[m.ID] = i
+	// Copy-on-write: edit private copies of the members and their vote
+	// records in insertion order, and publish them only when every
+	// update validated. The spare capacity takes the inserts.
+	n := cur.Size()
+	members := make([]jury.Juror, n, n+len(updates))
+	votes := make([]VoteObservation, n, n+len(updates))
+	copy(votes, cur.votes)
+	index := make(map[string]int, n)
+	for i, k := range cur.order {
+		members[i] = cur.sorted[k]
+		index[members[i].ID] = i
 	}
 	for _, up := range updates {
 		i, exists := index[up.ID]
@@ -255,7 +285,8 @@ func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool
 			if !exists {
 				return nil, fmt.Errorf("%w: %q", ErrUnknownJuror, up.ID)
 			}
-			members = append(members[:i], members[i+1:]...)
+			members = slices.Delete(members, i, i+1)
+			votes = slices.Delete(votes, i, i+1)
 			delete(index, up.ID)
 			for k := i; k < len(members); k++ {
 				index[members[k].ID] = k
@@ -265,36 +296,37 @@ func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool
 			if up.ErrorRate == nil {
 				return nil, fmt.Errorf("%w: %q (set error_rate to insert)", ErrUnknownJuror, up.ID)
 			}
-			members = append(members, PoolJuror{Juror: jury.Juror{ID: up.ID}})
+			members = append(members, jury.Juror{ID: up.ID})
+			votes = append(votes, VoteObservation{})
 			i = len(members) - 1
 			index[up.ID] = i
 		}
-		m := &members[i]
+		m, rec := &members[i], &votes[i]
 		if up.ErrorRate != nil {
 			m.ErrorRate = *up.ErrorRate
-			m.WrongVotes, m.TotalVotes = 0, 0
+			*rec = VoteObservation{}
 		}
 		if up.Cost != nil {
 			m.Cost = *up.Cost
 		}
 		if v := up.Votes; v != nil {
-			weight := estimate.DefaultPriorWeight + float64(m.TotalVotes)
+			weight := estimate.DefaultPriorWeight + float64(rec.Total)
 			rate, err := estimate.PosteriorRate(m.ErrorRate, weight, v.Wrong, v.Total)
 			if err != nil {
 				return nil, fmt.Errorf("pool: juror %q: %w", up.ID, err)
 			}
 			m.ErrorRate = rate
-			m.WrongVotes += v.Wrong
-			m.TotalVotes += v.Total
+			rec.Wrong += v.Wrong
+			rec.Total += v.Total
 		}
-		if err := m.Juror.Validate(); err != nil {
+		if err := m.Validate(); err != nil {
 			return nil, err
 		}
 	}
 	if len(members) == 0 {
 		return nil, fmt.Errorf("pool: patch would empty pool %q: %w", name, core.ErrNoCandidates)
 	}
-	return s.publish(name, cur.Version+1, members, at), nil
+	return s.publish(newPool(name, cur.Version+1, at, members, votes)), nil
 }
 
 // Delete removes the named pool. It reports whether the pool existed.
@@ -315,51 +347,43 @@ func (s *Store) Delete(name string) bool {
 	return true
 }
 
-// publish builds the immutable snapshot for members and swaps it into a
-// copied directory. Callers hold s.mu and have validated members.
-func (s *Store) publish(name string, version uint64, members []PoolJuror, at time.Time) *Pool {
-	p := newPool(name, version, members, at)
-	s.lastVersion[name] = version
+// publish swaps p into a copied directory. Callers hold s.mu.
+func (s *Store) publish(p *Pool) *Pool {
+	s.lastVersion[p.Name] = p.Version
 	old := *s.dir.Load()
 	next := make(map[string]*Pool, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
-	next[name] = p
+	next[p.Name] = p
 	s.dir.Store(&next)
 	return p
 }
 
-// newPool builds the immutable snapshot of validated members, taking
-// ownership of them.
-func newPool(name string, version uint64, members []PoolJuror, at time.Time) *Pool {
-	cands := make([]jury.Juror, len(members))
-	for i, m := range members {
-		cands[i] = m.Juror
+// newPool builds the immutable snapshot of validated members with one
+// ε sort, the one every Put, Patch, replayed record and Rebuild pays.
+// votes holds the members' records in the same order, or nil; the pool
+// takes ownership of it and keeps it only if some record is non-zero.
+// members is only read.
+func newPool(name string, version uint64, at time.Time, members []jury.Juror, votes []VoteObservation) *Pool {
+	sorted, order := core.RankByErrorRate(members)
+	if !slices.ContainsFunc(votes, func(v VoteObservation) bool { return v != VoteObservation{} }) {
+		votes = nil
 	}
 	return &Pool{
 		Name:      name,
 		Version:   version,
 		UpdatedAt: at,
-		jurors:    members,
-		sorted:    core.SortedByErrorRate(cands),
+		sorted:    sorted,
+		order:     order,
+		votes:     votes,
 	}
-}
-
-// JurorState is the journaled form of one pool member in a pool_put
-// record.
-type JurorState struct {
-	ID         string
-	ErrorRate  float64
-	Cost       float64
-	WrongVotes int64
-	TotalVotes int64
 }
 
 // VersionFloors returns a copy of the per-name version high-water
 // marks, including those of deleted pools: the part of the store state
 // the live pools alone do not carry. A compaction snapshot writes them
-// next to the pools, which it reads in place through List and Jurors.
+// next to the pools, which it reads in place through List and Member.
 func (s *Store) VersionFloors() map[string]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -371,17 +395,18 @@ func (s *Store) VersionFloors() map[string]uint64 {
 }
 
 // Rebuild returns the snapshot of a pool recovered from a compaction
-// snapshot: members in insertion order with their vote records. The
-// pool takes ownership of members. Every juror is validated the way the
-// write path validates it, and the sorted view is rebuilt, so the
-// result equals the snapshot the original writes published.
-func Rebuild(name string, version uint64, updatedAt time.Time, members []PoolJuror) (*Pool, error) {
-	for _, m := range members {
-		if err := m.Juror.Validate(); err != nil {
-			return nil, fmt.Errorf("pool: restoring %q: %w", name, err)
-		}
+// snapshot: jurors in insertion order, and votes nil or their vote
+// records in the same order. The jurors are checked the way the write
+// path checks them — a non-empty set of valid jurors with distinct IDs —
+// and the pool is built by the same sort, so the result equals the
+// snapshot the original writes published. The records are taken as
+// stored: the write path puts no bound on an accumulated record either.
+// jurors is only read; the pool takes ownership of votes.
+func Rebuild(name string, version uint64, updatedAt time.Time, jurors []jury.Juror, votes []VoteObservation) (*Pool, error) {
+	if err := validateMembers(jurors); err != nil {
+		return nil, fmt.Errorf("pool: restoring %q: %w", name, err)
 	}
-	return newPool(name, version, members, updatedAt), nil
+	return newPool(name, version, updatedAt, jurors, votes), nil
 }
 
 // Install replaces the store contents with recovered pools (built by

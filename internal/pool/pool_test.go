@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"juryselect/internal/core"
 	"juryselect/internal/estimate"
@@ -27,6 +30,15 @@ func testJurors(n int) []jury.Juror {
 }
 
 func f64(v float64) *float64 { return &v }
+
+// members returns p's members in insertion order.
+func members(p *Pool) []PoolJuror {
+	out := make([]PoolJuror, p.Size())
+	for i := range out {
+		out[i] = p.Member(i)
+	}
+	return out
+}
 
 func TestStorePutCreatesVersionedPool(t *testing.T) {
 	s := NewStore()
@@ -88,7 +100,7 @@ func TestStoreSortedViewIsSorted(t *testing.T) {
 		}
 	}
 	// Insertion order preserved on the member view.
-	if got := p.Jurors()[0].ID; got != "c" {
+	if got := p.Member(0).ID; got != "c" {
 		t.Errorf("insertion order lost: first member %q", got)
 	}
 }
@@ -110,7 +122,7 @@ func TestStorePatchSetRemoveInsert(t *testing.T) {
 		t.Fatalf("got version %d size %d, want 2/4", p.Version, p.Size())
 	}
 	byID := map[string]PoolJuror{}
-	for _, m := range p.Jurors() {
+	for _, m := range members(p) {
 		byID[m.ID] = m
 	}
 	if byID["j000"].ErrorRate != 0.42 {
@@ -136,7 +148,7 @@ func TestStorePatchVotesReestimateRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a PoolJuror
-	for _, m := range p.Jurors() {
+	for _, m := range members(p) {
 		if m.ID == "a" {
 			a = m
 		}
@@ -160,7 +172,7 @@ func TestStorePatchVotesReestimateRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range p.Jurors() {
+	for _, m := range members(p) {
 		if m.ID == "a" {
 			a = m
 		}
@@ -177,7 +189,7 @@ func TestStorePatchVotesReestimateRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range p.Jurors() {
+	for _, m := range members(p) {
 		if m.ID == "a" && (m.WrongVotes != 0 || m.TotalVotes != 0) {
 			t.Errorf("vote record not reset: %d/%d", m.WrongVotes, m.TotalVotes)
 		}
@@ -250,8 +262,8 @@ func TestStoreListSortedByName(t *testing.T) {
 
 // TestStoreConcurrentReadersSeeConsistentSnapshots hammers Get/Patch/Put
 // concurrently (run with -race): every snapshot a reader observes must be
-// internally consistent — version, member count, and sorted view all from
-// one publication.
+// internally consistent — version, member count, sorted view, members in
+// insertion order and their credible intervals all from one publication.
 func TestStoreConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 	s := NewStore()
 	if _, err := s.Put("crowd", testJurors(9)); err != nil {
@@ -300,6 +312,15 @@ func TestStoreConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 						t.Error("torn snapshot: sorted view out of order")
 						return
 					}
+				}
+				var votes int64
+				for k := range p.Size() {
+					votes += p.Member(k).TotalVotes
+				}
+				if want := int64(p.Version - 1); votes != want || len(p.CredibleIntervals()) != p.Size() {
+					t.Errorf("torn snapshot: v%d holds %d votes and %d intervals for %d members",
+						p.Version, votes, len(p.CredibleIntervals()), p.Size())
+					return
 				}
 			}
 		}()
@@ -394,65 +415,329 @@ func TestStoreVersionSurvivesDeleteAndRecreate(t *testing.T) {
 	}
 }
 
-// TestSortedViewMatchesStableSort checks every snapshot's ε view against
-// core.SortedByErrorRate of its members: after a PUT, after each step of
-// a random PATCH sequence and through Rebuild, on pools whose ε values
-// tie heavily and whose insertion order is not ID order.
+// modelPut and modelPatch are the insertion-order write path over
+// []PoolJuror that the store ran before it kept each juror once, kept as
+// the model the store must agree with.
+func modelPut(jurors []jury.Juror) ([]PoolJuror, error) {
+	if err := core.ValidateCandidates(jurors); err != nil {
+		return nil, err
+	}
+	seen := make(map[string]struct{}, len(jurors))
+	members := make([]PoolJuror, len(jurors))
+	for i, j := range jurors {
+		if _, dup := seen[j.ID]; dup {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateJuror, j.ID)
+		}
+		seen[j.ID] = struct{}{}
+		members[i] = PoolJuror{Juror: j}
+	}
+	return members, nil
+}
+
+func modelPatch(name string, cur []PoolJuror, updates []JurorUpdate) ([]PoolJuror, error) {
+	if len(updates) == 0 {
+		return nil, ErrNoUpdates
+	}
+	members := append([]PoolJuror(nil), cur...)
+	index := make(map[string]int, len(members))
+	for i, m := range members {
+		index[m.ID] = i
+	}
+	for _, up := range updates {
+		i, exists := index[up.ID]
+		switch {
+		case up.Remove:
+			if !exists {
+				return nil, fmt.Errorf("%w: %q", ErrUnknownJuror, up.ID)
+			}
+			members = append(members[:i], members[i+1:]...)
+			delete(index, up.ID)
+			for k := i; k < len(members); k++ {
+				index[members[k].ID] = k
+			}
+			continue
+		case !exists:
+			if up.ErrorRate == nil {
+				return nil, fmt.Errorf("%w: %q (set error_rate to insert)", ErrUnknownJuror, up.ID)
+			}
+			members = append(members, PoolJuror{Juror: jury.Juror{ID: up.ID}})
+			i = len(members) - 1
+			index[up.ID] = i
+		}
+		m := &members[i]
+		if up.ErrorRate != nil {
+			m.ErrorRate = *up.ErrorRate
+			m.WrongVotes, m.TotalVotes = 0, 0
+		}
+		if up.Cost != nil {
+			m.Cost = *up.Cost
+		}
+		if v := up.Votes; v != nil {
+			weight := estimate.DefaultPriorWeight + float64(m.TotalVotes)
+			rate, err := estimate.PosteriorRate(m.ErrorRate, weight, v.Wrong, v.Total)
+			if err != nil {
+				return nil, fmt.Errorf("pool: juror %q: %w", up.ID, err)
+			}
+			m.ErrorRate = rate
+			m.WrongVotes += v.Wrong
+			m.TotalVotes += v.Total
+		}
+		if err := m.Juror.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	if len(members) == 0 {
+		return nil, fmt.Errorf("pool: patch would empty pool %q: %w", name, core.ErrNoCandidates)
+	}
+	return members, nil
+}
+
+// modelIntervals is CredibleIntervals computed over model members.
+func modelIntervals(members []PoolJuror) []RateInterval {
+	out := make([]RateInterval, len(members))
+	for i, m := range members {
+		lo, hi, err := estimate.CredibleInterval(m.ErrorRate,
+			estimate.DefaultPriorWeight+float64(m.TotalVotes), estimate.DefaultCredibleLevel)
+		if err == nil {
+			out[i] = RateInterval{Lo: lo, Hi: hi}
+		}
+	}
+	return out
+}
+
+// randomPatch draws one patch over the model's members: rate, cost and
+// vote updates, removes and inserts, one ID named twice (remove then
+// re-insert, insert then votes, insert then remove), and now and then an
+// update the store must reject.
+func randomPatch(rng *rand.Rand, model []PoolJuror, rates []float64, fresh *int) []JurorUpdate {
+	rate := func() *float64 { return f64(rates[rng.Intn(len(rates))]) }
+	votes := func() *VoteObservation {
+		total := int64(1 + rng.Intn(10))
+		return &VoteObservation{Wrong: rng.Int63n(total + 1), Total: total}
+	}
+	newID := func() string {
+		*fresh++
+		return fmt.Sprintf("j%d", *fresh)
+	}
+	if rng.Intn(40) == 0 {
+		return nil
+	}
+	if rng.Intn(40) == 0 {
+		ups := make([]JurorUpdate, len(model))
+		for i, m := range model {
+			ups[i] = JurorUpdate{ID: m.ID, Remove: true}
+		}
+		return ups
+	}
+	var ups []JurorUpdate
+	for k := 1 + rng.Intn(4); k > 0; k-- {
+		id := model[rng.Intn(len(model))].ID
+		switch op := rng.Intn(24); {
+		case op < 4:
+			ups = append(ups, JurorUpdate{ID: id, ErrorRate: rate()})
+		case op < 8:
+			ups = append(ups, JurorUpdate{ID: id, Votes: votes()})
+		case op < 10:
+			ups = append(ups, JurorUpdate{ID: id, Cost: f64(float64(rng.Intn(3)))})
+		case op < 13:
+			ups = append(ups, JurorUpdate{ID: id, Remove: true})
+		case op < 16:
+			ups = append(ups, JurorUpdate{ID: newID(), ErrorRate: rate(), Cost: f64(float64(rng.Intn(3)))})
+		case op < 18:
+			ups = append(ups, JurorUpdate{ID: id, Remove: true}, JurorUpdate{ID: id, ErrorRate: rate(), Votes: votes()})
+		case op < 20:
+			id := newID()
+			ups = append(ups, JurorUpdate{ID: id, ErrorRate: rate()}, JurorUpdate{ID: id, Votes: votes()})
+		case op < 21:
+			id := newID()
+			ups = append(ups, JurorUpdate{ID: id, ErrorRate: rate()}, JurorUpdate{ID: id, Remove: true})
+		case op < 22:
+			ups = append(ups, JurorUpdate{ID: newID(), Cost: f64(1)}) // unknown, no rate
+		case op < 23:
+			ups = append(ups, JurorUpdate{ID: id, ErrorRate: f64(1.5)})
+		default:
+			ups = append(ups, JurorUpdate{ID: id, Votes: &VoteObservation{Wrong: 3, Total: 2}})
+		}
+	}
+	return ups
+}
+
+// randomJurors draws n jurors whose ε values tie heavily and whose
+// insertion order is not ID order; now and then one repeats an ID or has
+// an invalid rate, which a PUT must reject.
+func randomJurors(rng *rand.Rand, n int, rates []float64, fresh *int) []jury.Juror {
+	jurors := make([]jury.Juror, n)
+	for i, k := range rng.Perm(n) {
+		jurors[i] = jury.Juror{ID: fmt.Sprintf("j%d", *fresh+k), ErrorRate: rates[rng.Intn(len(rates))], Cost: float64(rng.Intn(3))}
+	}
+	*fresh += n
+	switch rng.Intn(12) {
+	case 0:
+		jurors[rng.Intn(n)].ID = jurors[rng.Intn(n)].ID
+	case 1:
+		jurors[rng.Intn(n)].ErrorRate = 0
+	}
+	return jurors
+}
+
+// TestSortedViewMatchesStableSort drives random PUT and PATCH sequences
+// through the store and through modelPut/modelPatch. At every step the
+// store must give what the model gives: the same members in insertion
+// order with their vote records (kept only while one is non-zero), a
+// sorted view equal to core.SortedByErrorRate of those members, the same
+// credible intervals, and the same error text for a rejected write,
+// which publishes nothing. Rebuild of the members must reproduce the
+// version.
 func TestSortedViewMatchesStableSort(t *testing.T) {
 	rates := []float64{0.05, 0.1, 0.2, 0.3, 0.4}
 	rng := rand.New(rand.NewSource(11))
-	check := func(p *Pool, where string) {
+	check := func(p *Pool, want []PoolJuror, where string) {
 		t.Helper()
-		cands := make([]jury.Juror, p.Size())
-		for i, m := range p.Jurors() {
-			cands[i] = m.Juror
+		if got := members(p); !slices.Equal(got, want) {
+			t.Fatalf("%s: members diverge from the model:\ngot  %v\nwant %v", where, got, want)
 		}
-		if want := core.SortedByErrorRate(cands); !slices.Equal(p.Sorted(), want) {
-			t.Fatalf("%s: sorted view diverges from core.SortedByErrorRate:\ngot  %v\nwant %v", where, p.Sorted(), want)
+		cands := make([]jury.Juror, len(want))
+		votes := make([]VoteObservation, len(want))
+		recorded := false
+		for i, m := range want {
+			cands[i], votes[i] = m.Juror, VoteObservation{Wrong: m.WrongVotes, Total: m.TotalVotes}
+			recorded = recorded || m.WrongVotes != 0 || m.TotalVotes != 0
 		}
-		if r, err := Rebuild(p.Name, p.Version, p.UpdatedAt, slices.Clone(p.Jurors())); err != nil || !slices.Equal(r.Sorted(), p.Sorted()) {
-			t.Fatalf("%s: Rebuild sorts differently (err %v)", where, err)
+		if w := core.SortedByErrorRate(cands); !slices.Equal(p.Sorted(), w) {
+			t.Fatalf("%s: sorted view diverges from core.SortedByErrorRate:\ngot  %v\nwant %v", where, p.Sorted(), w)
+		}
+		if (p.votes != nil) != recorded {
+			t.Fatalf("%s: vote records kept = %v, some record non-zero = %v", where, p.votes != nil, recorded)
+		}
+		if !slices.Equal(p.CredibleIntervals(), modelIntervals(want)) {
+			t.Fatalf("%s: credible intervals diverge from the model", where)
+		}
+		r, err := Rebuild(p.Name, p.Version, p.UpdatedAt, cands, votes)
+		if err != nil || !slices.Equal(r.Sorted(), p.Sorted()) || !slices.Equal(r.order, p.order) ||
+			!slices.Equal(r.votes, p.votes) || r.Version != p.Version || !r.UpdatedAt.Equal(p.UpdatedAt) {
+			t.Fatalf("%s: Rebuild does not reproduce the version (err %v)", where, err)
 		}
 	}
+	// agree requires the store and the model to accept or reject alike,
+	// with the same error text, and a rejection to publish nothing.
+	agree := func(s *Store, before *Pool, err, werr error, where string) bool {
+		t.Helper()
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("%s: store error %v, model error %v", where, err, werr)
+		}
+		if cur, _ := s.Get("crowd"); err != nil && cur != before {
+			t.Fatalf("%s: rejected write published a new snapshot", where)
+		}
+		return err == nil
+	}
+	rejected := 0
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(200)
 		if trial == 0 {
 			n = 1001
 		}
-		jurors := make([]jury.Juror, n)
-		for i, k := range rng.Perm(n) {
-			jurors[i] = jury.Juror{ID: fmt.Sprintf("j%d", k), ErrorRate: rates[rng.Intn(len(rates))], Cost: float64(rng.Intn(3))}
-		}
 		s := NewStore()
-		p, err := s.Put("crowd", jurors)
-		if err != nil {
+		var (
+			p     *Pool
+			model []PoolJuror
+			fresh int
+		)
+		for p == nil {
+			jurors := randomJurors(rng, n, rates, &fresh)
+			input := slices.Clone(jurors)
+			got, err := s.Put("crowd", jurors)
+			want, werr := modelPut(jurors)
+			if !slices.Equal(jurors, input) {
+				t.Fatalf("trial %d: Put reordered or changed its input", trial)
+			}
+			if agree(s, nil, err, werr, fmt.Sprintf("trial %d put", trial)) {
+				p, model = got, want
+			}
+		}
+		check(p, model, fmt.Sprintf("trial %d put", trial))
+		for step := 0; step < 25; step++ {
+			where := fmt.Sprintf("trial %d step %d", trial, step)
+			if rng.Intn(20) == 0 {
+				jurors := randomJurors(rng, 1+rng.Intn(50), rates, &fresh)
+				got, err := s.Put("crowd", jurors)
+				want, werr := modelPut(jurors)
+				if agree(s, p, err, werr, where+" put") {
+					p, model = got, want
+					check(p, model, where+" put")
+				} else {
+					rejected++
+				}
+				continue
+			}
+			ups := randomPatch(rng, model, rates, &fresh)
+			got, err := s.Patch("crowd", ups)
+			want, werr := modelPatch("crowd", model, ups)
+			if !agree(s, p, err, werr, where) {
+				rejected++
+				continue
+			}
+			p, model = got, want
+			check(p, model, where)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no write was rejected")
+	}
+}
+
+// TestRebuildRejectsWhatTheWritePathRejects: a snapshot's pool section
+// is read from disk, so Rebuild refuses every juror set a PUT or PATCH
+// could never have published.
+func TestRebuildRejectsWhatTheWritePathRejects(t *testing.T) {
+	j := func(id string, rate float64) jury.Juror { return jury.Juror{ID: id, ErrorRate: rate} }
+	cases := []struct {
+		name   string
+		jurors []jury.Juror
+		want   error
+	}{
+		{"repeated id", []jury.Juror{j("a", 0.1), j("b", 0.2), j("a", 0.3)}, ErrDuplicateJuror},
+		{"no members", nil, core.ErrNoCandidates},
+		{"invalid rate", []jury.Juror{j("a", 0)}, nil},
+	}
+	for _, tc := range cases {
+		_, err := Rebuild("crowd", 3, time.Time{}, tc.jurors, nil)
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: Rebuild error = %v, want %v", tc.name, err, tc.want)
+		} else if !strings.Contains(err.Error(), `"crowd"`) {
+			t.Errorf("%s: error %q does not name the pool", tc.name, err)
+		}
+	}
+}
+
+// TestPoolRetainedBytes guards the bytes a PUT pool retains: 64 pools of
+// 1,001 jurors, from inputs kept alive so the ID strings are shared,
+// hold at most 40 B per juror after a GC — the ε-sorted view and the
+// 4-byte insertion permutation, ~37 B with the slices' size classes.
+func TestPoolRetainedBytes(t *testing.T) {
+	const pools, n = 64, 1001
+	inputs := make([][]jury.Juror, pools)
+	names := make([]string, pools)
+	for i := range inputs {
+		inputs[i], names[i] = testJurors(n), fmt.Sprintf("p%02d", i)
+	}
+	s := NewStore()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, jurors := range inputs {
+		if _, err := s.Put(names[i], jurors); err != nil {
 			t.Fatal(err)
 		}
-		check(p, fmt.Sprintf("trial %d put", trial))
-		fresh := n
-		for step := 0; step < 25; step++ {
-			members := p.Jurors()
-			k := 1 + rng.Intn(min(4, len(members)))
-			var ups []JurorUpdate
-			for _, i := range rng.Perm(len(members))[:k] {
-				id := members[i].ID
-				switch op := rng.Intn(4); {
-				case op == 0:
-					ups = append(ups, JurorUpdate{ID: id, ErrorRate: f64(rates[rng.Intn(len(rates))])})
-				case op == 1:
-					total := int64(1 + rng.Intn(10))
-					ups = append(ups, JurorUpdate{ID: id, Votes: &VoteObservation{Wrong: rng.Int63n(total + 1), Total: total}})
-				case op == 2 && len(members) > k:
-					ups = append(ups, JurorUpdate{ID: id, Remove: true})
-				default:
-					ups = append(ups, JurorUpdate{ID: fmt.Sprintf("j%d", fresh), ErrorRate: f64(rates[rng.Intn(len(rates))])})
-					fresh++
-				}
-			}
-			if p, err = s.Patch("crowd", ups); err != nil {
-				t.Fatal(err)
-			}
-			check(p, fmt.Sprintf("trial %d patch %d", trial, step))
-		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perJuror := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (pools * n)
+	runtime.KeepAlive(inputs)
+	if s.Len() != pools {
+		t.Fatalf("store holds %d pools, want %d", s.Len(), pools)
+	}
+	t.Logf("%.1f B retained per juror", perJuror)
+	if perJuror > 40 {
+		t.Fatalf("pools retain %.1f B per juror, want at most 40", perJuror)
 	}
 }

@@ -175,7 +175,8 @@ func poolResponse(p *pool.Pool, includeJurors bool) PoolResponse {
 	if includeJurors {
 		intervals := p.CredibleIntervals()
 		out.Jurors = make([]PoolJurorJSON, p.Size())
-		for i, m := range p.Jurors() {
+		for i := range out.Jurors {
+			m := p.Member(i)
 			out.Jurors[i] = PoolJurorJSON{
 				ID:         m.ID,
 				ErrorRate:  m.ErrorRate,

@@ -90,9 +90,8 @@ func TestSelectCacheParityUnderMutation(t *testing.T) {
 				}
 				break
 			}
-			members := p.Jurors()
 			rate := 0.02 + 0.46*rng.Float64()
-			up := pool.JurorUpdate{ID: members[rng.Intn(len(members))].ID, ErrorRate: &rate}
+			up := pool.JurorUpdate{ID: p.Member(rng.Intn(p.Size())).ID, ErrorRate: &rate}
 			if _, err := store.PatchPool(name, []pool.JurorUpdate{up}); err != nil {
 				t.Fatal(err)
 			}

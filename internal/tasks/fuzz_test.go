@@ -71,7 +71,7 @@ func encodeSection(f snapFrame) ([]byte, error) {
 	case secHeader:
 		return appendHeaderSection(nil, &f.header), nil
 	case secPool:
-		return appendPoolSection(nil, f.pool.name, f.pool.version, f.pool.updatedAt, f.pool.members), nil
+		return appendPoolSection(nil, f.pool), nil
 	case secView:
 		return appendViewSection(nil, f.view, f.jurors), nil
 	case secTask:

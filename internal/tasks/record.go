@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"juryselect/internal/pool"
+	"juryselect/jury"
 )
 
 // WAL record types. Every record is a mutation that already passed
@@ -39,9 +40,10 @@ type record struct {
 	Type string
 	At   time.Time
 
-	// Pool mutations.
+	// Pool mutations. Jurors is the PUT's juror set as the caller passed
+	// it, in insertion order.
 	Pool    string
-	Jurors  []pool.JurorState
+	Jurors  []jury.Juror
 	Updates []pool.JurorUpdate
 
 	// Task mutations.
@@ -185,8 +187,9 @@ func encodeRecord(buf []byte, rec *record) ([]byte, error) {
 			buf = appendStr(buf, j.ID)
 			buf = appendF64(buf, j.ErrorRate)
 			buf = appendF64(buf, j.Cost)
-			buf = binary.AppendVarint(buf, j.WrongVotes)
-			buf = binary.AppendVarint(buf, j.TotalVotes)
+			// The wrong and total vote varints: a PUT starts every
+			// record empty, so both are 0, one byte each.
+			buf = append(buf, 0, 0)
 		}
 		return buf, nil
 	case recPoolPatch:
@@ -461,12 +464,11 @@ func decodeRecord(payload []byte, tab *internTable) (record, error) {
 		rec.Type = recPoolPut
 		rec.At = r.time()
 		rec.Pool = r.str()
-		rec.Jurors = make([]pool.JurorState, r.count(minMemberLen))
+		rec.Jurors = make([]jury.Juror, r.count(minMemberLen))
 		for i := range rec.Jurors {
-			rec.Jurors[i] = pool.JurorState{
-				ID: r.str(), ErrorRate: r.f64(), Cost: r.f64(),
-				WrongVotes: r.varint(), TotalVotes: r.varint(),
-			}
+			rec.Jurors[i] = jury.Juror{ID: r.str(), ErrorRate: r.f64(), Cost: r.f64()}
+			r.varint() // wrong and total votes, always 0 in a PUT
+			r.varint()
 		}
 	case tagPoolPatch:
 		rec.Type = recPoolPatch

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"juryselect/internal/pool"
+	"juryselect/jury"
 )
 
 func f64p(v float64) *float64 { return &v }
@@ -35,8 +36,8 @@ func codecRecords() []record {
 			Spec: &Spec{Pool: "p", Strategy: StrategyAltr, TargetConfidence: 1,
 				MaxInvites: 2, JurorTimeout: time.Second, ExpiresIn: time.Second},
 			Jury: []recJuror{}},
-		{Type: recPoolPut, At: utc, Pool: "crowd", Jurors: []pool.JurorState{
-			{ID: "a", ErrorRate: 0.1, Cost: 2}, {ID: "b", ErrorRate: 0.3, WrongVotes: 4, TotalVotes: 9}}},
+		{Type: recPoolPut, At: utc, Pool: "crowd", Jurors: []jury.Juror{
+			{ID: "a", ErrorRate: 0.1, Cost: 2}, {ID: "b", ErrorRate: 0.3}}},
 		{Type: recPoolPatch, At: utc, Pool: "crowd", Updates: []pool.JurorUpdate{
 			{ID: "a", ErrorRate: f64p(0.2)},
 			{ID: "b", Cost: f64p(3.5), Votes: &pool.VoteObservation{Wrong: 1, Total: 5}},
@@ -124,7 +125,7 @@ func TestRecordEncodeAllocFree(t *testing.T) {
 func TestOpenRefusesJSONFramedWAL(t *testing.T) {
 	legacy := []byte(`{"t":"pool_put","at":"2026-07-01T12:00:00Z","pool":"p","jurors":[{"id":"a","error_rate":0.1}]}`)
 	put := record{Type: recPoolPut, At: time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC), Pool: "p",
-		Jurors: []pool.JurorState{{ID: "a", ErrorRate: 0.1}, {ID: "b", ErrorRate: 0.2}}}
+		Jurors: []jury.Juror{{ID: "a", ErrorRate: 0.1}, {ID: "b", ErrorRate: 0.2}}}
 	binary, err := encodeRecord(nil, &put)
 	if err != nil {
 		t.Fatal(err)

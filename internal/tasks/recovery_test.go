@@ -33,7 +33,11 @@ func storeFingerprint(t *testing.T, s *Store) []byte {
 		Tasks  []View            `json:"tasks"`
 	}{Floors: s.Pools().VersionFloors(), Tasks: s.List("")}
 	for _, p := range s.Pools().List() {
-		doc.Pools = append(doc.Pools, poolPrint{p.Name, p.Version, p.UpdatedAt, p.Jurors()})
+		members := make([]pool.PoolJuror, p.Size())
+		for i := range members {
+			members[i] = p.Member(i)
+		}
+		doc.Pools = append(doc.Pools, poolPrint{p.Name, p.Version, p.UpdatedAt, members})
 	}
 	raw, err := json.MarshalIndent(doc, "", " ")
 	if err != nil {

@@ -105,15 +105,6 @@ type snapHeader struct {
 	floors   map[string]uint64
 }
 
-// poolSection is a pool section: one pool version, members in
-// insertion order.
-type poolSection struct {
-	name      string
-	version   uint64
-	updatedAt time.Time
-	members   []pool.PoolJuror
-}
-
 // snapCounts is the trailer: the number of sections of each kind.
 type snapCounts struct{ pools, views, tasks uint64 }
 
@@ -121,7 +112,7 @@ type snapCounts struct{ pools, views, tasks uint64 }
 type snapFrame struct {
 	kind   byte
 	header snapHeader   // secHeader
-	pool   poolSection  // secPool
+	pool   *pool.Pool   // secPool
 	view   viewKey      // secView
 	jurors []jury.Juror // secView
 	task   *task        // secTask, without its candidates
@@ -147,13 +138,16 @@ func appendHeaderSection(b []byte, h *snapHeader) []byte {
 	return b
 }
 
-func appendPoolSection(b []byte, name string, version uint64, updatedAt time.Time, members []pool.PoolJuror) []byte {
+// appendPoolSection encodes p's members in insertion order, walking
+// the pool's order in place.
+func appendPoolSection(b []byte, p *pool.Pool) []byte {
 	b = append(b, secPool)
-	b = appendStr(b, name)
-	b = binary.AppendUvarint(b, version)
-	b = appendTime(b, updatedAt)
-	b = binary.AppendUvarint(b, uint64(len(members)))
-	for _, m := range members {
+	b = appendStr(b, p.Name)
+	b = binary.AppendUvarint(b, p.Version)
+	b = appendTime(b, p.UpdatedAt)
+	b = binary.AppendUvarint(b, uint64(p.Size()))
+	for i := range p.Size() {
+		m := p.Member(i)
 		b = appendStr(b, m.ID)
 		b = appendF64(b, m.ErrorRate)
 		b = appendF64(b, m.Cost)
@@ -251,15 +245,22 @@ func decodeSnapshotFrame(payload []byte, tab *internTable) (snapFrame, error) {
 			h.floors[name] = r.uvarint()
 		}
 	case secPool:
-		p := &f.pool
-		p.name = r.str()
-		p.version = r.uvarint()
-		p.updatedAt = r.time()
-		p.members = make([]pool.PoolJuror, r.count(minMemberLen))
-		for i := range p.members {
-			m := &p.members[i]
-			m.ID, m.ErrorRate, m.Cost = r.str(), r.f64(), r.f64()
-			m.WrongVotes, m.TotalVotes = r.varint(), r.varint()
+		name, version, updatedAt := r.str(), r.uvarint(), r.time()
+		jurors := make([]jury.Juror, r.count(minMemberLen))
+		votes := make([]pool.VoteObservation, len(jurors))
+		for i := range jurors {
+			jurors[i] = jury.Juror{ID: r.str(), ErrorRate: r.f64(), Cost: r.f64()}
+			votes[i] = pool.VoteObservation{Wrong: r.varint(), Total: r.varint()}
+		}
+		if r.err == nil {
+			// A section that decodes is rebuilt and checked as the write
+			// path checks a pool: a repeated ID, an empty set or an
+			// invalid juror fails the snapshot.
+			p, err := pool.Rebuild(name, version, updatedAt, jurors, votes)
+			if err != nil {
+				return f, err
+			}
+			f.pool = p
 		}
 	case secView:
 		f.view = viewKey{pool: r.str(), version: r.uvarint()}
@@ -419,12 +420,9 @@ func (s *Store) restore(fr *frameReader) error {
 			}
 			hdr = f.header
 		case secPool:
-			if len(pools) > 0 && f.pool.name <= pools[len(pools)-1].Name {
-				return fmt.Errorf("pool %q out of name order", f.pool.name)
-			}
-			p, err := pool.Rebuild(f.pool.name, f.pool.version, f.pool.updatedAt, f.pool.members)
-			if err != nil {
-				return err
+			p := f.pool
+			if len(pools) > 0 && p.Name <= pools[len(pools)-1].Name {
+				return fmt.Errorf("pool %q out of name order", p.Name)
 			}
 			pools = append(pools, p)
 			byName[p.Name] = p
@@ -512,7 +510,7 @@ func (s *Store) encodeSnapshot(w *bufio.Writer, epoch uint64) error {
 		return err
 	}
 	for _, p := range s.pools.List() {
-		if err := sw.put(appendPoolSection(sw.buf, p.Name, p.Version, p.UpdatedAt, p.Jurors())); err != nil {
+		if err := sw.put(appendPoolSection(sw.buf, p)); err != nil {
 			return err
 		}
 		counts.pools++

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"juryselect/internal/core"
 	"juryselect/internal/pool"
 	"juryselect/jury"
 )
@@ -439,5 +442,125 @@ func TestOpenRejectsDamagedSnapshot(t *testing.T) {
 	defer s2.Close() //nolint:errcheck
 	if got := storeFingerprint(t, s2); !bytes.Equal(got, want) {
 		t.Fatal("intact snapshot no longer recovers the store")
+	}
+}
+
+// TestOpenRejectsInvalidPoolSection: a pool section that passes its CRC
+// check but holds what the write path never publishes — a repeated
+// juror ID, or no member at all — fails Open with an error naming the
+// pool, as any damaged snapshot does.
+func TestOpenRejectsInvalidPoolSection(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	s, err := Open(Config{Dir: dir, Sync: SyncOff, Now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutPool("crowd", []jury.Juror{{ID: "a", ErrorRate: 0.1}, {ID: "b", ErrorRate: 0.2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sections := snapshotSections(t, dir)
+	if len(sections) != 3 || sections[1].kind != secPool {
+		t.Fatalf("snapshot sections %d, want header, pool, trailer", len(sections))
+	}
+	p := sections[1].pool
+	// poolSection encodes a pool section from raw members, which
+	// appendPoolSection, reading a built pool, cannot express.
+	poolSection := func(members ...jury.Juror) []byte {
+		b := []byte{secPool}
+		b = appendStr(b, p.Name)
+		b = binary.AppendUvarint(b, p.Version)
+		b = appendTime(b, p.UpdatedAt)
+		b = binary.AppendUvarint(b, uint64(len(members)))
+		for _, m := range members {
+			b = appendStr(b, m.ID)
+			b = appendF64(b, m.ErrorRate)
+			b = appendF64(b, m.Cost)
+			b = append(b, 0, 0)
+		}
+		return b
+	}
+	if got, want := poolSection(p.Member(0).Juror, p.Member(1).Juror), appendPoolSection(nil, p); !bytes.Equal(got, want) {
+		t.Fatalf("hand-built pool section differs from appendPoolSection:\n%x\n%x", got, want)
+	}
+	for _, tc := range []struct {
+		name    string
+		section []byte
+		want    error
+	}{
+		{"repeated id", poolSection(jury.Juror{ID: "a", ErrorRate: 0.1}, jury.Juror{ID: "a", ErrorRate: 0.2}), pool.ErrDuplicateJuror},
+		{"no members", poolSection(), core.ErrNoCandidates},
+	} {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		var hdr [walFrameOverhead]byte
+		for _, payload := range [][]byte{appendHeaderSection(nil, &sections[0].header), tc.section,
+			appendTrailerSection(nil, sections[2].counts)} {
+			if err := writeFrame(w, &hdr, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, snapshotFileName), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Config{Dir: dir, Sync: SyncOff, Now: clk.now})
+		if err == nil {
+			s.Close() //nolint:errcheck
+			t.Fatalf("%s: Open accepted the snapshot", tc.name)
+		}
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), `"crowd"`) {
+			t.Errorf("%s: Open error %q, want %v naming pool \"crowd\"", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestOpenRestoresEveryRecordThePatchPathWrites: a snapshot holds the
+// vote records PATCHes accumulated, and a PATCH bounds only each batch,
+// not the record. Records at the int64 edge — one total wrapped by two
+// accepted batches — must survive compaction and reopen unchanged.
+func TestOpenRestoresEveryRecordThePatchPathWrites(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	s, err := Open(Config{Dir: dir, Sync: SyncOff, Now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutPool("crowd", []jury.Juror{{ID: "a", ErrorRate: 0.1}, {ID: "b", ErrorRate: 0.2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ups := range [][]pool.JurorUpdate{
+		{{ID: "a", Votes: &pool.VoteObservation{Total: math.MaxInt64}}, {ID: "a", Votes: &pool.VoteObservation{Total: 1}}},
+		{{ID: "b", Votes: &pool.VoteObservation{Wrong: math.MaxInt64, Total: math.MaxInt64}}},
+	} {
+		if _, err := s.PatchPool("crowd", ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	before := storeFingerprint(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Config{Dir: dir, Sync: SyncOff, Now: clk.now})
+	if err != nil {
+		t.Fatalf("reopen of a compacted store: %v", err)
+	}
+	defer s2.Close() //nolint:errcheck
+	if rec := s2.Recovery(); !rec.SnapshotLoaded || rec.Records != 0 {
+		t.Fatalf("recovery %+v, want the snapshot alone", rec)
+	}
+	if got := storeFingerprint(t, s2); !bytes.Equal(got, before) {
+		t.Fatalf("reopened store diverges:\n%s\nvs\n%s", got, before)
 	}
 }

@@ -585,7 +585,9 @@ func (s *Store) maybeCompact() {
 
 // --- journaled pool mutations -------------------------------------------
 
-// PutPool journals and applies a full pool replacement.
+// PutPool journals and applies a full pool replacement. jurors is
+// journaled as passed, in the insertion order replay rebuilds; neither
+// the pool nor the journal keeps it.
 func (s *Store) PutPool(name string, jurors []jury.Juror) (*pool.Pool, error) {
 	at := s.now()
 	s.poolMu.Lock()
@@ -598,11 +600,7 @@ func (s *Store) PutPool(name string, jurors []jury.Juror) (*pool.Pool, error) {
 		s.poolMu.Unlock()
 		return nil, err
 	}
-	states := make([]pool.JurorState, len(jurors))
-	for i, j := range jurors {
-		states[i] = pool.JurorState{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost}
-	}
-	c, err := s.journal(&record{Type: recPoolPut, At: at, Pool: name, Jurors: states})
+	c, err := s.journal(&record{Type: recPoolPut, At: at, Pool: name, Jurors: jurors})
 	s.poolMu.Unlock()
 	s.maybeCompact()
 	if err != nil {
@@ -1231,11 +1229,7 @@ func (s *Store) setStatus(t *task, next Status) {
 func (s *Store) applyRecord(rec *record) error {
 	switch rec.Type {
 	case recPoolPut:
-		jurors := make([]jury.Juror, len(rec.Jurors))
-		for i, js := range rec.Jurors {
-			jurors[i] = jury.Juror{ID: js.ID, ErrorRate: js.ErrorRate, Cost: js.Cost}
-		}
-		_, err := s.pools.PutAt(rec.Pool, jurors, rec.At)
+		_, err := s.pools.PutAt(rec.Pool, rec.Jurors, rec.At)
 		return err
 	case recPoolPatch:
 		_, err := s.pools.PatchAt(rec.Pool, rec.Updates, rec.At)
