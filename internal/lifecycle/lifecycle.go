@@ -33,8 +33,8 @@ import (
 
 // DefaultTaskCap bounds retained closed timelines. Open tasks are never
 // evicted (their timeline is still growing and the store bounds open
-// cardinality operationally); 1<<16 closed timelines ≈ tens of MB at
-// typical jury sizes.
+// cardinality operationally); 1<<16 closed timelines of ~17-juror pay
+// tasks take ≈ 87 MB, ~1.3 KB each (TestTaskRetainedBytes).
 const DefaultTaskCap = 1 << 16
 
 // evKind discriminates post-create timeline events. Values order the
@@ -48,19 +48,21 @@ const (
 	evTimeout
 )
 
-// taskEvent is one post-create state change retained for rendering.
+// taskEvent is one post-create state change retained for rendering, in
+// 24 bytes: the instant as an offset from the task's creation, and the
+// juror as an index into the task's juror table, which supplies the ID
+// and ε.
 type taskEvent struct {
+	atNS      int64  // since the task's creation
+	latencyNS int64  // vote events: journaled invitation → vote
+	juror     uint32 // index into taskRecord.jurors
 	kind      evKind
-	at        time.Time
-	juror     string
-	eps       float64
 	vote      bool
-	latencyNS int64 // vote events: journaled invitation → vote
 }
 
 // taskRecord is the engine's retained state for one task: the creation
-// header plus the ordered post-create event list. Everything needed to
-// render the timeline deterministically.
+// header, the juror table and the ordered post-create event list.
+// Everything needed to render the timeline deterministically.
 type taskRecord struct {
 	id           string
 	createdAt    time.Time
@@ -69,8 +71,12 @@ type taskRecord struct {
 	poolVersion  uint64
 	predictedJER float64
 	targetConf   float64
-	jury         []tasks.EventJuror
-	events       []taskEvent
+	// jurors is the juror table: the jury (the first jurySize entries),
+	// then each replacement in invite order. The store pins a juror's ε
+	// at invitation, so every event of that juror carries the entry's ε.
+	jurors   []tasks.EventJuror
+	jurySize int
+	events   []taskEvent
 
 	closed       bool
 	closedAt     time.Time
@@ -151,8 +157,8 @@ func (e *Engine) TaskEvent(ev tasks.Event) {
 	r := e.records[ev.Task]
 	e.tally.Observe(ev, r != nil)
 	if ev.Type == tasks.EvTaskCreated {
-		jury := make([]tasks.EventJuror, len(ev.Jury))
-		copy(jury, ev.Jury)
+		jurors := make([]tasks.EventJuror, len(ev.Jury))
+		copy(jurors, ev.Jury)
 		e.records[ev.Task] = &taskRecord{
 			id:           ev.Task,
 			createdAt:    ev.At,
@@ -161,7 +167,8 @@ func (e *Engine) TaskEvent(ev tasks.Event) {
 			poolVersion:  ev.PoolVersion,
 			predictedJER: ev.PredictedJER,
 			targetConf:   ev.TargetConfidence,
-			jury:         jury,
+			jurors:       jurors,
+			jurySize:     len(jurors),
 			firstVoteNS:  -1,
 		}
 		return
@@ -169,21 +176,21 @@ func (e *Engine) TaskEvent(ev tasks.Event) {
 	if r == nil {
 		return // beyond the compaction horizon: no timeline to extend
 	}
+	te := taskEvent{atNS: ev.At.Sub(r.createdAt).Nanoseconds()}
 	switch ev.Type {
 	case tasks.EvJurorInvited:
-		r.events = append(r.events, taskEvent{kind: evInvite, at: ev.At, juror: ev.Juror, eps: ev.ErrorRate})
+		te.kind, te.juror = evInvite, uint32(len(r.jurors))
+		r.jurors = append(r.jurors, tasks.EventJuror{ID: ev.Juror, ErrorRate: ev.ErrorRate})
 	case tasks.EvVoteRecorded:
-		r.events = append(r.events, taskEvent{kind: evVote, at: ev.At, juror: ev.Juror,
-			eps: ev.ErrorRate, vote: ev.Vote, latencyNS: ev.LatencyNS})
+		te.kind, te.juror, te.vote, te.latencyNS = evVote, r.juror(ev), ev.Vote, ev.LatencyNS
 		if r.firstVoteNS < 0 {
-			r.firstVoteNS = ev.At.Sub(r.createdAt).Nanoseconds()
+			r.firstVoteNS = te.atNS
 		}
 	case tasks.EvJurorReleased:
-		kind := evDecline
+		te.kind, te.juror = evDecline, r.juror(ev)
 		if ev.Timeout {
-			kind = evTimeout
+			te.kind = evTimeout
 		}
-		r.events = append(r.events, taskEvent{kind: kind, at: ev.At, juror: ev.Juror, eps: ev.ErrorRate})
 	case tasks.EvTaskClosed:
 		r.closed = true
 		r.closedAt = ev.At
@@ -191,12 +198,40 @@ func (e *Engine) TaskEvent(ev tasks.Event) {
 		r.answer = ev.Answer
 		r.confidence = ev.Confidence
 		r.earlyStopped = ev.EarlyStopped
+		r.events = trim(r.events)
+		r.jurors = trim(r.jurors)
 		e.fold(r)
 		if e.slo != nil {
 			e.slo.ObserveVerdict(ev.At, ev.At.Sub(r.createdAt).Nanoseconds(), ev.Decided)
 		}
 		e.retain(ev.Task)
+		return
+	default:
+		return
 	}
+	r.events = append(r.events, te)
+}
+
+// juror returns the table index of the event's juror: the latest entry
+// with its ID. A juror the table lacks, which no store stream produces,
+// gets an entry.
+func (r *taskRecord) juror(ev tasks.Event) uint32 {
+	for i := len(r.jurors) - 1; i >= 0; i-- {
+		if r.jurors[i].ID == ev.Juror {
+			return uint32(i)
+		}
+	}
+	r.jurors = append(r.jurors, tasks.EventJuror{ID: ev.Juror, ErrorRate: ev.ErrorRate})
+	return uint32(len(r.jurors) - 1)
+}
+
+// trim returns s without append slack, copying it once if it has any: a
+// closed timeline grows no more.
+func trim[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // retain enters a freshly closed task into the bounded closed set,
@@ -226,7 +261,7 @@ func (e *Engine) fold(r *taskRecord) {
 		e.aggs[key] = a
 	}
 	a.tasks++
-	a.invites += int64(len(r.jury))
+	a.invites += int64(r.jurySize)
 	if r.earlyStopped {
 		a.earlyStopped++
 	}

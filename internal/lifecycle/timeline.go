@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"math"
 	"time"
 
 	"juryselect/internal/obs"
@@ -67,10 +68,12 @@ func (e *Engine) Timeline(id string) (*Timeline, bool) {
 		return nil, false
 	}
 	// Copy the record's mutable parts under the lock; rendering below is
-	// pure. The events slice is append-only, so a length-pinned view is
-	// a consistent prefix even if the live tail grows concurrently.
+	// pure. The events slice and the juror table are append-only (a close
+	// swaps in trimmed copies), so length-pinned views are a consistent
+	// prefix even if the live tail grows concurrently.
 	rec := *r
 	rec.events = r.events[:len(r.events):len(r.events)]
+	rec.jurors = r.jurors[:len(r.jurors):len(r.jurors)]
 	e.mu.Unlock()
 	return renderTimeline(&rec), true
 }
@@ -87,7 +90,7 @@ func renderTimeline(r *taskRecord) *Timeline {
 		TargetConfidence:  r.targetConf,
 		CreatedAt:         r.createdAt,
 		Outcome:           outcomeOf(r),
-		Invites:           len(r.jury),
+		Invites:           r.jurySize,
 		TimeToFirstVoteNS: r.firstVoteNS,
 		TimeToVerdictNS:   -1,
 		Spans:             make([]Span, 0, len(r.events)+2),
@@ -100,25 +103,28 @@ func renderTimeline(r *taskRecord) *Timeline {
 	}
 
 	tl.Spans = append(tl.Spans, Span{Kind: "create", At: r.createdAt})
-	// invitedAt tracks each juror's outstanding invitation instant so
-	// decline/timeout spans can carry invitation → release durations.
-	invitedAt := make(map[string]time.Time, len(r.jury))
-	for _, j := range r.jury {
-		invitedAt[j.ID] = r.createdAt
+	// invitedAt holds each table juror's invitation offset, so
+	// decline/timeout spans can carry invitation → release durations: 0
+	// for the jury, the invite's for a replacement, notInvited until then.
+	const notInvited = math.MinInt64
+	invitedAt := make([]int64, len(r.jurors))
+	for i := r.jurySize; i < len(invitedAt); i++ {
+		invitedAt[i] = notInvited
 	}
 	for i := range r.events {
 		te := &r.events[i]
+		j := r.jurors[te.juror]
 		sp := Span{
-			At:            te.at,
-			SinceCreateNS: te.at.Sub(r.createdAt).Nanoseconds(),
-			Juror:         te.juror,
-			ErrorRate:     te.eps,
+			At:            r.createdAt.Add(time.Duration(te.atNS)),
+			SinceCreateNS: te.atNS,
+			Juror:         j.ID,
+			ErrorRate:     j.ErrorRate,
 		}
 		switch te.kind {
 		case evInvite:
 			sp.Kind = "invite"
 			tl.Invites++
-			invitedAt[te.juror] = te.at
+			invitedAt[te.juror] = te.atNS
 		case evVote:
 			sp.Kind = "vote"
 			tl.Votes++
@@ -133,8 +139,8 @@ func renderTimeline(r *taskRecord) *Timeline {
 				sp.Kind = "timeout"
 				tl.Timeouts++
 			}
-			if at, ok := invitedAt[te.juror]; ok {
-				sp.DurationNS = te.at.Sub(at).Nanoseconds()
+			if at := invitedAt[te.juror]; at != notInvited {
+				sp.DurationNS = te.atNS - at
 			}
 		}
 		tl.Spans = append(tl.Spans, sp)

@@ -16,6 +16,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -42,6 +43,9 @@ var (
 	// ambiguous), the pool store addresses jurors by ID on the PATCH
 	// path, so uniqueness is required at ingest.
 	ErrDuplicateJuror = errors.New("pool: duplicate juror id")
+	// ErrVoteOverflow reports a patch whose vote batches would carry a
+	// juror's accumulated total past math.MaxInt64.
+	ErrVoteOverflow = errors.New("pool: accumulated vote total overflows int64")
 )
 
 // PoolJuror is one candidate in a live pool: the model juror plus the
@@ -268,7 +272,9 @@ func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool
 	}
 	// Copy-on-write: edit private copies of the members and their vote
 	// records in insertion order, and publish them only when every
-	// update validated. The spare capacity takes the inserts.
+	// update validated. The spare capacity takes the inserts. A remove
+	// only marks its position, so every index stays valid; the members
+	// left are compacted once at the end, in order.
 	n := cur.Size()
 	members := make([]jury.Juror, n, n+len(updates))
 	votes := make([]VoteObservation, n, n+len(updates))
@@ -278,6 +284,7 @@ func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool
 		members[i] = cur.sorted[k]
 		index[members[i].ID] = i
 	}
+	removed := make([]bool, n, cap(members)) // by position
 	for _, up := range updates {
 		i, exists := index[up.ID]
 		switch {
@@ -285,12 +292,8 @@ func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool
 			if !exists {
 				return nil, fmt.Errorf("%w: %q", ErrUnknownJuror, up.ID)
 			}
-			members = slices.Delete(members, i, i+1)
-			votes = slices.Delete(votes, i, i+1)
+			removed[i] = true
 			delete(index, up.ID)
-			for k := i; k < len(members); k++ {
-				index[members[k].ID] = k
-			}
 			continue
 		case !exists:
 			if up.ErrorRate == nil {
@@ -298,6 +301,7 @@ func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool
 			}
 			members = append(members, jury.Juror{ID: up.ID})
 			votes = append(votes, VoteObservation{})
+			removed = append(removed, false)
 			i = len(members) - 1
 			index[up.ID] = i
 		}
@@ -315,6 +319,11 @@ func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool
 			if err != nil {
 				return nil, fmt.Errorf("pool: juror %q: %w", up.ID, err)
 			}
+			// A batch has 0 ≤ wrong ≤ total, so a total that fits bounds
+			// the wrong count too.
+			if v.Total > math.MaxInt64-rec.Total {
+				return nil, fmt.Errorf("%w: juror %q of pool %q", ErrVoteOverflow, up.ID, name)
+			}
 			m.ErrorRate = rate
 			rec.Wrong += v.Wrong
 			rec.Total += v.Total
@@ -323,6 +332,14 @@ func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool
 			return nil, err
 		}
 	}
+	k := 0
+	for i := range members {
+		if !removed[i] {
+			members[k], votes[k] = members[i], votes[i]
+			k++
+		}
+	}
+	members, votes = members[:k], votes[:k]
 	if len(members) == 0 {
 		return nil, fmt.Errorf("pool: patch would empty pool %q: %w", name, core.ErrNoCandidates)
 	}
@@ -400,7 +417,8 @@ func (s *Store) VersionFloors() map[string]uint64 {
 // path checks them — a non-empty set of valid jurors with distinct IDs —
 // and the pool is built by the same sort, so the result equals the
 // snapshot the original writes published. The records are taken as
-// stored: the write path puts no bound on an accumulated record either.
+// stored, so a snapshot written before PatchAt bounded the accumulated
+// totals still opens.
 // jurors is only read; the pool takes ownership of votes.
 func Rebuild(name string, version uint64, updatedAt time.Time, jurors []jury.Juror, votes []VoteObservation) (*Pool, error) {
 	if err := validateMembers(jurors); err != nil {

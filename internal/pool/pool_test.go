@@ -227,6 +227,39 @@ func TestStorePatchRejections(t *testing.T) {
 	}
 }
 
+// TestStorePatchBoundsVoteTotals: a juror's accumulated record may reach
+// math.MaxInt64 but never pass it. A patch that would, in one batch or
+// over several, is rejected with ErrVoteOverflow naming the juror and
+// the pool; the record it would have wrapped stays as it was.
+func TestStorePatchBoundsVoteTotals(t *testing.T) {
+	s := NewStore()
+	if _, err := s.Put("crowd", testJurors(2)); err != nil {
+		t.Fatal(err)
+	}
+	edge := []JurorUpdate{{ID: "j000", Votes: &VoteObservation{Total: math.MaxInt64 - 1}},
+		{ID: "j000", Votes: &VoteObservation{Wrong: 1, Total: 1}}}
+	p, err := s.Patch("crowd", edge)
+	if err != nil {
+		t.Fatalf("patch to the int64 edge: %v", err)
+	}
+	if m := p.Member(0); m.WrongVotes != 1 || m.TotalVotes != math.MaxInt64 {
+		t.Fatalf("record %d/%d, want 1/MaxInt64", m.WrongVotes, m.TotalVotes)
+	}
+	for _, ups := range [][]JurorUpdate{
+		{{ID: "j000", Votes: &VoteObservation{Total: 1}}},
+		{{ID: "j001", Votes: &VoteObservation{Total: math.MaxInt64}}, {ID: "j001", Votes: &VoteObservation{Total: math.MaxInt64}}},
+	} {
+		_, err := s.Patch("crowd", ups)
+		if !errors.Is(err, ErrVoteOverflow) || !strings.Contains(err.Error(), `"crowd"`) ||
+			!strings.Contains(err.Error(), `"`+ups[0].ID+`"`) {
+			t.Fatalf("overflowing patch error = %v, want ErrVoteOverflow naming the juror and the pool", err)
+		}
+		if cur, _ := s.Get("crowd"); cur != p {
+			t.Fatal("rejected patch published a new snapshot")
+		}
+	}
+}
+
 func TestStoreDelete(t *testing.T) {
 	s := NewStore()
 	if _, err := s.Put("crowd", testJurors(2)); err != nil {
@@ -378,6 +411,35 @@ func BenchmarkPoolPatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolPatchRemoves times one PATCH removing 1 or n/2 members,
+// every other one, of a 20,001-juror pool: a remove marks its position,
+// so the pair should differ by the removes' own cost, not by n per
+// remove.
+func BenchmarkPoolPatchRemoves(b *testing.B) {
+	const n = 20001
+	jurors := testJurors(n)
+	for _, k := range []int{1, n / 2} {
+		ups := make([]JurorUpdate, k)
+		for i := range ups {
+			ups[i] = JurorUpdate{ID: jurors[2*i].ID, Remove: true}
+		}
+		b.Run(fmt.Sprintf("removes=%d", k), func(b *testing.B) {
+			s := NewStore()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, err := s.Put("crowd", jurors); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := s.Patch("crowd", ups); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestStorePutRejectsDuplicateIDs(t *testing.T) {
 	s := NewStore()
 	_, err := s.Put("crowd", []jury.Juror{
@@ -478,6 +540,9 @@ func modelPatch(name string, cur []PoolJuror, updates []JurorUpdate) ([]PoolJuro
 			if err != nil {
 				return nil, fmt.Errorf("pool: juror %q: %w", up.ID, err)
 			}
+			if v.Total > math.MaxInt64-m.TotalVotes {
+				return nil, fmt.Errorf("%w: juror %q of pool %q", ErrVoteOverflow, up.ID, name)
+			}
 			m.ErrorRate = rate
 			m.WrongVotes += v.Wrong
 			m.TotalVotes += v.Total
@@ -508,7 +573,9 @@ func modelIntervals(members []PoolJuror) []RateInterval {
 // randomPatch draws one patch over the model's members: rate, cost and
 // vote updates, removes and inserts, one ID named twice (remove then
 // re-insert, insert then votes, insert then remove), and now and then an
-// update the store must reject.
+// update the store must reject (vote totals past math.MaxInt64 among
+// them) or a remove-heavy patch: about half the members removed in
+// random order, some re-inserted right away or at the patch's end.
 func randomPatch(rng *rand.Rand, model []PoolJuror, rates []float64, fresh *int) []JurorUpdate {
 	rate := func() *float64 { return f64(rates[rng.Intn(len(rates))]) }
 	votes := func() *VoteObservation {
@@ -528,6 +595,21 @@ func randomPatch(rng *rand.Rand, model []PoolJuror, rates []float64, fresh *int)
 			ups[i] = JurorUpdate{ID: m.ID, Remove: true}
 		}
 		return ups
+	}
+	if rng.Intn(6) == 0 {
+		var ups, again []JurorUpdate
+		for _, i := range rng.Perm(len(model))[:(len(model)+1)/2] {
+			ups = append(ups, JurorUpdate{ID: model[i].ID, Remove: true})
+			switch rng.Intn(8) {
+			case 0:
+				ups = append(ups, JurorUpdate{ID: model[i].ID, ErrorRate: rate()})
+			case 1:
+				again = append(again, JurorUpdate{ID: model[i].ID, ErrorRate: rate(), Votes: votes()})
+			case 2:
+				ups = append(ups, JurorUpdate{ID: newID(), ErrorRate: rate()})
+			}
+		}
+		return append(ups, again...)
 	}
 	var ups []JurorUpdate
 	for k := 1 + rng.Intn(4); k > 0; k-- {
@@ -553,6 +635,8 @@ func randomPatch(rng *rand.Rand, model []PoolJuror, rates []float64, fresh *int)
 			ups = append(ups, JurorUpdate{ID: id, ErrorRate: rate()}, JurorUpdate{ID: id, Remove: true})
 		case op < 22:
 			ups = append(ups, JurorUpdate{ID: newID(), Cost: f64(1)}) // unknown, no rate
+		case op < 23 && rng.Intn(2) == 0:
+			ups = append(ups, JurorUpdate{ID: id, Votes: &VoteObservation{Total: math.MaxInt64 - rng.Int63n(3)}})
 		case op < 23:
 			ups = append(ups, JurorUpdate{ID: id, ErrorRate: f64(1.5)})
 		default:
@@ -630,7 +714,7 @@ func TestSortedViewMatchesStableSort(t *testing.T) {
 		}
 		return err == nil
 	}
-	rejected := 0
+	rejected, overflows, bulkRemoves := 0, 0, 0
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(200)
 		if trial == 0 {
@@ -674,14 +758,20 @@ func TestSortedViewMatchesStableSort(t *testing.T) {
 			want, werr := modelPatch("crowd", model, ups)
 			if !agree(s, p, err, werr, where) {
 				rejected++
+				if errors.Is(err, ErrVoteOverflow) {
+					overflows++
+				}
 				continue
+			}
+			if len(model)-len(want) >= 10 {
+				bulkRemoves++
 			}
 			p, model = got, want
 			check(p, model, where)
 		}
 	}
-	if rejected == 0 {
-		t.Fatal("no write was rejected")
+	if rejected == 0 || overflows == 0 || bulkRemoves == 0 {
+		t.Fatalf("%d writes rejected, %d for a vote overflow; %d patches removed ten or more members", rejected, overflows, bulkRemoves)
 	}
 }
 

@@ -119,8 +119,10 @@ func TestShardedStoreEquivalence(t *testing.T) {
 }
 
 // TestShardedConcurrentReads hammers the lock-free read paths (Get,
-// List, Stats) while writers mutate, under -race: the COW snapshot
-// publication must never expose a torn view.
+// List, Stats) while writers vote and decline, under -race: the COW
+// snapshot publication must never expose a torn view, and a published
+// juror array is never written again, not even by the decline that
+// grows the task's array by a replacement.
 func TestShardedConcurrentReads(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, Sync: SyncOff, Shards: 4,
@@ -151,16 +153,21 @@ func TestShardedConcurrentReads(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					// A view must be internally consistent: votes_spent is
-					// the count of jurors in the voted state.
-					voted := 0
+					// A view must be internally consistent: votes_spent and
+					// declines count the jurors in the voted and declined
+					// states.
+					voted, declined := 0, 0
 					for _, j := range got.Jurors {
-						if j.State == JurorVoted {
+						switch j.State {
+						case JurorVoted:
 							voted++
+						case JurorDeclined:
+							declined++
 						}
 					}
-					if voted != got.VotesSpent {
-						t.Errorf("torn view %s: %d voted jurors, votes_spent %d", got.ID, voted, got.VotesSpent)
+					if voted != got.VotesSpent || declined != got.Declines || got.Invites != len(got.Jurors) {
+						t.Errorf("torn view %s: %d voted and %d declined jurors of %d, view says %d, %d and %d",
+							got.ID, voted, declined, len(got.Jurors), got.VotesSpent, got.Declines, got.Invites)
 						return
 					}
 				}
@@ -173,7 +180,15 @@ func TestShardedConcurrentReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if i%3 == 0 {
+			if v, err = s.Decline(ctx, v.ID, v.Jurors[0].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, j := range v.Jurors {
+			if j.State != JurorInvited {
+				continue
+			}
 			if _, err := s.Vote(context.Background(), v.ID, j.ID, true); err != nil && !errors.Is(err, ErrTaskClosed) {
 				t.Fatal(err)
 			}

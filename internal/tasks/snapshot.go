@@ -295,19 +295,15 @@ func (r *recReader) task() *task {
 	t.predictedJER = r.f64()
 	t.createdAt = r.time()
 	t.expiresAt = r.time()
-	n := r.count(minTaskJurorLen)
-	t.jurors = make([]TaskJuror, n)
-	t.index = make(map[string]int, n)
+	t.jurors = make([]JurorView, r.count(minTaskJurorLen))
 	for i := range t.jurors {
 		j := &t.jurors[i]
 		j.ID, j.ErrorRate, j.Cost = r.str(), r.f64(), r.f64()
 		j.State = jurorStateCodes[r.enum(len(jurorStateCodes))]
 		if vote := r.enum(3); vote != 0 {
-			yes := vote == 2
-			j.Vote = &yes
+			j.Vote = sharedBool(vote == 2)
 		}
 		j.InvitedAt = r.time()
-		t.index[j.ID] = i
 	}
 	t.declines = int(r.varint())
 	logOdds := r.f64()

@@ -524,9 +524,9 @@ func TestOpenRejectsInvalidPoolSection(t *testing.T) {
 }
 
 // TestOpenRestoresEveryRecordThePatchPathWrites: a snapshot holds the
-// vote records PATCHes accumulated, and a PATCH bounds only each batch,
-// not the record. Records at the int64 edge — one total wrapped by two
-// accepted batches — must survive compaction and reopen unchanged.
+// vote records PATCHes accumulated, up to the int64 edge, and they must
+// survive compaction and reopen unchanged. A PATCH whose batches would
+// wrap a total is rejected and journals nothing.
 func TestOpenRestoresEveryRecordThePatchPathWrites(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
@@ -537,13 +537,15 @@ func TestOpenRestoresEveryRecordThePatchPathWrites(t *testing.T) {
 	if _, err := s.PutPool("crowd", []jury.Juror{{ID: "a", ErrorRate: 0.1}, {ID: "b", ErrorRate: 0.2}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, ups := range [][]pool.JurorUpdate{
-		{{ID: "a", Votes: &pool.VoteObservation{Total: math.MaxInt64}}, {ID: "a", Votes: &pool.VoteObservation{Total: 1}}},
-		{{ID: "b", Votes: &pool.VoteObservation{Wrong: math.MaxInt64, Total: math.MaxInt64}}},
-	} {
-		if _, err := s.PatchPool("crowd", ups); err != nil {
-			t.Fatal(err)
-		}
+	wrap := []pool.JurorUpdate{{ID: "a", Votes: &pool.VoteObservation{Total: math.MaxInt64}}, {ID: "a", Votes: &pool.VoteObservation{Total: 1}}}
+	if _, err := s.PatchPool("crowd", wrap); !errors.Is(err, pool.ErrVoteOverflow) {
+		t.Fatalf("wrapping patch error = %v, want pool.ErrVoteOverflow", err)
+	}
+	if _, err := s.PatchPool("crowd", []pool.JurorUpdate{{ID: "b", Votes: &pool.VoteObservation{Wrong: math.MaxInt64, Total: math.MaxInt64}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().WAL.Appends; got != 2 {
+		t.Fatalf("%d records journaled, want the put and the accepted patch", got)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -562,5 +564,41 @@ func TestOpenRestoresEveryRecordThePatchPathWrites(t *testing.T) {
 	}
 	if got := storeFingerprint(t, s2); !bytes.Equal(got, before) {
 		t.Fatalf("reopened store diverges:\n%s\nvs\n%s", got, before)
+	}
+}
+
+// TestOpenRefusesWrappingPatchRecord: a WAL journaled before PatchAt
+// bounded the vote totals may hold a patch that wraps one. Replay runs
+// the write path's checks, so Open fails, naming the pool.
+func TestOpenRefusesWrappingPatchRecord(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := OpenWAL(walFile(dir, 0), WALOptions{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := newFakeClock().now()
+	for _, rec := range []record{
+		{Type: recPoolPut, At: at, Pool: "crowd", Jurors: []jury.Juror{{ID: "a", ErrorRate: 0.1}}},
+		{Type: recPoolPatch, At: at, Pool: "crowd", Updates: []pool.JurorUpdate{
+			{ID: "a", Votes: &pool.VoteObservation{Total: math.MaxInt64}}, {ID: "a", Votes: &pool.VoteObservation{Total: 1}}}},
+	} {
+		buf, err := encodeRecord(nil, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.AppendAsync(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Dir: dir, Sync: SyncOff})
+	if err == nil {
+		s.Close() //nolint:errcheck
+		t.Fatal("Open replayed a patch that wraps a vote total")
+	}
+	if !errors.Is(err, pool.ErrVoteOverflow) || !strings.Contains(err.Error(), `"crowd"`) {
+		t.Fatalf("Open error %q, want pool.ErrVoteOverflow naming pool \"crowd\"", err)
 	}
 }

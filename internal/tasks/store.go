@@ -381,17 +381,19 @@ func (s *Store) lookup(id string) *task {
 	return s.shardFor(id).get(id)
 }
 
-// publish re-renders the task's lock-free view snapshot. Callers hold
-// the task's shard mutex (or are single-threaded, during recovery).
+// publish re-renders the task's lock-free view snapshot, which shares
+// the juror array from then on. Callers hold the task's shard mutex (or
+// are single-threaded, during recovery).
 func publish(t *task) View {
 	v := t.view()
 	t.snap.Store(&v)
+	t.shared = true
 	return v
 }
 
 // publishAll renders every recovered task's snapshot once, after replay
-// (per-mutation publication during replay would render a full view per
-// vote for nothing).
+// (per-mutation publication during replay would render a full view and
+// copy the juror array per vote for nothing).
 func (s *Store) publishAll() {
 	for i := range s.shards {
 		s.shards[i].forEach(func(t *task) { publish(t) })
@@ -748,14 +750,12 @@ func (s *Store) applyCreate(sh *shard, rec *record, candidates []jury.Juror) *ta
 		predictedJER: rec.PredictedJER,
 		createdAt:    rec.At,
 		expiresAt:    rec.At.Add(rec.Spec.ExpiresIn),
-		jurors:       make([]TaskJuror, len(rec.Jury)),
-		index:        make(map[string]int, len(rec.Jury)),
+		jurors:       make([]JurorView, len(rec.Jury)),
 		candidates:   candidates,
 	}
 	for i, j := range rec.Jury {
-		t.jurors[i] = TaskJuror{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost,
+		t.jurors[i] = JurorView{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost,
 			State: JurorInvited, InvitedAt: rec.At}
-		t.index[j.ID] = i
 	}
 	sh.insert(t)
 	for next := s.nextTask.Load(); rec.Seq >= next; next = s.nextTask.Load() {
@@ -798,13 +798,14 @@ func (s *Store) List(status Status) []View {
 	return out
 }
 
-// checkVote validates a prospective vote/decline without mutating.
+// checkVote validates a prospective vote/decline without mutating, and
+// returns the juror's index.
 func checkVote(t *task, jurorID string) (int, error) {
 	if t.status.closed() {
 		return 0, fmt.Errorf("%w: %s is %s", ErrTaskClosed, t.id, t.status)
 	}
-	i, ok := t.index[jurorID]
-	if !ok {
+	i := t.find(jurorID)
+	if i < 0 {
 		return 0, fmt.Errorf("%w: %q on task %s", ErrNotInvited, jurorID, t.id)
 	}
 	switch t.jurors[i].State {
@@ -831,17 +832,17 @@ func (s *Store) Vote(ctx context.Context, id, jurorID string, voteYes bool) (Vie
 		sh.mu.Unlock()
 		return View{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
 	}
-	if _, err := checkVote(t, jurorID); err != nil {
-		sh.mu.Unlock()
-		return View{}, err
-	}
-	v := voteYes
-	c, err := s.journal(&record{Type: recVote, At: at, Task: id, Juror: jurorID, Vote: &v})
+	i, err := checkVote(t, jurorID)
 	if err != nil {
 		sh.mu.Unlock()
 		return View{}, err
 	}
-	s.applyVote(t, jurorID, voteYes, at)
+	c, err := s.journal(&record{Type: recVote, At: at, Task: id, Juror: jurorID, Vote: sharedBool(voteYes)})
+	if err != nil {
+		sh.mu.Unlock()
+		return View{}, err
+	}
+	s.applyVote(t, i, voteYes, at)
 	view := publish(t)
 	sh.mu.Unlock()
 	s.maybeCompact()
@@ -851,19 +852,20 @@ func (s *Store) Vote(ctx context.Context, id, jurorID string, voteYes bool) (Vie
 	return view, nil
 }
 
-// applyVote applies a validated vote. Callers hold the shard mutex.
-func (s *Store) applyVote(t *task, jurorID string, voteYes bool, at time.Time) {
-	i := t.index[jurorID]
-	v := voteYes
-	t.jurors[i].Vote = &v
-	t.jurors[i].State = JurorVoted
+// applyVote applies a validated vote by juror i. Callers hold the shard
+// mutex.
+func (s *Store) applyVote(t *task, i int, voteYes bool, at time.Time) {
+	t.edit(len(t.jurors))
+	j := &t.jurors[i]
+	j.Vote = sharedBool(voteYes)
+	j.State = JurorVoted
 	// The rate was validated at pool ingest and pinned at invitation, so
 	// Observe cannot fail.
-	t.post.Observe(voteYes, t.jurors[i].ErrorRate) //nolint:errcheck
+	t.post.Observe(voteYes, j.ErrorRate) //nolint:errcheck
 	if s.events != nil {
 		s.events.TaskEvent(Event{Type: EvVoteRecorded, Task: t.id, At: at,
-			Juror: jurorID, ErrorRate: t.jurors[i].ErrorRate, Vote: voteYes,
-			LatencyNS: at.Sub(t.jurors[i].InvitedAt).Nanoseconds()})
+			Juror: j.ID, ErrorRate: j.ErrorRate, Vote: voteYes,
+			LatencyNS: at.Sub(j.InvitedAt).Nanoseconds()})
 	}
 	if t.status == StatusOpen {
 		s.setStatus(t, StatusAwaitingVotes)
@@ -889,7 +891,8 @@ func (s *Store) decline(ctx context.Context, id, jurorID string, timeout bool) (
 		sh.mu.Unlock()
 		return View{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
 	}
-	if _, err := checkVote(t, jurorID); err != nil {
+	i, err := checkVote(t, jurorID)
+	if err != nil {
 		sh.mu.Unlock()
 		return View{}, err
 	}
@@ -898,7 +901,7 @@ func (s *Store) decline(ctx context.Context, id, jurorID string, timeout bool) (
 		sh.mu.Unlock()
 		return View{}, err
 	}
-	s.applyDecline(t, jurorID, timeout, at)
+	s.applyDecline(t, i, timeout, at)
 	view := publish(t)
 	sh.mu.Unlock()
 	s.maybeCompact()
@@ -965,53 +968,35 @@ func (s *Store) VoteBatch(ctx context.Context, id string, ballots []Ballot) ([]B
 	return results, view, nil
 }
 
-// applyDecline releases the juror, invites a replacement when one fits,
+// applyDecline releases juror i, invites a replacement when one fits,
 // and re-checks closure. Callers hold the shard mutex.
-func (s *Store) applyDecline(t *task, jurorID string, timeout bool, at time.Time) {
-	i := t.index[jurorID]
+func (s *Store) applyDecline(t *task, i int, timeout bool, at time.Time) {
+	c, replace := t.replacement(i)
+	n := len(t.jurors)
+	if replace {
+		n++
+	}
+	t.edit(n)
+	j := &t.jurors[i]
 	if timeout {
-		t.jurors[i].State = JurorTimedOut
+		j.State = JurorTimedOut
 	} else {
-		t.jurors[i].State = JurorDeclined
+		j.State = JurorDeclined
 	}
 	t.declines++
 	if s.events != nil {
 		s.events.TaskEvent(Event{Type: EvJurorReleased, Task: t.id, At: at,
-			Juror: jurorID, ErrorRate: t.jurors[i].ErrorRate, Timeout: timeout})
+			Juror: j.ID, ErrorRate: j.ErrorRate, Timeout: timeout})
 	}
-	s.inviteReplacement(t, at)
-	s.closeCheck(t, at)
-}
-
-// inviteReplacement invites the next-best candidate from the task's
-// creation snapshot: lowest ε not yet invited and, under the pay
-// strategy, fitting the budget freed by releases. Deterministic — the
-// candidate view is ε-sorted and immutable — so WAL replay re-derives
-// the same invitation.
-func (s *Store) inviteReplacement(t *task, at time.Time) {
-	if t.status.closed() || len(t.jurors) >= t.spec.MaxInvites {
-		return
-	}
-	var remaining float64
-	if t.spec.Strategy == StrategyPay {
-		remaining = t.spec.Budget - t.committedCost()
-	}
-	for _, c := range t.candidates {
-		if _, invited := t.index[c.ID]; invited {
-			continue
-		}
-		if t.spec.Strategy == StrategyPay && c.Cost > remaining {
-			continue
-		}
-		t.jurors = append(t.jurors, TaskJuror{ID: c.ID, ErrorRate: c.ErrorRate, Cost: c.Cost,
-			State: JurorInvited, InvitedAt: at})
-		t.index[c.ID] = len(t.jurors) - 1
+	if replace {
+		t.jurors[n-1] = JurorView{ID: c.ID, ErrorRate: c.ErrorRate, Cost: c.Cost,
+			State: JurorInvited, InvitedAt: at}
 		if s.events != nil {
 			s.events.TaskEvent(Event{Type: EvJurorInvited, Task: t.id, At: at,
 				Juror: c.ID, ErrorRate: c.ErrorRate})
 		}
-		return
 	}
+	s.closeCheck(t, at)
 }
 
 // closeCheck applies the sequential stopping rule. Callers hold the
@@ -1097,7 +1082,8 @@ func (s *Store) Sweep(now time.Time) (released, expired int, err error) {
 			publish(t)
 			expired++
 		} else {
-			if _, cerr := checkVote(t, a.juror); cerr != nil {
+			i, cerr := checkVote(t, a.juror)
+			if cerr != nil {
 				sh.mu.Unlock()
 				continue // voted or released since the scan (replacement chains)
 			}
@@ -1107,7 +1093,7 @@ func (s *Store) Sweep(now time.Time) (released, expired int, err error) {
 				return released, expired, jerr
 			}
 			lastCommit = c
-			s.applyDecline(t, a.juror, true, now)
+			s.applyDecline(t, i, true, now)
 			publish(t)
 			released++
 		}
@@ -1255,20 +1241,22 @@ func (s *Store) applyRecord(rec *record) error {
 		if rec.Vote == nil {
 			return errors.New("tasks: vote record missing vote")
 		}
-		if _, err := checkVote(t, rec.Juror); err != nil {
+		i, err := checkVote(t, rec.Juror)
+		if err != nil {
 			return err
 		}
-		s.applyVote(t, rec.Juror, *rec.Vote, rec.At)
+		s.applyVote(t, i, *rec.Vote, rec.At)
 		return nil
 	case recDecline:
 		t := s.lookup(rec.Task)
 		if t == nil {
 			return fmt.Errorf("%w: %q", ErrTaskNotFound, rec.Task)
 		}
-		if _, err := checkVote(t, rec.Juror); err != nil {
+		i, err := checkVote(t, rec.Juror)
+		if err != nil {
 			return err
 		}
-		s.applyDecline(t, rec.Juror, rec.Timeout, rec.At)
+		s.applyDecline(t, i, rec.Timeout, rec.At)
 		return nil
 	case recExpire:
 		t := s.lookup(rec.Task)

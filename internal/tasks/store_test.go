@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -235,6 +236,41 @@ func TestDeclineInvitesNextBestReplacement(t *testing.T) {
 	}
 	if after.Declines != 1 {
 		t.Fatalf("declines = %d", after.Declines)
+	}
+}
+
+// TestPublishedViewsStayUnchanged: a task shares its juror array with
+// the view it publishes, so a later vote or decline must copy the array
+// instead of writing a view some reader still holds. A replacement
+// grows the array by exactly one juror.
+func TestPublishedViewsStayUnchanged(t *testing.T) {
+	s, _ := newTestStore(t, 20)
+	ctx := context.Background()
+	v0, err := s.Create(ctx, Spec{Pool: "crowd", TargetConfidence: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want0 := slices.Clone(v0.Jurors)
+	v1, err := s.Vote(ctx, v0.ID, v0.Jurors[0].ID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want1 := slices.Clone(v1.Jurors)
+	v2, err := s.Decline(ctx, v0.ID, v0.Jurors[1].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v2.Jurors) != len(v1.Jurors)+1 || cap(v2.Jurors) != len(v2.Jurors) {
+		t.Fatalf("decline left %d jurors with capacity %d, want %d with none spare", len(v2.Jurors), cap(v2.Jurors), len(v1.Jurors)+1)
+	}
+	if _, err := s.Vote(ctx, v0.ID, v2.Jurors[len(v2.Jurors)-1].ID, false); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(v0.Jurors, want0) || !slices.Equal(v1.Jurors, want1) {
+		t.Fatalf("a published view changed after later mutations:\n%v\n%v", v0.Jurors, v1.Jurors)
+	}
+	if v2.Jurors[len(v2.Jurors)-1].State != JurorInvited {
+		t.Fatal("the decline's view saw the replacement's later vote")
 	}
 }
 

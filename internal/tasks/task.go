@@ -115,20 +115,6 @@ type Spec struct {
 	ExpiresIn time.Duration `json:"expires_in,omitempty"`
 }
 
-// TaskJuror is one invited juror within a task.
-type TaskJuror struct {
-	ID string
-	// ErrorRate and Cost are the juror's estimate and payment
-	// requirement at invitation time (the pool may drift afterwards; the
-	// task's posterior arithmetic stays pinned to what selection saw).
-	ErrorRate float64
-	Cost      float64
-	State     JurorState
-	// Vote is set once State is JurorVoted.
-	Vote      *bool
-	InvitedAt time.Time
-}
-
 // Verdict is a decided task's outcome.
 type Verdict struct {
 	Answer     bool
@@ -144,8 +130,8 @@ type Verdict struct {
 // by the owning shard's mutex; id, spec, createdAt, expiresAt,
 // poolVersion, predictedJER and candidates are immutable after creation
 // and safe to read lock-free. snap is the published copy-on-write view:
-// every mutation renders a fresh View and stores it, so Get, List and
-// the sweeper's scan never take the shard lock.
+// every live mutation publishes a fresh View, so Get, List and the
+// sweeper's scan never take the shard lock.
 type task struct {
 	id           string
 	spec         Spec
@@ -154,18 +140,46 @@ type task struct {
 	predictedJER float64
 	createdAt    time.Time
 	expiresAt    time.Time
-	jurors       []TaskJuror
-	index        map[string]int // juror ID → jurors index
-	post         estimate.VerdictPosterior
-	verdict      *Verdict
-	declines     int
+	// jurors is the task's one juror array: the jury, then each
+	// replacement in invite order. The published view shares it; shared
+	// records that, and edit copies a shared array before a mutation.
+	jurors   []JurorView
+	shared   bool
+	post     estimate.VerdictPosterior
+	verdict  *Verdict
+	declines int
 	// candidates is the ε-sorted creation-snapshot view replacements are
 	// drawn from (immutable, shared with the pool snapshot).
 	candidates []jury.Juror
 
-	// snap is the lock-free published view; views are immutable once
-	// stored (each publication renders fresh slices).
+	// snap is the lock-free published view. A published view and its
+	// juror array are never written again.
 	snap atomic.Pointer[View]
+}
+
+// edit readies jurors for a mutation that leaves n ≥ len(jurors) of
+// them. Published arrays are immutable, so a shared array is copied
+// first, and so is one a replacement grows: by exactly one juror, with
+// no append slack. Replay publishes only once it is done, so there every
+// mutation but a replacement edits in place.
+func (t *task) edit(n int) {
+	if !t.shared && n == len(t.jurors) {
+		return
+	}
+	next := make([]JurorView, n)
+	copy(next, t.jurors)
+	t.jurors, t.shared = next, false
+}
+
+// find returns the index of the invited juror with the given ID, or -1.
+// A task invites at most MaxInvites jurors, so a scan is cheap.
+func (t *task) find(id string) int {
+	for i := range t.jurors {
+		if t.jurors[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // pending counts invited jurors who have not yet answered or been
@@ -180,16 +194,39 @@ func (t *task) pending() int {
 	return n
 }
 
-// committedCost sums the cost of jurors still on the task (invited or
-// voted): the budget replacements must fit under.
-func (t *task) committedCost() float64 {
-	c := 0.0
-	for _, j := range t.jurors {
-		if j.State == JurorInvited || j.State == JurorVoted {
-			c += j.Cost
-		}
+// replacement picks the juror to invite once juror released is let go:
+// the lowest-ε candidate of the task's creation snapshot not yet invited
+// and, under the pay strategy, fitting the budget the jurors still on
+// the task leave. Deterministic — the candidate view is ε-sorted and
+// immutable — so WAL replay re-derives the same invitation.
+func (t *task) replacement(released int) (jury.Juror, bool) {
+	if len(t.jurors) >= t.spec.MaxInvites {
+		return jury.Juror{}, false
 	}
-	return c
+	pay := t.spec.Strategy == StrategyPay
+	var remaining float64
+	if pay {
+		// The committed cost sums the jurors still on the task (invited
+		// or voted) in invite order.
+		committed := 0.0
+		for i, j := range t.jurors {
+			if i != released && (j.State == JurorInvited || j.State == JurorVoted) {
+				committed += j.Cost
+			}
+		}
+		remaining = t.spec.Budget - committed
+	}
+	invited := make(map[string]struct{}, len(t.jurors))
+	for _, j := range t.jurors {
+		invited[j.ID] = struct{}{}
+	}
+	for _, c := range t.candidates {
+		if _, ok := invited[c.ID]; ok || pay && c.Cost > remaining {
+			continue
+		}
+		return c, true
+	}
+	return jury.Juror{}, false
 }
 
 // normalizeSpec fills spec defaults from the store configuration and
@@ -237,7 +274,11 @@ func (s *Store) normalizeSpec(spec Spec) (Spec, error) {
 	return spec, nil
 }
 
-// JurorView is the wire/snapshot form of one invited juror.
+// JurorView is one invited juror within a task, as stored and as served.
+// ErrorRate and Cost are the juror's estimate and payment requirement at
+// invitation time (the pool may drift afterwards; the task's posterior
+// arithmetic stays pinned to what selection saw). Vote is set once State
+// is JurorVoted.
 type JurorView struct {
 	ID        string     `json:"id"`
 	ErrorRate float64    `json:"error_rate"`
@@ -318,8 +359,9 @@ type BallotResult struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// view renders the task's external state. Callers hold the task's shard
-// mutex (or are single-threaded, during recovery).
+// view renders the task's external state; it shares the juror array.
+// Callers hold the task's shard mutex (or are single-threaded, during
+// recovery).
 func (t *task) view() View {
 	v := View{
 		ID:               t.id,
@@ -333,21 +375,11 @@ func (t *task) view() View {
 		PredictedJER:     t.predictedJER,
 		CreatedAt:        t.createdAt,
 		ExpiresAt:        t.expiresAt,
-		Jurors:           make([]JurorView, len(t.jurors)),
+		Jurors:           t.jurors,
 		Invites:          len(t.jurors),
 		VotesSpent:       t.post.Votes(),
 		Declines:         t.declines,
 		PYes:             t.post.PYes(),
-	}
-	for i, j := range t.jurors {
-		v.Jurors[i] = JurorView{
-			ID:        j.ID,
-			ErrorRate: j.ErrorRate,
-			Cost:      j.Cost,
-			State:     j.State,
-			Vote:      j.Vote,
-			InvitedAt: j.InvitedAt,
-		}
 	}
 	if t.verdict != nil {
 		v.Verdict = &VerdictView{
