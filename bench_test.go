@@ -1,24 +1,35 @@
-// Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation section, plus the ablations of DESIGN.md. Each bench
-// drives the same experiment code cmd/jurybench runs at paper scale, shrunk
-// via experiments.QuickConfig so a full -bench=. pass stays fast.
+// Benchmark harness: BenchmarkExperiment runs every experiment
+// cmd/jurybench regenerates, one sub-benchmark per id experiments.List()
+// returns, on the same experiment code shrunk via
+// experiments.QuickConfig so a full -bench=. pass stays fast.
 //
 // The correspondence is:
 //
-//	BenchmarkTable2 — Table 2 (motivation example JERs)
-//	BenchmarkFig3a  — Figure 3(a) jury size vs mean individual error rate
-//	BenchmarkFig3b  — Figure 3(b) AltrALG efficiency ± lower bound
-//	BenchmarkFig3c  — Figure 3(c) budget vs total cost (PayALG)
-//	BenchmarkFig3d  — Figure 3(d) budget vs JER (PayALG)
-//	BenchmarkFig3e  — Figure 3(e) APPX vs OPT total cost
-//	BenchmarkFig3f  — Figure 3(f) APPX vs OPT JER
-//	BenchmarkFig3g  — Figure 3(g) efficiency on micro-blog data
-//	BenchmarkFig3h  — Figure 3(h) precision & recall vs OPT
-//	BenchmarkFig3i  — Figure 3(i) jury sizes vs OPT
+//	BenchmarkExperiment/table2 — Table 2 (motivation example JERs)
+//	BenchmarkExperiment/fig3a  — Figure 3(a) jury size vs mean individual error rate
+//	BenchmarkExperiment/fig3b  — Figure 3(b) AltrALG efficiency ± lower bound
+//	BenchmarkExperiment/fig3c  — Figure 3(c) budget vs total cost (PayALG)
+//	BenchmarkExperiment/fig3d  — Figure 3(d) budget vs JER (PayALG)
+//	BenchmarkExperiment/fig3e  — Figure 3(e) APPX vs OPT total cost
+//	BenchmarkExperiment/fig3f  — Figure 3(f) APPX vs OPT JER
+//	BenchmarkExperiment/fig3g  — Figure 3(g) efficiency on micro-blog data
+//	BenchmarkExperiment/fig3h  — Figure 3(h) precision & recall vs OPT
+//	BenchmarkExperiment/fig3i  — Figure 3(i) jury sizes vs OPT
 //
-// plus BenchmarkJERAlgorithms, BenchmarkIncrementalSweep,
-// BenchmarkMonteCarloJER and BenchmarkBaselines for the ablation rows, and
-// micro-benchmarks of the two JER evaluators and three solvers.
+// and, for the ablations of DESIGN.md:
+//
+//	BenchmarkExperiment/ablation-jer       — DP vs CBA single-evaluation latency
+//	BenchmarkExperiment/ablation-inc       — incremental prefix sweep vs per-size recomputation
+//	BenchmarkExperiment/ablation-mc        — Monte-Carlo validation of the JER model
+//	BenchmarkExperiment/ablation-baselines — solvers vs naive baselines
+//	BenchmarkExperiment/ablation-engine    — parallel/cached batch scoring vs the serial loop
+//	BenchmarkExperiment/ablation-pair      — PayALG pair-slot policy vs the exact optimum
+//	BenchmarkExperiment/ablation-seeds     — seed sensitivity of the Figure 3(e)/(f) hit count
+//	BenchmarkExperiment/ablation-wmv       — ε-aware aggregation vs plain majority voting
+//
+// The micro-benchmarks below time the two JER evaluators, the solvers and
+// the batch engine directly: the efficiency results of Figures 3(b) and
+// 3(g) without the experiment harness around them.
 package juryselect_test
 
 import (
@@ -33,42 +44,27 @@ import (
 	"juryselect/internal/randx"
 )
 
-func benchExperiment(b *testing.B, id string) {
+func BenchmarkExperiment(b *testing.B) {
 	cfg := experiments.QuickConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, id := range experiments.List() {
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.Run(id, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-func BenchmarkFig3a(b *testing.B)  { benchExperiment(b, "fig3a") }
-func BenchmarkFig3b(b *testing.B)  { benchExperiment(b, "fig3b") }
-func BenchmarkFig3c(b *testing.B)  { benchExperiment(b, "fig3c") }
-func BenchmarkFig3d(b *testing.B)  { benchExperiment(b, "fig3d") }
-func BenchmarkFig3e(b *testing.B)  { benchExperiment(b, "fig3e") }
-func BenchmarkFig3f(b *testing.B)  { benchExperiment(b, "fig3f") }
-func BenchmarkFig3g(b *testing.B)  { benchExperiment(b, "fig3g") }
-func BenchmarkFig3h(b *testing.B)  { benchExperiment(b, "fig3h") }
-func BenchmarkFig3i(b *testing.B)  { benchExperiment(b, "fig3i") }
-
-func BenchmarkJERAlgorithms(b *testing.B)    { benchExperiment(b, "ablation-jer") }
-func BenchmarkIncrementalSweep(b *testing.B) { benchExperiment(b, "ablation-inc") }
-func BenchmarkMonteCarloJER(b *testing.B)    { benchExperiment(b, "ablation-mc") }
-func BenchmarkBaselines(b *testing.B)        { benchExperiment(b, "ablation-baselines") }
-
-// Micro-benchmarks: raw evaluator and solver cost at representative sizes,
-// independent of the experiment harness.
 
 func randomRates(n int) []float64 {
 	return randx.New(7).ErrorRates(n, 0.3, 0.15)
 }
 
 // The JER_DP/JER_CBA benchmarks exercise the pooled-kernel path behind
-// jer.Compute; 0 allocs/op in steady state is the PR 2 tentpole invariant
-// and is guarded in CI (bench-smoke job). JERKernel_* holds one Evaluator
+// jer.Compute, which allocates nothing in steady state
+// (TestComputeAllocations in internal/jer). JERKernel_* holds one Evaluator
 // directly — the shape hot loops (engine workers, solver scans) use —
 // which additionally skips the sync.Pool round-trip.
 func BenchmarkJER_DP_n101(b *testing.B)   { benchJER(b, jer.DPAlgo, 101) }
@@ -227,5 +223,3 @@ func BenchmarkEvaluateAll(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkEngineAblation(b *testing.B) { benchExperiment(b, "ablation-engine") }

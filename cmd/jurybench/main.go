@@ -3,24 +3,18 @@
 // Usage:
 //
 //	jurybench [-exp table2,fig3a,...|all] [-quick] [-seed N] [-workers N] [-list]
-//	jurybench -bench-json BENCH_PR2.json
-//	jurybench -bench-check BENCH_PR6.json [-bench-tolerance 0.2]
 //
 // Each experiment prints the rows/series the corresponding paper artifact
 // reports (Table 2 and Figures 3(a)–3(i)) plus the ablation studies from
 // DESIGN.md. -quick shrinks the workloads to CI scale; the default runs at
-// paper scale and can take minutes for the efficiency figures.
+// paper scale and can take minutes for the efficiency figures. An -exp
+// list that names no experiment is a usage error (exit status 2).
 //
-// -bench-json runs the tracked benchmark set (JER kernels, batch engine,
-// solvers, and every experiment at quick scale) in-process and writes a
-// machine-readable snapshot — ns/op, allocs/op, B/op per benchmark — to
-// the given path. Snapshots are committed as BENCH_PR<n>.json so the hot
-// path's performance trajectory is recorded PR over PR.
+// Timings are plain go test benchmarks: BenchmarkExperiment in the module
+// root runs every experiment at -quick scale, and each package benchmarks
+// its own hot paths, e.g.
 //
-// -bench-check re-runs the guarded fast-path benchmarks (warm select
-// ns/op, vote-path allocs/op) and exits non-zero if any regressed more
-// than -bench-tolerance (default +20%) against the given snapshot. CI
-// runs it against the latest committed BENCH_PR<n>.json.
+//	go test -run '^$' -bench BenchmarkJER_DP_n1001 -benchmem -count 5 .
 package main
 
 import (
@@ -41,46 +35,22 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for synthetic workloads")
 	flag.IntVar(&cfg.workers, "workers", 0, "engine worker pool size (0 = all cores); results are identical for every value")
 	flag.BoolVar(&cfg.list, "list", false, "list experiment ids and exit")
-	flag.StringVar(&cfg.benchJSON, "bench-json", "", "run the tracked benchmark set and write a JSON snapshot to this path")
-	flag.StringVar(&cfg.benchCheck, "bench-check", "", "re-run the guarded benchmarks and fail on regression against this snapshot")
-	flag.Float64Var(&cfg.benchTolerance, "bench-tolerance", 0.2, "allowed relative regression for -bench-check (0.2 = +20%)")
 	flag.Parse()
 	os.Exit(runBench(cfg, os.Stdout, os.Stderr))
 }
 
 type benchConfig struct {
-	exp            string
-	quick          bool
-	seed           int64
-	workers        int
-	list           bool
-	benchJSON      string
-	benchCheck     string
-	benchTolerance float64
+	exp     string
+	quick   bool
+	seed    int64
+	workers int
+	list    bool
 }
 
 func runBench(cfg benchConfig, out, errOut io.Writer) int {
 	if cfg.list {
 		for _, id := range experiments.List() {
 			fmt.Fprintln(out, id)
-		}
-		return 0
-	}
-	if cfg.benchJSON != "" {
-		if err := writeBenchJSON(cfg.benchJSON, out); err != nil {
-			fmt.Fprintf(errOut, "jurybench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if cfg.benchCheck != "" {
-		tol := cfg.benchTolerance
-		if tol == 0 {
-			tol = 0.2
-		}
-		if err := checkBenchJSON(cfg.benchCheck, tol, out); err != nil {
-			fmt.Fprintf(errOut, "jurybench: %v\n", err)
-			return 1
 		}
 		return 0
 	}
@@ -94,14 +64,19 @@ func runBench(cfg benchConfig, out, errOut io.Writer) int {
 
 	ids := experiments.List()
 	if cfg.exp != "all" {
-		ids = strings.Split(cfg.exp, ",")
+		ids = nil
+		for _, id := range strings.Split(cfg.exp, ",") {
+			if id = strings.TrimSpace(id); id != "" {
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) == 0 {
+			fmt.Fprintf(errOut, "jurybench: -exp %q names no experiment; see -list\n", cfg.exp)
+			return 2
+		}
 	}
 	failed := 0
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		if id == "" {
-			continue
-		}
 		res, err := experiments.Run(id, ecfg)
 		if err != nil {
 			fmt.Fprintf(errOut, "jurybench: %v\n", err)

@@ -10,9 +10,9 @@
 //	juryselect/microblog — tweets → retweet graph → HITS/PageRank →
 //	                       error-rate/requirement estimation pipeline
 //
-// The benchmark harness regenerating every table and figure of the paper
-// lives in bench_test.go (go test -bench=.) and in cmd/jurybench (full
-// paper-scale runs); cmd/juryselect selects juries from CSV/JSON files,
+// cmd/jurybench regenerates every table and figure of the paper at full
+// scale, and BenchmarkExperiment in bench_test.go times each at quick
+// scale (go test -bench=Experiment); cmd/juryselect selects juries from CSV/JSON files,
 // cmd/juryd serves selection over HTTP/JSON with live, versioned juror
 // pools (internal/server), and cmd/juryload replays scenario-driven
 // crowd traffic — drifting error rates, churn, partial availability —

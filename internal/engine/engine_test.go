@@ -329,14 +329,39 @@ func TestInflightStat(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluateMemoHit is the CI zero-alloc guard for a warm engine
-// memo hit: validate, multiset hash, shard lock, map lookup, LRU bump.
-func BenchmarkEvaluateMemoHit(b *testing.B) {
+// warmEngine returns an engine whose memo holds the one 101-juror jury
+// it returns, so evaluating that jury is a memo hit: validate, multiset
+// hash, shard lock, map lookup and LRU bump.
+func warmEngine(tb testing.TB) (*Engine, []float64) {
 	e := New(Options{Workers: 1})
 	rates := randomJuries(1, 101, 3)[0]
 	if _, err := e.Evaluate(rates); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return e, rates
+}
+
+// TestEvaluateMemoHitAllocations: a warm memo hit allocates nothing.
+func TestEvaluateMemoHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool items; allocation counts are not meaningful")
+	}
+	e, rates := warmEngine(t)
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := e.Evaluate(rates); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := e.Stats(); st.Evaluations != 1 {
+		t.Fatalf("warm loop computed %d times, want only the priming evaluation", st.Evaluations)
+	}
+	if got != 0 {
+		t.Fatalf("memo hit allocates %.0f/op, want 0", got)
+	}
+}
+
+func BenchmarkEvaluateMemoHit(b *testing.B) {
+	e, rates := warmEngine(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 //go:build race
 
-package main
+package engine
 
 // raceEnabled reports that this test binary runs under the race
 // detector, which deliberately drops sync.Pool items — allocation

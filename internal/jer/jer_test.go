@@ -370,6 +370,29 @@ func TestDistributionZeroAndOneJuror(t *testing.T) {
 	}
 }
 
+// TestComputeAllocations holds the pooled kernels behind Compute at zero
+// allocations in steady state, at the sizes of the module root's
+// BenchmarkJER_DP_n1001 and BenchmarkJER_CBA_n8191 and at a small jury.
+func TestComputeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool items; allocation counts are not meaningful")
+	}
+	for _, tc := range []struct {
+		algo Algorithm
+		n    int
+	}{{DPAlgo, 11}, {DPAlgo, 1001}, {CBAAlgo, 8191}} {
+		rates := randx.New(7).ErrorRates(tc.n, 0.3, 0.15)
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := Compute(rates, tc.algo); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("Compute(%s, n=%d) allocates %.0f/op, want 0", tc.algo, tc.n, got)
+		}
+	}
+}
+
 func BenchmarkDP501(b *testing.B)   { benchAlgo(b, DPAlgo, 501) }
 func BenchmarkCBA501(b *testing.B)  { benchAlgo(b, CBAAlgo, 501) }
 func BenchmarkDP4001(b *testing.B)  { benchAlgo(b, DPAlgo, 4001) }

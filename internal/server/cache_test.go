@@ -407,26 +407,41 @@ func TestSelectCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// BenchmarkSelectCacheHit is the CI zero-alloc guard for the warm
-// cached-select probe: hash, shard lock, map lookup, LRU bump. Like
-// selectRaw it passes Do a closure, which must not escape.
-func BenchmarkSelectCacheHit(b *testing.B) {
+// selectCacheHit returns a probe of a resident select-cache key: hash,
+// shard lock, map lookup and LRU bump. Like selectRaw it passes Do a
+// closure, which must not escape. It fails tb unless the probe hits.
+func selectCacheHit(tb testing.TB) func() {
 	c := memo.New[selectKey, []byte](DefaultSelectCacheEntries)
 	k := selectKey{pool: "bench-pool", version: 17, strategy: tasks.StrategyPay, budget: 2.5}
 	raw := bytes.Repeat([]byte("x"), 512)
 	if _, _, err := c.Do(k, k.hash(), func() ([]byte, error) { return raw, nil }); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		_, out, _ := c.Do(k, k.hash(), func() ([]byte, error) {
-			b.Fatal("computed a resident key")
+			tb.Fatal("computed a resident key")
 			return nil, nil
 		})
 		if out != memo.Hit {
-			b.Fatal("unexpected miss")
+			tb.Fatal("unexpected miss")
 		}
+	}
+}
+
+// TestSelectCacheHitAllocations: the warm cached-select probe allocates
+// nothing.
+func TestSelectCacheHitAllocations(t *testing.T) {
+	if got := testing.AllocsPerRun(200, selectCacheHit(t)); got != 0 {
+		t.Fatalf("select cache hit allocates %.0f/op, want 0", got)
+	}
+}
+
+func BenchmarkSelectCacheHit(b *testing.B) {
+	probe := selectCacheHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probe()
 	}
 }
 

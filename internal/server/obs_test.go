@@ -358,49 +358,6 @@ func TestDebugTracesStageBreakdown(t *testing.T) {
 	}
 }
 
-// TestWarmSelectAllocations is the overhead guard at test granularity:
-// with tracing disabled, the fully instrumented warm select must stay
-// within the PR 7 allocation budget — instrumentation adds zero.
-func TestWarmSelectAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector degrades sync.Pool reuse; allocation counts are not meaningful")
-	}
-	srv := New(Config{})
-	if _, err := srv.tasks.PutPool("crowd", testJurors(101)); err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-	body := `{"pool":"crowd"}`
-	rdr := strings.NewReader("")
-	req := httptest.NewRequest(http.MethodPost, "/v1/select", nil)
-	w := &allocWriter{h: make(http.Header)}
-	run := func() {
-		rdr.Reset(body)
-		req.Body = io.NopCloser(rdr)
-		req.ContentLength = int64(len(body))
-		w.status = 0
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			t.Fatalf("status %d", w.status)
-		}
-	}
-	run() // prime the cache
-	// The PR 7 baseline is 16 allocs/op for the warm select
-	// (BENCH_PR7.json); instrumentation must not add any.
-	if got := testing.AllocsPerRun(200, run); got > 16 {
-		t.Errorf("warm select allocates %.1f/op, budget 16 (instrumentation must add 0)", got)
-	}
-}
-
-type allocWriter struct {
-	h      http.Header
-	status int
-}
-
-func (w *allocWriter) Header() http.Header         { return w.h }
-func (w *allocWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (w *allocWriter) WriteHeader(status int)      { w.status = status }
-
 // TestMetricsScrapeUnderLoad hammers selects, votes and pool writes
 // while scraping every observability endpoint — the -race guard for the
 // scrape paths reading histograms and the trace ring mid-write.

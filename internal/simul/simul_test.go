@@ -418,3 +418,31 @@ func TestMetricsShardCountInvariant(t *testing.T) {
 		t.Fatalf("default and 64-shard reports differ:\n%s\n----\n%s", clip(def), clip(wide))
 	}
 }
+
+// BenchmarkRun times one whole in-process run of a drifting, churning
+// 40-juror crowd, four replications of 100 steps, and reports simulated
+// steps/s. serial runs the replications on one worker and parallel on
+// one per core; both reports are byte-identical.
+func BenchmarkRun(b *testing.B) {
+	sc := Scenario{
+		Name: "bench", Seed: 23, Steps: 100, Population: 40,
+		RateMean: 0.4, RateStddev: 0.1,
+		Drift:        DriftSpec{Model: DriftWalk},
+		ChurnPerStep: 0.5,
+		Replications: 4,
+	}
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(context.Background(), sc, Options{Workers: bc.workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sc.Steps*sc.Replications*b.N)/b.Elapsed().Seconds(), "steps/s")
+		})
+	}
+}
