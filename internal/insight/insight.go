@@ -31,9 +31,10 @@ import (
 	"juryselect/internal/tasks"
 )
 
-// DefaultPairCap bounds the co-vote pair map. 1<<14 pairs ≈ a 181-juror
-// complete graph; beyond it new pairs are dropped (and counted) rather
-// than grown, keeping the engine's footprint independent of crowd size.
+// DefaultPairCap bounds the co-vote pair tracker. 1<<14 pairs ≈ a
+// 181-juror complete graph, 0.7–0.9 MB at the tracker's 43–53 B per
+// pair; beyond it new pairs are dropped (and counted) rather than
+// grown, keeping the engine's footprint independent of crowd size.
 const DefaultPairCap = 1 << 14
 
 // jurorStats is one juror's accumulated profile. All fields are
@@ -53,23 +54,21 @@ type jurorStats struct {
 }
 
 // coVote is one recorded vote within an open task, in per-task
-// application order (identical live and replay).
+// application order (identical live and replay): the voter's row and
+// answer, 8 bytes.
 type coVote struct {
-	juror string
-	yes   bool
+	row uint32
+	yes bool
 }
 
 // openTask is the engine's working state for a task between its
-// TaskCreated and TaskClosed events.
+// TaskCreated and TaskClosed events. It is held by value, and its vote
+// list is allocated once at the jury's size, so a task whose jurors all
+// vote allocates nothing after its creation.
 type openTask struct {
 	strategy     string
 	predictedJER float64
 	votes        []coVote
-}
-
-// pairKey identifies an unordered juror pair canonically (A < B).
-type pairKey struct {
-	a, b string
 }
 
 // pairStats accumulates co-vote agreement for one pair.
@@ -78,17 +77,35 @@ type pairStats struct {
 	agree int64 // of those, same answer
 }
 
+// pairKey packs an unordered pair of juror rows into one tracker key,
+// the lower row in the high word. Rows follow first sight, which differs
+// between live and replay, so a key is only an identity: the rendered
+// pair is ordered by ID.
+func pairKey(a, b uint32) uint64 {
+	if b < a {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
 // Engine is the analytics sink. It implements tasks.EventSink; attach
 // it via tasks.Config.Events before Open so WAL recovery replays
 // history into it, then leave it attached for the live tail. TaskEvent
 // is called synchronously under task-store shard mutexes, so the
 // engine's own lock is leaf-level and its methods never call back into
 // the store.
+//
+// Each juror ID is interned once: jurors maps it to a dense row of ids
+// and stats, assigned at first sight. Open tasks and the pair tracker
+// hold rows, so the tracker holds no pointer and IDs come back only
+// when a snapshot renders.
 type Engine struct {
 	mu      sync.Mutex
-	jurors  map[string]*jurorStats
-	open    map[string]*openTask
-	pairs   map[pairKey]*pairStats
+	jurors  map[string]uint32
+	ids     []string // row → ID
+	stats   []jurorStats
+	open    map[string]openTask
+	pairs   map[uint64]pairStats
 	pairCap int
 
 	calib      Reliability
@@ -98,34 +115,38 @@ type Engine struct {
 	droppedPairs int64
 }
 
-// New returns an engine with the given pair-map bound; pairCap <= 0
+// New returns an engine with the given pair-tracker bound; pairCap <= 0
 // selects DefaultPairCap.
 func New(pairCap int) *Engine {
 	if pairCap <= 0 {
 		pairCap = DefaultPairCap
 	}
 	return &Engine{
-		jurors:     make(map[string]*jurorStats),
-		open:       make(map[string]*openTask),
-		pairs:      make(map[pairKey]*pairStats),
+		jurors:     make(map[string]uint32),
+		open:       make(map[string]openTask),
+		pairs:      make(map[uint64]pairStats),
 		pairCap:    pairCap,
 		byStrategy: make(map[string]*Reliability),
 	}
 }
 
-// juror returns (creating if needed) the stats row for id, folding in
-// the pinned error rate carried by the triggering event.
-func (e *Engine) juror(id string, eps float64) *jurorStats {
-	j := e.jurors[id]
-	if j == nil {
-		j = &jurorStats{}
-		e.jurors[id] = j
+// juror returns id's row, interning id at first sight, and folds in the
+// pinned error rate carried by the triggering event. The row's stats
+// stay addressable as &e.stats[row] until the next new juror.
+func (e *Engine) juror(id string, eps float64) uint32 {
+	row, ok := e.jurors[id]
+	if !ok {
+		row = uint32(len(e.ids))
+		e.jurors[id] = row
+		e.ids = append(e.ids, id)
+		e.stats = append(e.stats, jurorStats{})
 	}
 	if eps > 0 {
+		j := &e.stats[row]
 		j.epsSum += fp(eps)
 		j.epsN++
 	}
-	return j
+	return row
 }
 
 // TaskEvent consumes one task state change. See the package comment for
@@ -133,38 +154,41 @@ func (e *Engine) juror(id string, eps float64) *jurorStats {
 func (e *Engine) TaskEvent(ev tasks.Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ot := e.open[ev.Task]
-	e.tally.Observe(ev, ot != nil)
+	ot, known := e.open[ev.Task]
+	e.tally.Observe(ev, known)
 	switch ev.Type {
 	case tasks.EvTaskCreated:
-		e.open[ev.Task] = &openTask{
+		e.open[ev.Task] = openTask{
 			strategy:     ev.Strategy,
 			predictedJER: ev.PredictedJER,
+			votes:        make([]coVote, 0, len(ev.Jury)),
 		}
 		for _, j := range ev.Jury {
-			e.juror(j.ID, j.ErrorRate).invites++
+			e.stats[e.juror(j.ID, j.ErrorRate)].invites++
 		}
 	case tasks.EvJurorInvited:
-		e.juror(ev.Juror, ev.ErrorRate).invites++
+		e.stats[e.juror(ev.Juror, ev.ErrorRate)].invites++
 	case tasks.EvVoteRecorded:
-		j := e.juror(ev.Juror, ev.ErrorRate)
+		row := e.juror(ev.Juror, ev.ErrorRate)
+		j := &e.stats[row]
 		j.votes++
 		if ev.Vote {
 			j.yesVotes++
 		}
 		j.latency.Observe(ev.LatencyNS)
-		if ot != nil {
-			ot.votes = append(ot.votes, coVote{juror: ev.Juror, yes: ev.Vote})
+		if known {
+			ot.votes = append(ot.votes, coVote{row: row, yes: ev.Vote})
+			e.open[ev.Task] = ot
 		}
 	case tasks.EvJurorReleased:
-		j := e.juror(ev.Juror, ev.ErrorRate)
+		j := &e.stats[e.juror(ev.Juror, ev.ErrorRate)]
 		if ev.Timeout {
 			j.timeouts++
 		} else {
 			j.declines++
 		}
 	case tasks.EvTaskClosed:
-		if ot == nil {
+		if !known {
 			return
 		}
 		delete(e.open, ev.Task)
@@ -181,7 +205,7 @@ func (e *Engine) TaskEvent(ev tasks.Event) {
 			}
 			sr.Add(ot.predictedJER, realized)
 			for _, v := range ot.votes {
-				j := e.jurors[v.juror]
+				j := &e.stats[v.row]
 				j.judged++
 				if v.yes != ev.Answer {
 					j.wrong++
@@ -200,23 +224,17 @@ func (e *Engine) recordPairs(votes []coVote) {
 	for i := 0; i < len(votes); i++ {
 		for k := i + 1; k < len(votes); k++ {
 			a, b := votes[i], votes[k]
-			key := pairKey{a: a.juror, b: b.juror}
-			if key.b < key.a {
-				key.a, key.b = key.b, key.a
-			}
-			p := e.pairs[key]
-			if p == nil {
-				if len(e.pairs) >= e.pairCap {
-					e.droppedPairs++
-					continue
-				}
-				p = &pairStats{}
-				e.pairs[key] = p
+			key := pairKey(a.row, b.row)
+			p, ok := e.pairs[key]
+			if !ok && len(e.pairs) >= e.pairCap {
+				e.droppedPairs++
+				continue
 			}
 			p.n++
 			if a.yes == b.yes {
 				p.agree++
 			}
+			e.pairs[key] = p
 		}
 	}
 }

@@ -42,14 +42,15 @@ func crowd(n int) []jury.Juror {
 	return out
 }
 
-// driveTasks runs n tasks to completion against the store: seeded
-// pseudo-random votes with occasional declines, so the stream exercises
-// creates, invites, votes, releases, and both close paths.
-func driveTasks(t *testing.T, s *tasks.Store, rng *rand.Rand, n int) {
+// driveTasks runs n tasks at the target confidence to completion
+// against the store: seeded pseudo-random votes with occasional
+// declines, so the stream exercises creates, invites, votes, releases,
+// and both close paths.
+func driveTasks(t *testing.T, s *tasks.Store, rng *rand.Rand, n int, target float64) {
 	t.Helper()
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
-		v, err := s.Create(ctx, tasks.Spec{Pool: "crowd", TargetConfidence: 0.9})
+		v, err := s.Create(ctx, tasks.Spec{Pool: "crowd", TargetConfidence: target})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestRestartMidStreamBitIdentical(t *testing.T) {
 	if _, err := s.PutPool("crowd", crowd(25)); err != nil {
 		t.Fatal(err)
 	}
-	driveTasks(t, s, rng, 8)
+	driveTasks(t, s, rng, 8, 0.9)
 	fp1 := live.Snapshot().Fingerprint
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -130,7 +131,7 @@ func TestRestartMidStreamBitIdentical(t *testing.T) {
 	}
 
 	// Continue on the recovered store: the replayed engine now live-tails.
-	driveTasks(t, s2, rng, 8)
+	driveTasks(t, s2, rng, 8, 0.9)
 	fp2 := replayed.Snapshot().Fingerprint
 	if fp2 == fp1 {
 		t.Fatal("fingerprint unchanged after more traffic")

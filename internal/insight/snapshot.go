@@ -1,8 +1,10 @@
 package insight
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"juryselect/internal/estimate"
 	"juryselect/internal/obs"
@@ -100,7 +102,7 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Totals:             e.tally.Totals,
 		UnknownTaskEvents:  e.tally.Unknown,
-		JurorsTracked:      len(e.jurors),
+		JurorsTracked:      len(e.ids),
 		PairsTracked:       len(e.pairs),
 		PairsDropped:       e.droppedPairs,
 		CalibrationSamples: e.calib.total,
@@ -110,33 +112,88 @@ func (e *Engine) Stats() Stats {
 
 // Snapshot renders the full engine state deterministically and stamps
 // its fingerprint: the SHA-256 of the snapshot's canonical JSON with
-// the Fingerprint field empty.
+// the Fingerprint field empty. The engine lock is held only to copy the
+// state out (freeze); the sorts, z-scores and fingerprint run after it
+// is released, so a slow reader does not hold up TaskEvent.
 func (e *Engine) Snapshot() *Snapshot {
+	return e.freeze().render()
+}
+
+// pairEntry is one tracked pair as freeze copies it out of the tracker.
+type pairEntry struct {
+	key uint64
+	pairStats
+}
+
+// frozen is the engine state a snapshot renders from, copied under the
+// engine lock: the tables that grow with the crowd, copied whole, and
+// the calibration report, whose size is fixed.
+type frozen struct {
+	totals      tasks.Totals
+	unknown     int64
+	ids         []string
+	stats       []jurorStats
+	pairs       []pairEntry
+	dropped     int64
+	calibration CalibrationReport
+}
+
+// freeze copies the state a snapshot needs under the engine lock.
+func (e *Engine) freeze() *frozen {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	f := &frozen{
+		totals:      e.tally.Totals,
+		unknown:     e.tally.Unknown,
+		ids:         slices.Clone(e.ids),
+		stats:       make([]jurorStats, len(e.stats)),
+		pairs:       make([]pairEntry, 0, len(e.pairs)),
+		dropped:     e.droppedPairs,
+		calibration: e.calibrationReport(),
+	}
+	copy(f.stats, e.stats)
+	for key, p := range e.pairs {
+		f.pairs = append(f.pairs, pairEntry{key: key, pairStats: p})
+	}
+	return f
+}
+
+// render builds the snapshot from frozen state, which it owns.
+func (f *frozen) render() *Snapshot {
+	order, rank := f.idOrder()
 	s := &Snapshot{
-		Totals:            e.tally.Totals,
-		UnknownTaskEvents: e.tally.Unknown,
-		Jurors:            e.jurorProfiles(),
-		Calibration:       e.calibrationReport(),
-		Agreement:         e.agreementReport(),
+		Totals:            f.totals,
+		UnknownTaskEvents: f.unknown,
+		Jurors:            f.jurorProfiles(order),
+		Calibration:       f.calibration,
+		Agreement:         f.agreementReport(order, rank),
 	}
 	s.Fingerprint = obs.Fingerprint(s)
 	return s
 }
 
-// jurorProfiles renders every tracked juror in ID order.
-func (e *Engine) jurorProfiles() []JurorProfile {
-	ids := make([]string, 0, len(e.jurors))
-	for id := range e.jurors {
-		ids = append(ids, id)
+// idOrder returns the juror rows in ID order, and each row's rank in
+// that order.
+func (f *frozen) idOrder() (order, rank []uint32) {
+	order = make([]uint32, len(f.ids))
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	sort.Strings(ids)
-	out := make([]JurorProfile, 0, len(ids))
-	for _, id := range ids {
-		j := e.jurors[id]
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(f.ids[a], f.ids[b]) })
+	rank = make([]uint32, len(order))
+	for i, row := range order {
+		rank[row] = uint32(i)
+	}
+	return order, rank
+}
+
+// jurorProfiles renders every tracked juror in ID order.
+func (f *frozen) jurorProfiles(order []uint32) []JurorProfile {
+	out := make([]JurorProfile, 0, len(order))
+	for _, row := range order {
+		j := &f.stats[row]
 		p := JurorProfile{
-			ID:       id,
+			ID:       f.ids[row],
 			Invites:  j.invites,
 			Votes:    j.votes,
 			YesVotes: j.yesVotes,
@@ -186,34 +243,38 @@ func (e *Engine) calibrationReport() CalibrationReport {
 }
 
 // agreementReport renders tracked pairs sorted by volume (co-votes
-// descending, then pair key) — "top K by volume" reads off the prefix.
-func (e *Engine) agreementReport() AgreementReport {
-	rep := AgreementReport{
-		TrackedPairs: len(e.pairs),
-		DroppedPairs: e.droppedPairs,
-		Pairs:        make([]AgreementPair, 0, len(e.pairs)),
+// descending, then A, then B, each pair ordered A < B by ID) — "top K by
+// volume" reads off the prefix. Each key is rewritten in rank space, the
+// lower rank in the high word, so one integer compare orders two pairs
+// of equal volume as their IDs would.
+func (f *frozen) agreementReport(order, rank []uint32) AgreementReport {
+	for i := range f.pairs {
+		p := &f.pairs[i]
+		p.key = pairKey(rank[p.key>>32], rank[uint32(p.key)])
 	}
-	for key, p := range e.pairs {
+	slices.SortFunc(f.pairs, func(x, y pairEntry) int {
+		if x.n != y.n {
+			return cmp.Compare(y.n, x.n)
+		}
+		return cmp.Compare(x.key, y.key)
+	})
+	rep := AgreementReport{
+		TrackedPairs: len(f.pairs),
+		DroppedPairs: f.dropped,
+		Pairs:        make([]AgreementPair, 0, len(f.pairs)),
+	}
+	for _, p := range f.pairs {
+		a, b := order[p.key>>32], order[uint32(p.key)]
 		ap := AgreementPair{
-			A:          key.a,
-			B:          key.b,
+			A:          f.ids[a],
+			B:          f.ids[b],
 			CoVotes:    p.n,
 			Agreements: p.agree,
 			Rate:       float64(p.agree) / float64(p.n),
 		}
-		ap.Expected, ap.Z = e.agreementZ(key, p)
+		ap.Expected, ap.Z = agreementZ(&f.stats[a], &f.stats[b], p.pairStats)
 		rep.Pairs = append(rep.Pairs, ap)
 	}
-	sort.Slice(rep.Pairs, func(i, k int) bool {
-		a, b := rep.Pairs[i], rep.Pairs[k]
-		if a.CoVotes != b.CoVotes {
-			return a.CoVotes > b.CoVotes
-		}
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
 	return rep
 }
 
@@ -223,9 +284,8 @@ func (e *Engine) agreementReport() AgreementReport {
 // Binomial(n, p). Degenerate marginals (a juror who always votes one
 // way) make the variance 0; the z-score is reported as 0 there rather
 // than ±Inf, since a constant voter carries no correlation evidence.
-func (e *Engine) agreementZ(key pairKey, p *pairStats) (expected, z float64) {
-	ja, jb := e.jurors[key.a], e.jurors[key.b]
-	if ja == nil || jb == nil || ja.votes == 0 || jb.votes == 0 || p.n == 0 {
+func agreementZ(ja, jb *jurorStats, p pairStats) (expected, z float64) {
+	if ja.votes == 0 || jb.votes == 0 || p.n == 0 {
 		return 0, 0
 	}
 	qa := float64(ja.yesVotes) / float64(ja.votes)
