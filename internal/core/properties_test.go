@@ -138,7 +138,12 @@ func TestPropertySelectionJERConsistent(t *testing.T) {
 			if sel == nil {
 				continue
 			}
-			d := pbdist.MustNew(sel.Rates())
+			var d pbdist.Dist
+			for _, e := range sel.Rates() {
+				if err := d.Append(e); err != nil {
+					return false
+				}
+			}
 			want := d.TailAtLeast((sel.Size() + 2) / 2)
 			if diff := sel.JER - want; diff > 1e-9 || diff < -1e-9 {
 				return false

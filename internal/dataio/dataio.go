@@ -1,6 +1,6 @@
-// Package dataio reads and writes candidate-juror datasets in CSV and JSON.
-// It backs cmd/juryselect and gives downstream users a stable interchange
-// format for estimated crowds:
+// Package dataio reads candidate-juror datasets in CSV and JSON and writes
+// selection reports. It backs cmd/juryselect and gives downstream users a
+// stable interchange format for estimated crowds:
 //
 //	CSV:  header "id,error_rate,cost" (cost optional), one juror per row.
 //	JSON: array of {"id": ..., "error_rate": ..., "cost": ...} objects.
@@ -93,26 +93,6 @@ func ReadCSV(r io.Reader) ([]core.Juror, error) {
 	return jurors, nil
 }
 
-// WriteCSV writes jurors as CSV with a header.
-func WriteCSV(w io.Writer, jurors []core.Juror) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "error_rate", "cost"}); err != nil {
-		return fmt.Errorf("dataio: writing CSV: %w", err)
-	}
-	for _, j := range jurors {
-		rec := []string{
-			j.ID,
-			strconv.FormatFloat(j.ErrorRate, 'g', -1, 64),
-			strconv.FormatFloat(j.Cost, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("dataio: writing CSV: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // JurorJSON is the JSON wire form of a juror, shared by the CSV/JSON file
 // formats, cmd/juryselect -json, and the juryd service payloads.
 type JurorJSON struct {
@@ -145,20 +125,6 @@ func ReadJSON(r io.Reader) ([]core.Juror, error) {
 		}
 	}
 	return jurors, nil
-}
-
-// WriteJSON writes jurors as an indented JSON array.
-func WriteJSON(w io.Writer, jurors []core.Juror) error {
-	raw := make([]JurorJSON, len(jurors))
-	for i, j := range jurors {
-		raw[i] = JurorJSON{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(raw); err != nil {
-		return fmt.Errorf("dataio: encoding JSON: %w", err)
-	}
-	return nil
 }
 
 // SelectionJSON is the canonical JSON report form of a selection outcome.

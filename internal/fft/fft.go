@@ -2,21 +2,19 @@
 // (probability-vector) convolutions that back the paper's Convolution-Based
 // Algorithm (CBA, Algorithm 2) for computing the Jury Error Rate.
 //
-// The package offers four entry points:
+// The package offers two entry points:
 //
 //   - Transform / Inverse: radix-2 iterative complex FFT.
-//   - ConvolveNaive: O(len(a)·len(b)) schoolbook convolution.
-//   - Convolve: size-adaptive convolution that uses the schoolbook method
-//     below a crossover and the FFT method above it.
-//   - ConvolveInto: Convolve writing into a caller-provided output slice
-//     with all FFT temporaries drawn from a reusable Scratch arena, so a
-//     steady-state caller (e.g. the jer.Evaluator kernel) allocates
-//     nothing.
+//   - ConvolveInto: size-adaptive convolution — the O(len(a)·len(b))
+//     schoolbook method below a crossover, the FFT method above it —
+//     writing into a caller-provided output slice with all FFT
+//     temporaries drawn from a reusable Scratch arena, so a steady-state
+//     caller (the jer.Evaluator kernel) allocates nothing.
 //
 // The convolutions operate on non-negative real vectors (probability mass
-// functions of wrong-vote counts); Convolve and ConvolveInto clamp tiny
-// negative values that arise from floating-point round-off back to zero so
-// downstream code can rely on PMF non-negativity.
+// functions of wrong-vote counts); ConvolveInto clamps tiny negative values
+// that arise from floating-point round-off back to zero so downstream code
+// can rely on PMF non-negativity.
 package fft
 
 import (
@@ -95,8 +93,8 @@ func nextPow2(n int) int {
 // convolution path. A zero Scratch is ready to use; buffers grow to the
 // largest transform seen and are then reused, so a long-lived Scratch makes
 // ConvolveInto allocation-free in steady state. A Scratch is not safe for
-// concurrent use; give each worker its own (NewScratch) or let the
-// package-level pool hand them out (Convolve, ConvolveFFT).
+// concurrent use; give each worker its own (NewScratch) or pass nil to
+// ConvolveInto to draw one from a package-level pool.
 type Scratch struct {
 	buf  []complex128 // packed input spectrum fa = a + i·b
 	prod []complex128 // pointwise spectral product
@@ -118,21 +116,9 @@ func (s *Scratch) complexPair(n int) (buf, prod []complex128) {
 	return buf, prod
 }
 
-// scratchPool recycles arenas for the convenience entry points that do not
-// thread their own Scratch through.
+// scratchPool recycles arenas for ConvolveInto callers that do not thread
+// their own Scratch through.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
-
-// ConvolveNaive returns the linear convolution of a and b using the
-// schoolbook O(len(a)·len(b)) algorithm. The result has length
-// len(a)+len(b)-1. Either input being empty yields nil.
-func ConvolveNaive(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(a)+len(b)-1)
-	convolveNaiveInto(out, a, b)
-	return out
-}
 
 // convolveNaiveInto accumulates the schoolbook convolution of a and b into
 // out, which must be zeroed, have length len(a)+len(b)-1 and alias neither
@@ -146,20 +132,6 @@ func convolveNaiveInto(out, a, b []float64) {
 			out[i+j] += av * bv
 		}
 	}
-}
-
-// ConvolveFFT returns the linear convolution of a and b computed through the
-// complex FFT. The result has length len(a)+len(b)-1. Either input being
-// empty yields nil.
-func ConvolveFFT(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(a)+len(b)-1)
-	s := scratchPool.Get().(*Scratch)
-	convolveFFTInto(out, a, b, s)
-	scratchPool.Put(s)
-	return out
 }
 
 // convolveFFTInto computes the FFT convolution of a and b into out, drawing
@@ -196,27 +168,14 @@ func convolveFFTInto(out, a, b []float64, s *Scratch) {
 
 func cconj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 
-// Convolve returns the linear convolution of a and b, choosing between the
-// schoolbook and FFT algorithms by size. Outputs are clamped to be
-// non-negative: inputs are probability vectors, so any negative value is
-// floating-point noise from the FFT path.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(a)+len(b)-1)
-	s := scratchPool.Get().(*Scratch)
-	ConvolveInto(out, a, b, s)
-	scratchPool.Put(s)
-	return out
-}
-
-// ConvolveInto is Convolve writing the result into out, which must have
-// length len(a)+len(b)-1 and alias neither input. FFT temporaries come from
-// s (nil draws a pooled arena), so a caller holding its own Scratch and
-// output buffer performs no allocation. The values written are bit-identical
-// to Convolve's for the same inputs: the branch choice, loop order and
-// round-off clamping are the same code.
+// ConvolveInto writes the linear convolution of a and b into out, which
+// must have length len(a)+len(b)-1 and alias neither input, and returns
+// out; either input being empty yields nil. It uses the schoolbook method
+// below a crossover size and the FFT method above it, clamping the FFT
+// path's outputs to be non-negative: inputs are probability vectors, so
+// any negative value is floating-point noise. FFT temporaries come from s
+// (nil draws a pooled arena), so a caller holding its own Scratch and
+// output buffer performs no allocation.
 func ConvolveInto(out, a, b []float64, s *Scratch) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil

@@ -26,6 +26,32 @@ func slicesAlmostEqual(t *testing.T, got, want []float64, eps float64) {
 	}
 }
 
+// convolveNaive returns the schoolbook convolution of a and b in a fresh
+// slice, or nil when either is empty: the reference the FFT path must
+// match.
+func convolveNaive(a, b []float64) []float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
+	out := make([]float64, len(a)+len(b)-1)
+	convolveNaiveInto(out, a, b)
+	return out
+}
+
+// convolveFFT returns the FFT-path convolution of nonempty a and b,
+// without ConvolveInto's size dispatch or clamping.
+func convolveFFT(a, b []float64) []float64 {
+	out := make([]float64, len(a)+len(b)-1)
+	convolveFFTInto(out, a, b, NewScratch())
+	return out
+}
+
+// convolve returns ConvolveInto's result for nonempty a and b in a fresh
+// slice.
+func convolve(a, b []float64) []float64 {
+	return ConvolveInto(make([]float64, len(a)+len(b)-1), a, b, NewScratch())
+}
+
 func TestTransformKnownValues(t *testing.T) {
 	// FFT of [1,1,1,1] is [4,0,0,0].
 	a := []complex128{1, 1, 1, 1}
@@ -85,24 +111,24 @@ func TestTransformEmptyIsNoop(t *testing.T) {
 
 func TestConvolveNaiveKnown(t *testing.T) {
 	// (1 + 2x)(3 + 4x) = 3 + 10x + 8x².
-	got := ConvolveNaive([]float64{1, 2}, []float64{3, 4})
+	got := convolveNaive([]float64{1, 2}, []float64{3, 4})
 	slicesAlmostEqual(t, got, []float64{3, 10, 8}, tol)
 }
 
 func TestConvolveNaiveIdentity(t *testing.T) {
 	a := []float64{0.25, 0.5, 0.25}
-	got := ConvolveNaive(a, []float64{1})
+	got := convolveNaive(a, []float64{1})
 	slicesAlmostEqual(t, got, a, tol)
 }
 
 func TestConvolveEmpty(t *testing.T) {
-	if got := ConvolveNaive(nil, []float64{1}); got != nil {
+	if got := convolveNaive(nil, []float64{1}); got != nil {
 		t.Fatalf("expected nil, got %v", got)
 	}
-	if got := ConvolveFFT([]float64{1}, nil); got != nil {
+	if got := ConvolveInto(nil, []float64{1}, nil, NewScratch()); got != nil {
 		t.Fatalf("expected nil, got %v", got)
 	}
-	if got := Convolve(nil, nil); got != nil {
+	if got := ConvolveInto(nil, nil, nil, nil); got != nil {
 		t.Fatalf("expected nil, got %v", got)
 	}
 }
@@ -118,8 +144,8 @@ func TestConvolveFFTMatchesNaive(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float64()
 		}
-		want := ConvolveNaive(a, b)
-		got := ConvolveFFT(a, b)
+		want := convolveNaive(a, b)
+		got := convolveFFT(a, b)
 		slicesAlmostEqual(t, got, want, 1e-8)
 	}
 }
@@ -130,7 +156,7 @@ func TestConvolvePreservesMass(t *testing.T) {
 	for _, n := range []int{2, 17, 200} {
 		a := randomPMF(rng, n)
 		b := randomPMF(rng, n+3)
-		out := Convolve(a, b)
+		out := convolve(a, b)
 		sum := 0.0
 		for _, v := range out {
 			if v < 0 {
@@ -163,8 +189,8 @@ func TestConvolveCommutative(t *testing.T) {
 		if len(xs) == 0 || len(ys) == 0 {
 			return true
 		}
-		ab := Convolve(xs, ys)
-		ba := Convolve(ys, xs)
+		ab := convolve(xs, ys)
+		ba := convolve(ys, xs)
 		if len(ab) != len(ba) {
 			return false
 		}
@@ -186,8 +212,8 @@ func TestConvolveAssociativeProperty(t *testing.T) {
 		if len(xs) == 0 || len(ys) == 0 || len(zs) == 0 {
 			return true
 		}
-		left := Convolve(Convolve(xs, ys), zs)
-		right := Convolve(xs, Convolve(ys, zs))
+		left := convolve(convolve(xs, ys), zs)
+		right := convolve(xs, convolve(ys, zs))
 		if len(left) != len(right) {
 			return false
 		}
@@ -234,16 +260,19 @@ func BenchmarkConvolveNaive1024(b *testing.B) {
 	y := randomPMF(rng, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConvolveNaive(x, y)
+		convolveNaive(x, y)
 	}
 }
 
+// BenchmarkConvolveFFT1024 times ConvolveInto's FFT path with the output
+// and Scratch reused, as the jer kernel calls it.
 func BenchmarkConvolveFFT1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randomPMF(rng, 1024)
 	y := randomPMF(rng, 1024)
+	out, fs := make([]float64, len(x)+len(y)-1), NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConvolveFFT(x, y)
+		ConvolveInto(out, x, y, fs)
 	}
 }

@@ -66,16 +66,6 @@ func (g *Graph) AddEdge(from, to string) error {
 	return nil
 }
 
-// HasEdge reports whether the edge from→to exists.
-func (g *Graph) HasEdge(from, to string) bool {
-	u, ok1 := g.ids[from]
-	v, ok2 := g.ids[to]
-	if !ok1 || !ok2 {
-		return false
-	}
-	return g.edgeSet[[2]int{u, v}]
-}
-
 // NumNodes returns the number of users.
 func (g *Graph) NumNodes() int { return len(g.names) }
 
@@ -89,13 +79,6 @@ func (g *Graph) Name(idx int) string { return g.names[idx] }
 func (g *Graph) Index(user string) (int, bool) {
 	idx, ok := g.ids[user]
 	return idx, ok
-}
-
-// Nodes returns all user names in insertion order.
-func (g *Graph) Nodes() []string {
-	out := make([]string, len(g.names))
-	copy(out, g.names)
-	return out
 }
 
 // OutNeighbors returns the dense indices u links to (users u retweeted).

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -20,7 +21,9 @@ func TestAddEdgeBasics(t *testing.T) {
 	if g.NumNodes() != 3 || g.NumEdges() != 3 {
 		t.Fatalf("nodes=%d edges=%d, want 3/3", g.NumNodes(), g.NumEdges())
 	}
-	if !g.HasEdge("a", "b") || g.HasEdge("b", "a") {
+	a, _ := g.Index("a")
+	b, _ := g.Index("b")
+	if !slices.Contains(g.OutNeighbors(a), b) || slices.Contains(g.OutNeighbors(b), a) {
 		t.Fatal("edge direction broken")
 	}
 }
@@ -98,19 +101,6 @@ func TestIndexUnknown(t *testing.T) {
 	g := New()
 	if _, ok := g.Index("ghost"); ok {
 		t.Fatal("unknown node found")
-	}
-	if g.HasEdge("ghost", "ghost2") {
-		t.Fatal("edge between unknown nodes")
-	}
-}
-
-func TestNodesCopy(t *testing.T) {
-	g := New()
-	g.AddNode("a")
-	nodes := g.Nodes()
-	nodes[0] = "mutated"
-	if g.Name(0) != "a" {
-		t.Fatal("Nodes leaked internal slice")
 	}
 }
 

@@ -39,15 +39,3 @@ func PrefixCurve(rates []float64) ([]CurvePoint, error) {
 	}
 	return curve, nil
 }
-
-// ArgMin returns the curve point with the smallest JER (the first one on
-// ties). It panics on an empty curve, which PrefixCurve never returns.
-func ArgMin(curve []CurvePoint) CurvePoint {
-	best := curve[0]
-	for _, p := range curve[1:] {
-		if p.JER < best.JER {
-			best = p
-		}
-	}
-	return best
-}

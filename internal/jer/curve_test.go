@@ -24,7 +24,7 @@ func TestPrefixCurveMatchesDirectEvaluation(t *testing.T) {
 		if p.Size%2 != 1 {
 			t.Fatalf("even size %d on curve", p.Size)
 		}
-		want, err := DP(rates[:p.Size])
+		want, err := Compute(rates[:p.Size], DPAlgo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,9 +48,14 @@ func TestPrefixCurveMotivationExample(t *testing.T) {
 			t.Errorf("size %d: %.6f, want %.6f", p.Size, p.JER, w)
 		}
 	}
-	best := ArgMin(curve)
+	best := curve[0]
+	for _, p := range curve[1:] {
+		if p.JER < best.JER {
+			best = p
+		}
+	}
 	if best.Size != 5 || math.Abs(best.JER-0.07036) > 1e-9 {
-		t.Errorf("ArgMin = %+v, want size 5 / 0.07036", best)
+		t.Errorf("curve minimum = %+v, want size 5 / 0.07036", best)
 	}
 }
 
@@ -60,12 +65,5 @@ func TestPrefixCurveValidation(t *testing.T) {
 	}
 	if _, err := PrefixCurve([]float64{1.5}); err == nil {
 		t.Error("expected error for invalid rate")
-	}
-}
-
-func TestArgMinFirstOnTies(t *testing.T) {
-	curve := []CurvePoint{{1, 0.3}, {3, 0.1}, {5, 0.1}, {7, 0.2}}
-	if best := ArgMin(curve); best.Size != 3 {
-		t.Errorf("ArgMin = %+v, want first minimum (size 3)", best)
 	}
 }

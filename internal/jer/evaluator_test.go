@@ -11,10 +11,10 @@ import (
 )
 
 // recursiveDistribution is the pre-refactor formulation of Algorithm 2 —
-// allocate-per-node recursion, split at the floor midpoint, merge with
-// fft.Convolve — kept verbatim as the reference the iterative kernel must
-// reproduce bit-for-bit.
-func recursiveDistribution(rates []float64) []float64 {
+// allocate-per-node recursion, split at the floor midpoint, merge each
+// node into a fresh slice with fft.ConvolveInto — kept as the reference
+// the iterative kernel must reproduce bit-for-bit.
+func recursiveDistribution(rates []float64, fs *fft.Scratch) []float64 {
 	n := len(rates)
 	if n == 0 {
 		return []float64{1}
@@ -23,9 +23,9 @@ func recursiveDistribution(rates []float64) []float64 {
 		return []float64{1 - rates[0], rates[0]}
 	}
 	mid := n / 2
-	left := recursiveDistribution(rates[:mid])
-	right := recursiveDistribution(rates[mid:])
-	return fft.Convolve(left, right)
+	left := recursiveDistribution(rates[:mid], fs)
+	right := recursiveDistribution(rates[mid:], fs)
+	return fft.ConvolveInto(make([]float64, len(left)+len(right)-1), left, right, fs)
 }
 
 // TestIterativeDistributionBitIdentical asserts the pooled iterative CBA
@@ -36,14 +36,14 @@ func recursiveDistribution(rates []float64) []float64 {
 // growing).
 func TestIterativeDistributionBitIdentical(t *testing.T) {
 	src := randx.New(97)
-	ev := NewEvaluator()
+	ev, fs := NewEvaluator(), fft.NewScratch()
 	maxN := 2048
 	if testing.Short() {
 		maxN = 300
 	}
 	for n := 1; n <= maxN; n++ {
 		rates := src.ErrorRates(n, 0.3, 0.2)
-		want := recursiveDistribution(rates)
+		want := recursiveDistribution(rates, fs)
 		got := ev.distribution(rates)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: length %d, want %d", n, len(got), len(want))

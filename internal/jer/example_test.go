@@ -35,7 +35,12 @@ func ExamplePrefixCurve() {
 	if err != nil {
 		panic(err)
 	}
-	best := jer.ArgMin(curve)
+	best := curve[0]
+	for _, p := range curve[1:] {
+		if p.JER < best.JER {
+			best = p
+		}
+	}
 	fmt.Printf("best size %d at %.5f\n", best.Size, best.JER)
 	// Output: best size 5 at 0.07036
 }

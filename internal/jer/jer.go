@@ -7,16 +7,15 @@
 // where C is the Poisson–Binomial count of wrong voters with parameters
 // ε_1,…,ε_n (the individual error rates).
 //
-// Four evaluators are provided, mirroring Section 3.1:
+// Compute evaluates JER with one of three algorithms, mirroring Section
+// 3.1 (Auto picks between the last two by jury size):
 //
-//   - Enum: the naive O(2^n) enumeration of all "Minorities" (the baseline
-//     the paper rejects; retained as ground truth for tests).
-//   - DP: the dynamic-programming method of Algorithm 1 — O(n²) time,
+//   - EnumAlgo: the naive O(2^n) enumeration of all "Minorities" (the
+//     baseline the paper rejects; retained as ground truth for tests).
+//   - DPAlgo: the dynamic-programming method of Algorithm 1 — O(n²) time,
 //     O(n) space.
-//   - CBA: the Convolution-Based Algorithm of Algorithm 2 — divide and
+//   - CBAAlgo: the Convolution-Based Algorithm of Algorithm 2 — divide and
 //     conquer with FFT merging.
-//   - MonteCarlo: a simulation estimator (not in the paper; extension used
-//     to validate the analytic values empirically).
 //
 // LowerBound implements the Paley–Zygmund pruning bound of Lemma 2.
 package jer
@@ -26,7 +25,6 @@ import (
 	"fmt"
 
 	"juryselect/internal/pbdist"
-	"juryselect/internal/randx"
 )
 
 // ErrEmptyJury reports a JER request for zero jurors.
@@ -83,15 +81,6 @@ func Compute(rates []float64, algo Algorithm) (float64, error) {
 	evaluatorPool.Put(e)
 	return v, err
 }
-
-// DP evaluates JER with Algorithm 1. It validates input.
-func DP(rates []float64) (float64, error) { return Compute(rates, DPAlgo) }
-
-// CBA evaluates JER with Algorithm 2. It validates input.
-func CBA(rates []float64) (float64, error) { return Compute(rates, CBAAlgo) }
-
-// Enum evaluates JER by exhaustive minority enumeration (n ≤ 25).
-func Enum(rates []float64) (float64, error) { return Compute(rates, EnumAlgo) }
 
 // Distribution returns the exact PMF of the number of wrong voters using
 // the divide-and-conquer convolution of Algorithm 2: the juror range is
@@ -175,40 +164,6 @@ func LowerBoundMoments(n int, mu, sigma2 float64) (bound float64, usable bool) {
 	t := (1 - gamma) * mu
 	t2 := t * t
 	return t2 / (t2 + sigma2), true
-}
-
-// MonteCarlo estimates JER by simulating trials independent votings: each
-// juror votes wrongly with probability ε_i and the voting fails when the
-// wrong count reaches the failure threshold. The estimator is unbiased with
-// standard error ≤ 1/(2√trials). Extension beyond the paper, used to
-// validate the analytic evaluators against simulated crowd behaviour.
-func MonteCarlo(rates []float64, trials int, src *randx.Source) (float64, error) {
-	if len(rates) == 0 {
-		return 0, ErrEmptyJury
-	}
-	if trials <= 0 {
-		return 0, errors.New("jer: MonteCarlo requires trials > 0")
-	}
-	if err := pbdist.ValidateRates(rates); err != nil {
-		return 0, err
-	}
-	threshold := FailThreshold(len(rates))
-	fails := 0
-	for t := 0; t < trials; t++ {
-		wrong := 0
-		for _, e := range rates {
-			if src.Bernoulli(e) {
-				wrong++
-				if wrong >= threshold {
-					break // outcome decided; skip remaining jurors
-				}
-			}
-		}
-		if wrong >= threshold {
-			fails++
-		}
-	}
-	return float64(fails) / float64(trials), nil
 }
 
 // Sweep incrementally evaluates JER over growing prefixes of a juror

@@ -38,7 +38,7 @@ var table2 = []struct {
 
 func TestTable2GoldenValues(t *testing.T) {
 	for _, tc := range table2 {
-		got, err := DP(tc.rates)
+		got, err := Compute(tc.rates, DPAlgo)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -50,15 +50,15 @@ func TestTable2GoldenValues(t *testing.T) {
 
 func TestTable2AllAlgorithmsAgree(t *testing.T) {
 	for _, tc := range table2 {
-		enum, err := Enum(tc.rates)
+		enum, err := Compute(tc.rates, EnumAlgo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dpv, err := DP(tc.rates)
+		dpv, err := Compute(tc.rates, DPAlgo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cbav, err := CBA(tc.rates)
+		cbav, err := Compute(tc.rates, CBAAlgo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,8 +125,8 @@ func TestDPMatchesCBARandom(t *testing.T) {
 		for i := range rates {
 			rates[i] = 0.01 + 0.98*rng.Float64()
 		}
-		dpv, err1 := DP(rates)
-		cbav, err2 := CBA(rates)
+		dpv, err1 := Compute(rates, DPAlgo)
+		cbav, err2 := Compute(rates, CBAAlgo)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -145,8 +145,8 @@ func TestDPMatchesEnumRandomSmall(t *testing.T) {
 		for i := range rates {
 			rates[i] = 0.01 + 0.98*rng.Float64()
 		}
-		dpv, err1 := DP(rates)
-		ev, err2 := Enum(rates)
+		dpv, err1 := Compute(rates, DPAlgo)
+		ev, err2 := Compute(rates, EnumAlgo)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -165,7 +165,7 @@ func TestLargeJuryCBA(t *testing.T) {
 	for i := range rates {
 		rates[i] = 0.05 + 0.5*rng.Float64()
 	}
-	dpv, err := DP(rates)
+	dpv, err := Compute(rates, DPAlgo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,11 @@ func TestJERMonotoneInIndividualRate(t *testing.T) {
 			rates[i] = 0.05 + 0.9*rng.Float64()
 		}
 		i := rng.Intn(n)
-		lo, err1 := DP(rates)
+		lo, err1 := Compute(rates, DPAlgo)
 		bumped := make([]float64, n)
 		copy(bumped, rates)
 		bumped[i] = bumped[i] + (0.999-bumped[i])*rng.Float64()
-		hi, err2 := DP(bumped)
+		hi, err2 := Compute(bumped, DPAlgo)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -232,7 +232,7 @@ func TestLowerBoundIsLowerBound(t *testing.T) {
 		if !usable {
 			return true
 		}
-		exact, err := DP(rates)
+		exact, err := Compute(rates, DPAlgo)
 		if err != nil {
 			return false
 		}
@@ -271,6 +271,40 @@ func TestLowerBoundMomentsMatchesLowerBound(t *testing.T) {
 	}
 }
 
+// monteCarlo estimates JER by simulating trials independent votings: each
+// juror votes wrongly with probability ε_i and the voting fails when the
+// wrong count reaches the failure threshold. The estimator is unbiased with
+// standard error ≤ 1/(2√trials). It is the simulation oracle the analytic
+// evaluators are checked against.
+func monteCarlo(rates []float64, trials int, src *randx.Source) (float64, error) {
+	if len(rates) == 0 {
+		return 0, ErrEmptyJury
+	}
+	if trials <= 0 {
+		return 0, errors.New("monteCarlo requires trials > 0")
+	}
+	if err := pbdist.ValidateRates(rates); err != nil {
+		return 0, err
+	}
+	threshold := FailThreshold(len(rates))
+	fails := 0
+	for t := 0; t < trials; t++ {
+		wrong := 0
+		for _, e := range rates {
+			if src.Bernoulli(e) {
+				wrong++
+				if wrong >= threshold {
+					break // outcome decided; skip remaining jurors
+				}
+			}
+		}
+		if wrong >= threshold {
+			fails++
+		}
+	}
+	return float64(fails) / float64(trials), nil
+}
+
 func TestMonteCarloConvergesToAnalytic(t *testing.T) {
 	src := randx.New(77)
 	for _, tc := range []struct {
@@ -280,12 +314,12 @@ func TestMonteCarloConvergesToAnalytic(t *testing.T) {
 		{[]float64{0.1, 0.2, 0.2, 0.3, 0.3}},
 		{[]float64{0.45, 0.45, 0.45, 0.45, 0.45, 0.45, 0.45}},
 	} {
-		exact, err := DP(tc.rates)
+		exact, err := Compute(tc.rates, DPAlgo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const trials = 400000
-		est, err := MonteCarlo(tc.rates, trials, src)
+		est, err := monteCarlo(tc.rates, trials, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,13 +333,13 @@ func TestMonteCarloConvergesToAnalytic(t *testing.T) {
 
 func TestMonteCarloValidation(t *testing.T) {
 	src := randx.New(1)
-	if _, err := MonteCarlo(nil, 100, src); !errors.Is(err, ErrEmptyJury) {
+	if _, err := monteCarlo(nil, 100, src); !errors.Is(err, ErrEmptyJury) {
 		t.Error("expected ErrEmptyJury")
 	}
-	if _, err := MonteCarlo([]float64{0.5}, 0, src); err == nil {
+	if _, err := monteCarlo([]float64{0.5}, 0, src); err == nil {
 		t.Error("expected error for zero trials")
 	}
-	if _, err := MonteCarlo([]float64{1.5}, 10, src); err == nil {
+	if _, err := monteCarlo([]float64{1.5}, 10, src); err == nil {
 		t.Error("expected error for invalid rate")
 	}
 }
@@ -329,7 +363,7 @@ func TestSweepMatchesDirectEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := DP(rates[:m])
+		want, err := Compute(rates[:m], DPAlgo)
 		if err != nil {
 			t.Fatal(err)
 		}

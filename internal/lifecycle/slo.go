@@ -150,9 +150,6 @@ func NewSLO(objectives []Objective, w BurnWindows, now func() time.Time, logger 
 	return s
 }
 
-// Windows returns the alerting policy in force.
-func (s *SLO) Windows() BurnWindows { return s.windows }
-
 // Observe records good/bad events at an explicit instant on every
 // objective tracking the given SLI.
 func (s *SLO) Observe(kind SLIKind, at time.Time, good, bad int64) {

@@ -77,19 +77,6 @@ type HistSnapshot struct {
 	Buckets [NumBuckets]int64
 }
 
-// Merge folds another snapshot into this one (for aggregating per-shard
-// or per-worker histograms). Max takes the larger of the two.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
 // Mean returns the exact mean of the observed samples (sum and count are
 // tracked outside the buckets), or 0 for an empty snapshot.
 func (s *HistSnapshot) Mean() float64 {

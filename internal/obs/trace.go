@@ -99,10 +99,6 @@ type Trace struct {
 	Truncated bool      `json:"truncated,omitempty"`
 }
 
-// NewTrace returns a trace with its span storage preallocated, for
-// pooling.
-func NewTrace() *Trace { return &Trace{Spans: make([]Span, 0, MaxSpans)} }
-
 // Add appends one span, dropping (and flagging) past MaxSpans.
 func (t *Trace) Add(st Stage, durNS int64) {
 	if len(t.Spans) == cap(t.Spans) {
@@ -119,18 +115,6 @@ func (t *Trace) Reset() {
 	t.Start = time.Time{}
 	t.Spans = t.Spans[:0]
 	t.Truncated = false
-}
-
-// StageNS sums the durations of the given stage across the trace's
-// spans (a batch request marks a stage once per item).
-func (t *Trace) StageNS(st Stage) int64 {
-	var total int64
-	for _, sp := range t.Spans {
-		if sp.Stage == st {
-			total += sp.DurNS
-		}
-	}
-	return total
 }
 
 // traceKey threads a *Trace through a context. Only sampled (or

@@ -20,11 +20,9 @@ import (
 // recycled by a newer one) is dropped — the windows it would land in are
 // no longer queryable anyway.
 type WindowedCounter struct {
-	mu     sync.Mutex
-	width  int64 // bucket width in nanoseconds
-	slots  []windowSlot
-	offers int64 // events offered, drops included
-	drops  int64 // events older than the ring horizon
+	mu    sync.Mutex
+	width int64 // bucket width in nanoseconds
+	slots []windowSlot
 }
 
 // windowSlot is one ring bucket: the absolute bucket index it currently
@@ -52,14 +50,6 @@ func NewWindowedCounter(width time.Duration, n int) *WindowedCounter {
 	return w
 }
 
-// Width returns the bucket width.
-func (w *WindowedCounter) Width() time.Duration { return time.Duration(w.width) }
-
-// Horizon returns the queryable span (bucket width × bucket count).
-func (w *WindowedCounter) Horizon() time.Duration {
-	return time.Duration(w.width * int64(len(w.slots)))
-}
-
 // Add records good and bad events at the given instant. Safe for
 // concurrent use; never allocates.
 func (w *WindowedCounter) Add(at time.Time, good, bad int64) {
@@ -69,12 +59,10 @@ func (w *WindowedCounter) Add(at time.Time, good, bad int64) {
 	idx := at.UnixNano() / w.width
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.offers += good + bad
 	slot := &w.slots[int(idx%int64(len(w.slots)))]
 	if slot.idx != idx {
 		if idx < slot.idx {
 			// Older than the ring horizon: its bucket was recycled.
-			w.drops += good + bad
 			return
 		}
 		slot.idx = idx
@@ -109,13 +97,4 @@ func (w *WindowedCounter) Totals(now time.Time, window time.Duration) (good, bad
 		bad += s.bad
 	}
 	return good, bad
-}
-
-// Dropped returns how many events were discarded for being older than
-// the ring horizon — a replay that outruns the configured windows shows
-// up here instead of vanishing silently.
-func (w *WindowedCounter) Dropped() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.drops
 }

@@ -10,7 +10,12 @@ import (
 // rates follows the Poisson–Binomial law; its upper tail at the majority
 // threshold is the Jury Error Rate.
 func ExampleDist_TailAtLeast() {
-	d := pbdist.MustNew([]float64{0.2, 0.3, 0.3})
+	var d pbdist.Dist
+	for _, e := range []float64{0.2, 0.3, 0.3} {
+		if err := d.Append(e); err != nil {
+			panic(err)
+		}
+	}
 	fmt.Printf("P(C>=2) = %.3f\n", d.TailAtLeast(2))
 	// Output: P(C>=2) = 0.174
 }

@@ -10,8 +10,8 @@
 //
 // The package provides an exact PMF maintained by sequential convolution,
 // incremental extension (Append) and retraction (Pop) used by the exact
-// OPT enumerator, tail sums, moments, and a brute-force enumeration
-// evaluator used as ground truth in tests.
+// OPT enumerator, tail sums, and a brute-force enumeration evaluator used
+// as ground truth in tests.
 package pbdist
 
 import (
@@ -43,28 +43,6 @@ type Dist struct {
 	pmf []float64
 	// rates records the probabilities of the appended trials, enabling Pop.
 	rates []float64
-}
-
-// New returns the distribution of len(rates) trials with the given success
-// probabilities. It returns an error if any rate is outside (0,1).
-func New(rates []float64) (*Dist, error) {
-	if err := ValidateRates(rates); err != nil {
-		return nil, err
-	}
-	d := &Dist{}
-	for _, e := range rates {
-		d.appendUnchecked(e)
-	}
-	return d, nil
-}
-
-// MustNew is New that panics on invalid rates; for tests and literals.
-func MustNew(rates []float64) *Dist {
-	d, err := New(rates)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // N returns the number of trials currently in the distribution.
@@ -142,31 +120,6 @@ func (d *Dist) Pop() error {
 	return nil
 }
 
-// PMF returns a copy of the probability mass function: entry k is
-// Pr(C = k). For zero trials the result is [1].
-func (d *Dist) PMF() []float64 {
-	if d.pmf == nil {
-		return []float64{1}
-	}
-	out := make([]float64, len(d.pmf))
-	copy(out, d.pmf)
-	return out
-}
-
-// Prob returns Pr(C = k), with 0 for k outside [0, N].
-func (d *Dist) Prob(k int) float64 {
-	if d.pmf == nil {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if k < 0 || k >= len(d.pmf) {
-		return 0
-	}
-	return d.pmf[k]
-}
-
 // TailAtLeast returns Pr(C ≥ k). For k ≤ 0 it returns 1; for k > N it
 // returns 0. With k = (n+1)/2 this is exactly the Jury Error Rate of
 // Definition 6.
@@ -209,43 +162,6 @@ func KahanSum(xs []float64) float64 {
 		sum = t
 	}
 	return sum
-}
-
-// Mean returns E[C] = Σ ε_i.
-func (d *Dist) Mean() float64 {
-	sum := 0.0
-	for _, p := range d.rates {
-		sum += p
-	}
-	return sum
-}
-
-// Variance returns Var[C] = Σ ε_i(1-ε_i).
-func (d *Dist) Variance() float64 {
-	sum := 0.0
-	for _, p := range d.rates {
-		sum += p * (1 - p)
-	}
-	return sum
-}
-
-// Rates returns a copy of the trial probabilities in append order.
-func (d *Dist) Rates() []float64 {
-	out := make([]float64, len(d.rates))
-	copy(out, d.rates)
-	return out
-}
-
-// Clone returns an independent deep copy of the distribution.
-func (d *Dist) Clone() *Dist {
-	c := &Dist{}
-	if d.pmf != nil {
-		c.pmf = make([]float64, len(d.pmf))
-		copy(c.pmf, d.pmf)
-	}
-	c.rates = make([]float64, len(d.rates))
-	copy(c.rates, d.rates)
-	return c
 }
 
 // TailEnum computes Pr(C ≥ k) for the given rates by enumerating all 2^n
@@ -293,24 +209,4 @@ func popcount(x int) int {
 		c++
 	}
 	return c
-}
-
-// NormalTailApprox returns the normal approximation with continuity
-// correction to Pr(C ≥ k): 1 - Φ((k - 1/2 - μ)/σ). It is an extension used
-// for sanity checks and fast screening on very large juries; the paper's
-// algorithms never rely on it.
-func NormalTailApprox(rates []float64, k int) float64 {
-	mu, varSum := 0.0, 0.0
-	for _, p := range rates {
-		mu += p
-		varSum += p * (1 - p)
-	}
-	if varSum == 0 {
-		if float64(k) <= mu {
-			return 1
-		}
-		return 0
-	}
-	z := (float64(k) - 0.5 - mu) / math.Sqrt(varSum)
-	return 0.5 * math.Erfc(z/math.Sqrt2)
 }

@@ -5,22 +5,29 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// build appends each rate, in order, to a fresh distribution.
+func build(t *testing.T, rates []float64) *Dist {
+	t.Helper()
+	d := &Dist{}
+	for _, p := range rates {
+		if err := d.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
 func TestZeroValueIsPointMass(t *testing.T) {
 	var d Dist
 	if d.N() != 0 {
 		t.Fatalf("N = %d, want 0", d.N())
-	}
-	if got := d.Prob(0); got != 1 {
-		t.Fatalf("Prob(0) = %g, want 1", got)
-	}
-	if got := d.Prob(1); got != 0 {
-		t.Fatalf("Prob(1) = %g, want 0", got)
 	}
 	if got := d.TailAtLeast(0); got != 1 {
 		t.Fatalf("TailAtLeast(0) = %g, want 1", got)
@@ -28,23 +35,19 @@ func TestZeroValueIsPointMass(t *testing.T) {
 	if got := d.TailAtLeast(1); got != 0 {
 		t.Fatalf("TailAtLeast(1) = %g, want 0", got)
 	}
-	pmf := d.PMF()
-	if len(pmf) != 1 || pmf[0] != 1 {
-		t.Fatalf("PMF = %v, want [1]", pmf)
-	}
 }
 
 func TestSingleTrial(t *testing.T) {
-	d := MustNew([]float64{0.3})
-	if !almostEqual(d.Prob(0), 0.7, 1e-12) || !almostEqual(d.Prob(1), 0.3, 1e-12) {
-		t.Fatalf("PMF = %v, want [0.7 0.3]", d.PMF())
+	d := build(t, []float64{0.3})
+	if len(d.pmf) != 2 || !almostEqual(d.pmf[0], 0.7, 1e-12) || !almostEqual(d.pmf[1], 0.3, 1e-12) {
+		t.Fatalf("PMF = %v, want [0.7 0.3]", d.pmf)
 	}
 }
 
 func TestMotivationExampleCDE(t *testing.T) {
 	// Paper Section 1: jurors C, D, E with ε = 0.2, 0.3, 0.3 give
 	// Pr(C ≥ 2) = 0.174.
-	d := MustNew([]float64{0.2, 0.3, 0.3})
+	d := build(t, []float64{0.2, 0.3, 0.3})
 	if got := d.TailAtLeast(2); !almostEqual(got, 0.174, 1e-12) {
 		t.Fatalf("JER(C,D,E) = %.6f, want 0.174", got)
 	}
@@ -52,7 +55,7 @@ func TestMotivationExampleCDE(t *testing.T) {
 
 func TestMotivationExampleABC(t *testing.T) {
 	// Jurors A, B, C with ε = 0.1, 0.2, 0.2 give Pr(C ≥ 2) = 0.072.
-	d := MustNew([]float64{0.1, 0.2, 0.2})
+	d := build(t, []float64{0.1, 0.2, 0.2})
 	if got := d.TailAtLeast(2); !almostEqual(got, 0.072, 1e-12) {
 		t.Fatalf("JER(A,B,C) = %.6f, want 0.072", got)
 	}
@@ -65,9 +68,9 @@ func TestPMFSumsToOne(t *testing.T) {
 		for i := range rates {
 			rates[i] = 0.001 + 0.998*rng.Float64()
 		}
-		d := MustNew(rates)
+		d := build(t, rates)
 		sum := 0.0
-		for _, v := range d.PMF() {
+		for _, v := range d.pmf {
 			if v < 0 {
 				t.Fatalf("n=%d: negative mass %g", n, v)
 			}
@@ -86,7 +89,7 @@ func TestAgainstEnumeration(t *testing.T) {
 		for i := range rates {
 			rates[i] = 0.05 + 0.9*rng.Float64()
 		}
-		d := MustNew(rates)
+		d := build(t, rates)
 		for k := 0; k <= n+1; k++ {
 			want, err := TailEnum(rates, k)
 			if err != nil {
@@ -101,19 +104,12 @@ func TestAgainstEnumeration(t *testing.T) {
 
 func TestMoments(t *testing.T) {
 	rates := []float64{0.1, 0.2, 0.25, 0.4}
-	d := MustNew(rates)
+	d := build(t, rates)
+	// The PMF's moments are Σε_i and Σε_i(1-ε_i).
 	wantMean := 0.1 + 0.2 + 0.25 + 0.4
 	wantVar := 0.1*0.9 + 0.2*0.8 + 0.25*0.75 + 0.4*0.6
-	if !almostEqual(d.Mean(), wantMean, 1e-12) {
-		t.Errorf("Mean = %g, want %g", d.Mean(), wantMean)
-	}
-	if !almostEqual(d.Variance(), wantVar, 1e-12) {
-		t.Errorf("Variance = %g, want %g", d.Variance(), wantVar)
-	}
-	// Cross-check against the PMF directly.
-	pmf := d.PMF()
 	m, m2 := 0.0, 0.0
-	for k, p := range pmf {
+	for k, p := range d.pmf {
 		m += float64(k) * p
 		m2 += float64(k) * float64(k) * p
 	}
@@ -127,8 +123,8 @@ func TestMoments(t *testing.T) {
 
 func TestAppendPopRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	d := MustNew([]float64{0.2, 0.7, 0.5})
-	before := d.PMF()
+	d := build(t, []float64{0.2, 0.7, 0.5})
+	before := slices.Clone(d.pmf)
 	// Push/pop a variety of rates, including ones near both ends where
 	// deconvolution stability matters.
 	for _, p := range []float64{0.01, 0.5, 0.99, 0.3, 0.849, rng.Float64()*0.98 + 0.01} {
@@ -138,7 +134,7 @@ func TestAppendPopRoundTrip(t *testing.T) {
 		if err := d.Pop(); err != nil {
 			t.Fatal(err)
 		}
-		after := d.PMF()
+		after := d.pmf
 		for k := range before {
 			if !almostEqual(after[k], before[k], 1e-10) {
 				t.Fatalf("p=%g k=%d: %g != %g", p, k, after[k], before[k])
@@ -152,7 +148,7 @@ func TestDeepAppendPopStack(t *testing.T) {
 	// push/pop pairs must keep the distribution exact.
 	rng := rand.New(rand.NewSource(41))
 	base := []float64{0.3, 0.6}
-	d := MustNew(base)
+	d := build(t, base)
 	var stack []float64
 	for step := 0; step < 2000; step++ {
 		if len(stack) == 0 || (len(stack) < 20 && rng.Intn(2) == 0) {
@@ -173,8 +169,8 @@ func TestDeepAppendPopStack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := MustNew(base).PMF()
-	got := d.PMF()
+	want := build(t, base).pmf
+	got := d.pmf
 	for k := range want {
 		if !almostEqual(got[k], want[k], 1e-8) {
 			t.Fatalf("k=%d: %g != %g after long push/pop walk", k, got[k], want[k])
@@ -191,36 +187,18 @@ func TestPopEmptyErrors(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	for _, bad := range [][]float64{{0}, {1}, {-0.1}, {1.1}, {math.NaN()}, {0.5, 2}} {
-		if _, err := New(bad); !errors.Is(err, ErrRateOutOfRange) {
-			t.Errorf("New(%v): err = %v, want ErrRateOutOfRange", bad, err)
+		if err := ValidateRates(bad); !errors.Is(err, ErrRateOutOfRange) {
+			t.Errorf("ValidateRates(%v): err = %v, want ErrRateOutOfRange", bad, err)
 		}
 	}
-	var d Dist
-	if err := d.Append(0); !errors.Is(err, ErrRateOutOfRange) {
-		t.Errorf("Append(0): err = %v, want ErrRateOutOfRange", err)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	d := MustNew([]float64{0.2, 0.4})
-	c := d.Clone()
-	if err := c.Append(0.9); err != nil {
-		t.Fatal(err)
-	}
-	if d.N() != 2 || c.N() != 3 {
-		t.Fatalf("clone not independent: d.N=%d c.N=%d", d.N(), c.N())
-	}
-	if !almostEqual(d.TailAtLeast(2), MustNew([]float64{0.2, 0.4}).TailAtLeast(2), 1e-12) {
-		t.Fatal("original mutated by clone append")
-	}
-}
-
-func TestRatesCopy(t *testing.T) {
-	d := MustNew([]float64{0.2, 0.4})
-	r := d.Rates()
-	r[0] = 0.99
-	if d.Rates()[0] != 0.2 {
-		t.Fatal("Rates leaked internal slice")
+	for _, bad := range []float64{0, 1, -0.1, 1.1, math.NaN()} {
+		d := build(t, []float64{0.5})
+		if err := d.Append(bad); !errors.Is(err, ErrRateOutOfRange) {
+			t.Errorf("Append(%v): err = %v, want ErrRateOutOfRange", bad, err)
+		}
+		if d.N() != 1 {
+			t.Errorf("Append(%v) rejected but N = %d, want 1", bad, d.N())
+		}
 	}
 }
 
@@ -239,7 +217,7 @@ func TestTailEnumBounds(t *testing.T) {
 }
 
 func TestTailMonotoneInK(t *testing.T) {
-	d := MustNew([]float64{0.1, 0.5, 0.9, 0.33, 0.72})
+	d := build(t, []float64{0.1, 0.5, 0.9, 0.33, 0.72})
 	prev := 1.0
 	for k := 0; k <= 6; k++ {
 		cur := d.TailAtLeast(k)
@@ -257,10 +235,10 @@ func TestBinomialSpecialCase(t *testing.T) {
 	for i := range rates {
 		rates[i] = p
 	}
-	d := MustNew(rates)
+	d := build(t, rates)
 	for k := 0; k <= n; k++ {
 		want := binomPMF(n, k, p)
-		if got := d.Prob(k); !almostEqual(got, want, 1e-10) {
+		if got := d.pmf[k]; !almostEqual(got, want, 1e-10) {
 			t.Fatalf("k=%d: got %g want %g", k, got, want)
 		}
 	}
@@ -284,7 +262,7 @@ func TestAppendTailMonotone(t *testing.T) {
 		for i := range rates {
 			rates[i] = 0.02 + 0.96*rng.Float64()
 		}
-		d := MustNew(rates)
+		d := build(t, rates)
 		k := 1 + rng.Intn(n)
 		before := d.TailAtLeast(k)
 		if err := d.Append(0.02 + 0.96*rng.Float64()); err != nil {
@@ -308,7 +286,7 @@ func TestQuickTailMatchesEnum(t *testing.T) {
 			rates[i] = 0.02 + 0.96*rng.Float64()
 		}
 		k := rng.Intn(n + 2)
-		d := MustNew(rates)
+		d := build(t, rates)
 		want, err := TailEnum(rates, k)
 		if err != nil {
 			return false
@@ -317,31 +295,6 @@ func TestQuickTailMatchesEnum(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNormalTailApproxReasonable(t *testing.T) {
-	// For a large homogeneous jury the normal approximation should be close.
-	const n, p = 1001, 0.3
-	rates := make([]float64, n)
-	for i := range rates {
-		rates[i] = p
-	}
-	d := MustNew(rates)
-	k := (n + 1) / 2
-	exact := d.TailAtLeast(k)
-	approx := NormalTailApprox(rates, k)
-	if math.Abs(exact-approx) > 1e-3 {
-		t.Errorf("normal approx %g vs exact %g", approx, exact)
-	}
-}
-
-func TestNormalTailApproxDegenerate(t *testing.T) {
-	if got := NormalTailApprox(nil, 0); got != 1 {
-		t.Errorf("empty rates k=0: got %g want 1", got)
-	}
-	if got := NormalTailApprox(nil, 1); got != 0 {
-		t.Errorf("empty rates k=1: got %g want 0", got)
 	}
 }
 
@@ -373,10 +326,7 @@ func TestTailAtLeastCompensation(t *testing.T) {
 	for i := range rates {
 		rates[i] = 0.05 + 0.9*rng.Float64()
 	}
-	d, err := New(rates)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build(t, rates)
 	k := (n + 2) / 2 // the JER threshold, deep in the distribution's bulk
 	got := d.TailAtLeast(k)
 

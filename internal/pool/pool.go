@@ -38,7 +38,7 @@ var (
 	ErrUnknownJuror = errors.New("pool: unknown juror")
 	// ErrNoUpdates reports an empty patch.
 	ErrNoUpdates = errors.New("pool: patch carries no updates")
-	// ErrDuplicateJuror reports a Put whose juror set repeats an ID.
+	// ErrDuplicateJuror reports a PutAt whose juror set repeats an ID.
 	// Unlike the solvers (where duplicate IDs merely make reports
 	// ambiguous), the pool store addresses jurors by ID on the PATCH
 	// path, so uniqueness is required at ingest.
@@ -72,7 +72,7 @@ type PoolJuror struct {
 type Pool struct {
 	// Name is the pool's identifier in the store.
 	Name string
-	// Version increments on every successful Put or Patch, starting at 1.
+	// Version increments on every successful PutAt or PatchAt, starting at 1.
 	// It never resets for a given name — not even across Delete and
 	// re-Put — so clients can order every snapshot they ever observed
 	// under that name.
@@ -86,7 +86,7 @@ type Pool struct {
 	// order is insertion order: the i-th member added is sorted[order[i]].
 	order []int32
 	// votes holds the members' vote records by insertion rank, or nil
-	// while every record is zero, as after any Put.
+	// while every record is zero, as after any PutAt.
 	votes []VoteObservation
 	// intervals caches the per-juror credible intervals GET responses
 	// report. They are a pure function of the immutable member list, so
@@ -150,7 +150,7 @@ type VoteObservation struct {
 	Total int64 `json:"total"`
 }
 
-// JurorUpdate is one incremental change inside a Patch. Exactly one
+// JurorUpdate is one incremental change inside a PatchAt. Exactly one
 // interpretation applies, checked in this order:
 //
 //   - Remove drops the juror.
@@ -175,7 +175,7 @@ type JurorUpdate struct {
 // Store is a versioned directory of named juror pools with copy-on-write
 // snapshots. Reads (Get, List) are lock-free: they atomically load the
 // current directory pointer and index it, so the selection hot path never
-// contends with writers. Writes (Put, Patch, Delete) serialize on a
+// contends with writers. Writes (PutAt, PatchAt, Delete) serialize on a
 // mutex, rebuild the affected pool, copy the directory, and publish it
 // with one atomic pointer swap.
 type Store struct {
@@ -216,17 +216,12 @@ func (s *Store) List() []*Pool {
 // Len returns the number of pools.
 func (s *Store) Len() int { return len(*s.dir.Load()) }
 
-// Put replaces (or creates) the named pool with the given jurors,
-// validating every juror at ingest. Voting records start empty: a full
-// replacement is a fresh estimate of the whole crowd. The version
-// continues from the pool's previous snapshot.
-func (s *Store) Put(name string, jurors []jury.Juror) (*Pool, error) {
-	return s.PutAt(name, jurors, time.Now().UTC())
-}
-
-// PutAt is Put with an explicit publication time, the form WAL replay
-// uses to republish snapshots byte-identical to the original writes.
-// The pool neither keeps nor reorders jurors.
+// PutAt replaces (or creates) the named pool with the given jurors,
+// validating every juror at ingest, and publishes it as of at. Voting
+// records start empty: a full replacement is a fresh estimate of the
+// whole crowd. The version continues from the pool's previous snapshot.
+// The explicit time lets WAL replay republish snapshots byte-identical
+// to the original writes. The pool neither keeps nor reorders jurors.
 func (s *Store) PutAt(name string, jurors []jury.Juror, at time.Time) (*Pool, error) {
 	if err := validateMembers(jurors); err != nil {
 		return nil, err
@@ -252,14 +247,10 @@ func validateMembers(jurors []jury.Juror) error {
 	return nil
 }
 
-// Patch applies incremental updates to the named pool and publishes the
-// next version. The whole patch is atomic: any invalid update rejects the
-// patch and leaves the current snapshot in place.
-func (s *Store) Patch(name string, updates []JurorUpdate) (*Pool, error) {
-	return s.PatchAt(name, updates, time.Now().UTC())
-}
-
-// PatchAt is Patch with an explicit publication time (see PutAt).
+// PatchAt applies incremental updates to the named pool and publishes the
+// next version as of at (see PutAt). The whole patch is atomic: any
+// invalid update rejects the patch and leaves the current snapshot in
+// place.
 func (s *Store) PatchAt(name string, updates []JurorUpdate, at time.Time) (*Pool, error) {
 	if len(updates) == 0 {
 		return nil, ErrNoUpdates
@@ -378,7 +369,7 @@ func (s *Store) publish(p *Pool) *Pool {
 }
 
 // newPool builds the immutable snapshot of validated members with one
-// ε sort, the one every Put, Patch, replayed record and Rebuild pays.
+// ε sort, the one every PutAt, PatchAt, replayed record and Rebuild pays.
 // votes holds the members' records in the same order, or nil; the pool
 // takes ownership of it and keeps it only if some record is non-zero.
 // members is only read.

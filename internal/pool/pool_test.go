@@ -42,7 +42,7 @@ func members(p *Pool) []PoolJuror {
 
 func TestStorePutCreatesVersionedPool(t *testing.T) {
 	s := NewStore()
-	p, err := s.Put("crowd", testJurors(5))
+	p, err := s.PutAt("crowd", testJurors(5), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestStorePutCreatesVersionedPool(t *testing.T) {
 		t.Fatalf("got version %d size %d, want 1/5", p.Version, p.Size())
 	}
 	// Replacement bumps the version; it never resets.
-	p2, err := s.Put("crowd", testJurors(3))
+	p2, err := s.PutAt("crowd", testJurors(3), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestStorePutRejectsInvalidJurors(t *testing.T) {
 		{{ID: "bad", ErrorRate: 0.5, Cost: -1}},
 	}
 	for i, jurors := range cases {
-		if _, err := s.Put("crowd", jurors); err == nil {
+		if _, err := s.PutAt("crowd", jurors, time.Now()); err == nil {
 			t.Errorf("case %d: invalid jurors accepted", i)
 		}
 	}
@@ -89,7 +89,7 @@ func TestStoreSortedViewIsSorted(t *testing.T) {
 		{ID: "a", ErrorRate: 0.1},
 		{ID: "b", ErrorRate: 0.2},
 	}
-	p, err := s.Put("crowd", jurors)
+	p, err := s.PutAt("crowd", jurors, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +107,14 @@ func TestStoreSortedViewIsSorted(t *testing.T) {
 
 func TestStorePatchSetRemoveInsert(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Put("crowd", testJurors(4)); err != nil {
+	if _, err := s.PutAt("crowd", testJurors(4), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.Patch("crowd", []JurorUpdate{
+	p, err := s.PatchAt("crowd", []JurorUpdate{
 		{ID: "j000", ErrorRate: f64(0.42)},
 		{ID: "j001", Remove: true},
 		{ID: "new", ErrorRate: f64(0.2), Cost: f64(0.9)},
-	})
+	}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestStorePatchSetRemoveInsert(t *testing.T) {
 
 func TestStorePatchVotesReestimateRate(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Put("crowd", []jury.Juror{{ID: "a", ErrorRate: 0.3}, {ID: "b", ErrorRate: 0.4}}); err != nil {
+	if _, err := s.PutAt("crowd", []jury.Juror{{ID: "a", ErrorRate: 0.3}, {ID: "b", ErrorRate: 0.4}}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.Patch("crowd", []JurorUpdate{
+	p, err := s.PatchAt("crowd", []JurorUpdate{
 		{ID: "a", Votes: &VoteObservation{Wrong: 0, Total: 20}},
-	})
+	}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +166,9 @@ func TestStorePatchVotesReestimateRate(t *testing.T) {
 
 	// A second batch weights the prior by the accumulated record: the
 	// result equals one concatenated batch from the original prior.
-	p, err = s.Patch("crowd", []JurorUpdate{
+	p, err = s.PatchAt("crowd", []JurorUpdate{
 		{ID: "a", Votes: &VoteObservation{Wrong: 3, Total: 10}},
-	})
+	}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestStorePatchVotesReestimateRate(t *testing.T) {
 		t.Errorf("sequential batches ε = %g, one-shot %g", a.ErrorRate, oneShot)
 	}
 	// A direct rate set resets the record: the new rate is a fresh prior.
-	p, err = s.Patch("crowd", []JurorUpdate{{ID: "a", ErrorRate: f64(0.25)}})
+	p, err = s.PatchAt("crowd", []JurorUpdate{{ID: "a", ErrorRate: f64(0.25)}}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestStorePatchVotesReestimateRate(t *testing.T) {
 
 func TestStorePatchRejections(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Put("crowd", testJurors(2)); err != nil {
+	if _, err := s.PutAt("crowd", testJurors(2), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -216,7 +216,7 @@ func TestStorePatchRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		before, _ := s.Get("crowd")
-		if _, err := s.Patch(tc.pool, tc.ups); err == nil {
+		if _, err := s.PatchAt(tc.pool, tc.ups, time.Now()); err == nil {
 			t.Errorf("%s: patch accepted", tc.name)
 		}
 		// A rejected patch must be fully atomic: same snapshot published.
@@ -233,12 +233,12 @@ func TestStorePatchRejections(t *testing.T) {
 // the pool; the record it would have wrapped stays as it was.
 func TestStorePatchBoundsVoteTotals(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Put("crowd", testJurors(2)); err != nil {
+	if _, err := s.PutAt("crowd", testJurors(2), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	edge := []JurorUpdate{{ID: "j000", Votes: &VoteObservation{Total: math.MaxInt64 - 1}},
 		{ID: "j000", Votes: &VoteObservation{Wrong: 1, Total: 1}}}
-	p, err := s.Patch("crowd", edge)
+	p, err := s.PatchAt("crowd", edge, time.Now())
 	if err != nil {
 		t.Fatalf("patch to the int64 edge: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestStorePatchBoundsVoteTotals(t *testing.T) {
 		{{ID: "j000", Votes: &VoteObservation{Total: 1}}},
 		{{ID: "j001", Votes: &VoteObservation{Total: math.MaxInt64}}, {ID: "j001", Votes: &VoteObservation{Total: math.MaxInt64}}},
 	} {
-		_, err := s.Patch("crowd", ups)
+		_, err := s.PatchAt("crowd", ups, time.Now())
 		if !errors.Is(err, ErrVoteOverflow) || !strings.Contains(err.Error(), `"crowd"`) ||
 			!strings.Contains(err.Error(), `"`+ups[0].ID+`"`) {
 			t.Fatalf("overflowing patch error = %v, want ErrVoteOverflow naming the juror and the pool", err)
@@ -262,7 +262,7 @@ func TestStorePatchBoundsVoteTotals(t *testing.T) {
 
 func TestStoreDelete(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Put("crowd", testJurors(2)); err != nil {
+	if _, err := s.PutAt("crowd", testJurors(2), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Delete("crowd") {
@@ -279,7 +279,7 @@ func TestStoreDelete(t *testing.T) {
 func TestStoreListSortedByName(t *testing.T) {
 	s := NewStore()
 	for _, name := range []string{"zeta", "alpha", "mid"} {
-		if _, err := s.Put(name, testJurors(2)); err != nil {
+		if _, err := s.PutAt(name, testJurors(2), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,7 +299,7 @@ func TestStoreListSortedByName(t *testing.T) {
 // insertion order and their credible intervals all from one publication.
 func TestStoreConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Put("crowd", testJurors(9)); err != nil {
+	if _, err := s.PutAt("crowd", testJurors(9), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	const writers, readers, rounds = 2, 4, 200
@@ -310,9 +310,9 @@ func TestStoreConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				_, err := s.Patch("crowd", []JurorUpdate{
+				_, err := s.PatchAt("crowd", []JurorUpdate{
 					{ID: fmt.Sprintf("j%03d", (w*rounds+i)%9), Votes: &VoteObservation{Wrong: int64(i % 2), Total: 1}},
-				})
+				}, time.Now())
 				if err != nil {
 					t.Error(err)
 					return
@@ -367,23 +367,23 @@ func TestStoreConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 
 func TestStoreErrorsAreTyped(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Patch("ghost", []JurorUpdate{{ID: "x"}}); !errors.Is(err, ErrPoolNotFound) {
+	if _, err := s.PatchAt("ghost", []JurorUpdate{{ID: "x"}}, time.Now()); !errors.Is(err, ErrPoolNotFound) {
 		t.Errorf("missing pool error = %v", err)
 	}
-	if _, err := s.Put("crowd", testJurors(2)); err != nil {
+	if _, err := s.PutAt("crowd", testJurors(2), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Patch("crowd", nil); !errors.Is(err, ErrNoUpdates) {
+	if _, err := s.PatchAt("crowd", nil, time.Now()); !errors.Is(err, ErrNoUpdates) {
 		t.Errorf("empty patch error = %v", err)
 	}
-	if _, err := s.Patch("crowd", []JurorUpdate{{ID: "ghost", Cost: f64(1)}}); !errors.Is(err, ErrUnknownJuror) {
+	if _, err := s.PatchAt("crowd", []JurorUpdate{{ID: "ghost", Cost: f64(1)}}, time.Now()); !errors.Is(err, ErrUnknownJuror) {
 		t.Errorf("unknown juror error = %v", err)
 	}
 }
 
 func BenchmarkPoolSnapshot(b *testing.B) {
 	s := NewStore()
-	if _, err := s.Put("crowd", testJurors(1001)); err != nil {
+	if _, err := s.PutAt("crowd", testJurors(1001), time.Now()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -398,14 +398,14 @@ func BenchmarkPoolSnapshot(b *testing.B) {
 
 func BenchmarkPoolPatch(b *testing.B) {
 	s := NewStore()
-	if _, err := s.Put("crowd", testJurors(101)); err != nil {
+	if _, err := s.PutAt("crowd", testJurors(101), time.Now()); err != nil {
 		b.Fatal(err)
 	}
 	up := []JurorUpdate{{ID: "j050", Votes: &VoteObservation{Wrong: 1, Total: 4}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Patch("crowd", up); err != nil {
+		if _, err := s.PatchAt("crowd", up, time.Now()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -428,11 +428,11 @@ func BenchmarkPoolPatchRemoves(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if _, err := s.Put("crowd", jurors); err != nil {
+				if _, err := s.PutAt("crowd", jurors, time.Now()); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := s.Patch("crowd", ups); err != nil {
+				if _, err := s.PatchAt("crowd", ups, time.Now()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -442,11 +442,11 @@ func BenchmarkPoolPatchRemoves(b *testing.B) {
 
 func TestStorePutRejectsDuplicateIDs(t *testing.T) {
 	s := NewStore()
-	_, err := s.Put("crowd", []jury.Juror{
+	_, err := s.PutAt("crowd", []jury.Juror{
 		{ID: "a", ErrorRate: 0.1},
 		{ID: "b", ErrorRate: 0.2},
 		{ID: "a", ErrorRate: 0.3},
-	})
+	}, time.Now())
 	if !errors.Is(err, ErrDuplicateJuror) {
 		t.Fatalf("duplicate-id put error = %v, want ErrDuplicateJuror", err)
 	}
@@ -457,16 +457,16 @@ func TestStorePutRejectsDuplicateIDs(t *testing.T) {
 
 func TestStoreVersionSurvivesDeleteAndRecreate(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Put("crowd", testJurors(3)); err != nil {
+	if _, err := s.PutAt("crowd", testJurors(3), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Patch("crowd", []JurorUpdate{{ID: "j000", ErrorRate: f64(0.2)}}); err != nil {
+	if _, err := s.PatchAt("crowd", []JurorUpdate{{ID: "j000", ErrorRate: f64(0.2)}}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Delete("crowd") {
 		t.Fatal("delete failed")
 	}
-	p, err := s.Put("crowd", testJurors(2))
+	p, err := s.PutAt("crowd", testJurors(2), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -729,7 +729,7 @@ func TestSortedViewMatchesStableSort(t *testing.T) {
 		for p == nil {
 			jurors := randomJurors(rng, n, rates, &fresh)
 			input := slices.Clone(jurors)
-			got, err := s.Put("crowd", jurors)
+			got, err := s.PutAt("crowd", jurors, time.Now())
 			want, werr := modelPut(jurors)
 			if !slices.Equal(jurors, input) {
 				t.Fatalf("trial %d: Put reordered or changed its input", trial)
@@ -743,7 +743,7 @@ func TestSortedViewMatchesStableSort(t *testing.T) {
 			where := fmt.Sprintf("trial %d step %d", trial, step)
 			if rng.Intn(20) == 0 {
 				jurors := randomJurors(rng, 1+rng.Intn(50), rates, &fresh)
-				got, err := s.Put("crowd", jurors)
+				got, err := s.PutAt("crowd", jurors, time.Now())
 				want, werr := modelPut(jurors)
 				if agree(s, p, err, werr, where+" put") {
 					p, model = got, want
@@ -754,7 +754,7 @@ func TestSortedViewMatchesStableSort(t *testing.T) {
 				continue
 			}
 			ups := randomPatch(rng, model, rates, &fresh)
-			got, err := s.Patch("crowd", ups)
+			got, err := s.PatchAt("crowd", ups, time.Now())
 			want, werr := modelPatch("crowd", model, ups)
 			if !agree(s, p, err, werr, where) {
 				rejected++
@@ -815,7 +815,7 @@ func TestPoolRetainedBytes(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i, jurors := range inputs {
-		if _, err := s.Put(names[i], jurors); err != nil {
+		if _, err := s.PutAt(names[i], jurors, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}

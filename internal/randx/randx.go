@@ -184,25 +184,6 @@ func (z *Zipf) Draw() int {
 	return lo + 1
 }
 
-// Geometric returns a variate k ≥ 1 with Pr(k) = p(1-p)^(k-1): the number of
-// Bernoulli(p) trials up to and including the first success. Used for
-// retweet-chain lengths in the synthetic corpus.
-func (s *Source) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("randx: Geometric requires p in (0,1]")
-	}
-	if p == 1 {
-		return 1
-	}
-	u := s.Float64()
-	// Inversion: k = ceil(log(1-u)/log(1-p)).
-	k := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
 // Bernoulli returns true with probability p.
 func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p

@@ -178,38 +178,6 @@ func TestZipfPanics(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	src := New(10)
-	const p = 0.4
-	const n = 200000
-	sum := 0
-	for i := 0; i < n; i++ {
-		k := src.Geometric(p)
-		if k < 1 {
-			t.Fatalf("geometric variate %d < 1", k)
-		}
-		sum += k
-	}
-	got := float64(sum) / n
-	want := 1 / p
-	if math.Abs(got-want) > 0.02 {
-		t.Errorf("mean = %g, want ≈ %g", got, want)
-	}
-}
-
-func TestGeometricEdge(t *testing.T) {
-	src := New(11)
-	if k := src.Geometric(1); k != 1 {
-		t.Errorf("Geometric(1) = %d, want 1", k)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for p out of range")
-		}
-	}()
-	src.Geometric(0)
-}
-
 func TestBernoulliFrequency(t *testing.T) {
 	src := New(12)
 	const n = 100000

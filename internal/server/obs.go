@@ -271,11 +271,16 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	var minNS int64
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms < 0 {
+		if err != nil {
 			s.fail(w, badRequest("min_ms must be a non-negative integer, got %q", v))
 			return
 		}
-		minNS = ms * 1e6
+		minDur, err := msDuration("min_ms", ms)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		minNS = minDur.Nanoseconds()
 	}
 	ep := q.Get("endpoint")
 	taskID := q.Get("task_id")

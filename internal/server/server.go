@@ -302,19 +302,32 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 
 // deadline resolves the effective per-request timeout: the request's
 // timeout_ms when given (clamped to the configured maximum), otherwise
-// the server default.
+// the server default. The clamp compares milliseconds before converting,
+// so a huge timeout_ms cannot wrap into a short or negative duration.
 func (s *Server) deadline(timeoutMS int64) (time.Duration, error) {
 	if timeoutMS < 0 {
 		return 0, badRequest("timeout_ms must be positive, got %d", timeoutMS)
 	}
 	d := s.defTimeout
-	if timeoutMS > 0 {
+	if timeoutMS > s.maxTimeout.Milliseconds() {
+		d = s.maxTimeout
+	} else if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > s.maxTimeout {
-			d = s.maxTimeout
-		}
 	}
 	return d, nil
+}
+
+// maxFieldMS is the largest millisecond count a time.Duration holds.
+const maxFieldMS = math.MaxInt64 / int64(time.Millisecond)
+
+// msDuration converts ms, the value of the millisecond request field
+// name, to a duration. A negative value, or one whose nanoseconds would
+// overflow int64 and wrap, is a 400 naming the field.
+func msDuration(name string, ms int64) (time.Duration, error) {
+	if ms < 0 || ms > maxFieldMS {
+		return 0, badRequest("%s must be between 0 and %d, got %d", name, maxFieldMS, ms)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // bufPool recycles the request-read and response-encode buffers across

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"juryselect/internal/obs"
 	"juryselect/internal/tasks"
@@ -68,8 +67,14 @@ func (s *Server) handleTaskCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if req.JurorTimeoutMS < 0 || req.ExpiresInMS < 0 {
-		s.fail(w, badRequest("juror_timeout_ms and expires_in_ms must be non-negative"))
+	jurorTimeout, err := msDuration("juror_timeout_ms", req.JurorTimeoutMS)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	expiresIn, err := msDuration("expires_in_ms", req.ExpiresInMS)
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
@@ -88,8 +93,8 @@ func (s *Server) handleTaskCreate(w http.ResponseWriter, r *http.Request) {
 		Budget:           req.Budget,
 		TargetConfidence: req.TargetConfidence,
 		MaxInvites:       req.MaxInvites,
-		JurorTimeout:     time.Duration(req.JurorTimeoutMS) * time.Millisecond,
-		ExpiresIn:        time.Duration(req.ExpiresInMS) * time.Millisecond,
+		JurorTimeout:     jurorTimeout,
+		ExpiresIn:        expiresIn,
 	})
 	if err != nil {
 		s.fail(w, err)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"juryselect/internal/dataio"
 	"juryselect/internal/tasks"
@@ -193,6 +196,69 @@ func TestTaskEndpointErrors(t *testing.T) {
 	j0 := created.Task.Jurors[0].ID
 	doTaskJSON(t, http.MethodPost, votesURL, TaskVoteRequest{JurorID: j0, Vote: &yes}, http.StatusOK, nil)
 	doTaskJSON(t, http.MethodPost, votesURL, TaskVoteRequest{JurorID: j0, Vote: &yes}, http.StatusConflict, nil)
+}
+
+// TestMillisecondFieldsDoNotWrap sends millisecond fields whose
+// nanoseconds overflow int64. None may wrap into a short or negative
+// duration: timeout_ms clamps to the server maximum, and the task and
+// trace fields are 400s that name the field. 18446744073710 ms is
+// 2^64 ns plus 448 µs, so a wrapping conversion reads it as 448 µs.
+func TestMillisecondFieldsDoNotWrap(t *testing.T) {
+	hs := newTaskServer(t, 9)
+	const maxInt64, wraps, largest = "9223372036854775807", "18446744073710", "9223372036854"
+	for _, tc := range []struct {
+		name, method, path, body string
+		status                   int
+		field                    string        // named by a 400's message
+		expiry                   time.Duration // a created task's expires_at − created_at
+	}{
+		{"select timeout clamps", http.MethodPost, "/v1/select",
+			`{"pool":"crowd","timeout_ms":` + maxInt64 + `}`, http.StatusOK, "", 0},
+		{"task timeout clamps", http.MethodPost, "/v1/tasks",
+			`{"pool":"crowd","timeout_ms":` + maxInt64 + `}`, http.StatusCreated, "", 0},
+		{"expiry wraps", http.MethodPost, "/v1/tasks",
+			`{"pool":"crowd","expires_in_ms":` + wraps + `}`, http.StatusBadRequest, "expires_in_ms", 0},
+		{"expiry at MaxInt64", http.MethodPost, "/v1/tasks",
+			`{"pool":"crowd","expires_in_ms":` + maxInt64 + `}`, http.StatusBadRequest, "expires_in_ms", 0},
+		{"juror timeout wraps", http.MethodPost, "/v1/tasks",
+			`{"pool":"crowd","juror_timeout_ms":` + wraps + `}`, http.StatusBadRequest, "juror_timeout_ms", 0},
+		{"largest expiry", http.MethodPost, "/v1/tasks",
+			`{"pool":"crowd","expires_in_ms":` + largest + `}`, http.StatusCreated, "",
+			time.Duration(9223372036854) * time.Millisecond},
+		{"trace filter wraps", http.MethodGet, "/debug/traces?min_ms=" + maxInt64,
+			"", http.StatusBadRequest, "min_ms", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, hs.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, body)
+			}
+			if tc.field != "" && !strings.Contains(string(body), tc.field) {
+				t.Errorf("error does not name %s: %s", tc.field, body)
+			}
+			if tc.expiry != 0 {
+				var created TaskResponse
+				if err := json.Unmarshal(body, &created); err != nil {
+					t.Fatal(err)
+				}
+				if got := created.Task.ExpiresAt.Sub(created.Task.CreatedAt); got != tc.expiry {
+					t.Errorf("expires_at - created_at = %v, want %v", got, tc.expiry)
+				}
+			}
+		})
+	}
 }
 
 // TestPoolWritesJournaledThroughTaskStore: with a durable task store

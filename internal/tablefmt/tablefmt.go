@@ -98,14 +98,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	// strings.Builder never errors.
-	_ = t.Render(&b)
-	return b.String()
-}
-
 func writeRow(b *strings.Builder, cells []string, widths []int) {
 	for i, c := range cells {
 		if i > 0 {

@@ -5,11 +5,21 @@ import (
 	"testing"
 )
 
+// render returns what Render writes for tb.
+func render(t *testing.T, tb *Table) string {
+	t.Helper()
+	var b strings.Builder
+	if err := tb.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := New("Demo", "name", "value")
 	tb.AddRow("alpha", 1.5)
 	tb.AddRow("b", 0.07036)
-	out := tb.String()
+	out := render(t, tb)
 	if !strings.Contains(out, "== Demo ==") {
 		t.Errorf("missing title:\n%s", out)
 	}
@@ -43,7 +53,7 @@ func TestFloatFormatting(t *testing.T) {
 func TestTableNoTitleNoHeaders(t *testing.T) {
 	tb := New("")
 	tb.AddRow("only", "cells", 42)
-	out := tb.String()
+	out := render(t, tb)
 	if strings.Contains(out, "==") {
 		t.Errorf("unexpected title in:\n%s", out)
 	}
@@ -56,7 +66,7 @@ func TestTableAlignment(t *testing.T) {
 	tb := New("", "col", "x")
 	tb.AddRow("longervalue", 1)
 	tb.AddRow("s", 2)
-	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(render(t, tb), "\n"), "\n")
 	// Data rows: the second column must start at the same offset.
 	r1, r2 := lines[len(lines)-2], lines[len(lines)-1]
 	if strings.Index(r1, "1") != strings.Index(r2, "2") {

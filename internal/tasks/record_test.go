@@ -142,7 +142,7 @@ func TestOpenRefusesJSONFramedWAL(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range payloads {
-				if err := w.Append(p); err != nil {
+				if err := appendDurable(w, p); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -362,7 +362,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ResetTimer()
 			if mode == SyncOff {
 				for i := 0; i < b.N; i++ {
-					if err := w.Append(payload); err != nil {
+					if err := appendDurable(w, payload); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -371,7 +371,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.SetParallelism(8)
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if err := w.Append(payload); err != nil {
+					if err := appendDurable(w, payload); err != nil {
 						b.Error(err)
 						return
 					}

@@ -349,7 +349,7 @@ func TestOpenRefusesV1Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(payload); err != nil {
+	if err := appendDurable(w, payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

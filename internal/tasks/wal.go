@@ -125,8 +125,9 @@ type WALStats struct {
 }
 
 // WAL is a CRC-framed append-only log with group-commit fsync batching.
-// Append is safe for concurrent use; records are durable per the
-// configured SyncMode when Append returns. The frame layout is
+// AppendAsync is safe for concurrent use; a record is durable per the
+// configured SyncMode once WaitDurable returns for its sequence number.
+// The frame layout is
 //
 //	record  := len:u32le  crc:u32le  payload:[len]byte
 //	crc      = CRC-32C(payload)
@@ -257,17 +258,6 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []walRecord, error) {
 	return w, records, nil
 }
 
-// Append writes one record and, per the sync mode, waits for it to be
-// durable. Safe for concurrent use; the durability wait group-commits:
-// every append buffered before a given fsync is acknowledged by it.
-func (w *WAL) Append(payload []byte) error {
-	seq, err := w.AppendAsync(payload)
-	if err != nil {
-		return err
-	}
-	return w.WaitDurable(seq)
-}
-
 // AppendAsync buffers one record and returns its sequence number without
 // waiting for durability. Callers that must order the append against
 // their own state mutation (the task store journals under its mutex)
@@ -355,7 +345,7 @@ func (w *WAL) syncLoop() {
 			// pipeline wakes the moment the FIRST appender of a burst
 			// lands and fsyncs a batch of one while its siblings are
 			// still queued behind it; one Gosched lets every runnable
-			// appender reach Append before the batch is cut (~3×
+			// appender reach AppendAsync before the batch is cut (~3×
 			// measured batch size under an 8-way fan-in on one core),
 			// at a cost that is noise against the fsync itself.
 			runtime.Gosched()

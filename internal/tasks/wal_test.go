@@ -9,6 +9,16 @@ import (
 	"testing"
 )
 
+// appendDurable buffers one record and waits until it is durable, as the
+// task store journals each mutation: AppendAsync, then WaitDurable.
+func appendDurable(w *WAL, payload []byte) error {
+	seq, err := w.AppendAsync(payload)
+	if err != nil {
+		return err
+	}
+	return w.WaitDurable(seq)
+}
+
 func openTestWAL(t *testing.T, path string, opts WALOptions) (*WAL, []walRecord) {
 	t.Helper()
 	w, recs, err := OpenWAL(path, opts)
@@ -28,7 +38,7 @@ func TestWALRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p := []byte(fmt.Sprintf(`{"i":%d,"pad":"%0*d"}`, i, i%37, i))
 		want = append(want, p)
-		if err := w.Append(p); err != nil {
+		if err := appendDurable(w, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +62,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, _ := openTestWAL(t, path, WALOptions{Sync: SyncOff})
 	for i := 0; i < 10; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
+		if err := appendDurable(w, []byte(fmt.Sprintf("record-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +98,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		}
 		// The torn tail must be gone from disk: appending after recovery
 		// yields a clean log.
-		if err := w.Append([]byte("post-recovery")); err != nil {
+		if err := appendDurable(w, []byte("post-recovery")); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -118,7 +128,7 @@ func TestWALCorruptMiddleStopsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, _ := openTestWAL(t, path, WALOptions{Sync: SyncOff})
 	for i := 0; i < 6; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
+		if err := appendDurable(w, []byte(fmt.Sprintf("record-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +160,7 @@ func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := w.Append([]byte(fmt.Sprintf("g%02d-%02d", g, i))); err != nil {
+				if err := appendDurable(w, []byte(fmt.Sprintf("g%02d-%02d", g, i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -181,7 +191,7 @@ func TestWALSyncBatchIsDurablePerAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, _ := openTestWAL(t, path, WALOptions{Sync: SyncBatch})
 	for i := 0; i < 5; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
+		if err := appendDurable(w, []byte(fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		// No Close, no flush: the record must already be on disk, and an
@@ -212,7 +222,7 @@ func TestWALAppendAfterCloseFails(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append([]byte("x")); err != ErrWALClosed {
+	if err := appendDurable(w, []byte("x")); err != ErrWALClosed {
 		t.Fatalf("append after close = %v, want ErrWALClosed", err)
 	}
 }
@@ -253,7 +263,7 @@ func TestWALAppendAllocFree(t *testing.T) {
 	defer w.Close() //nolint:errcheck
 	payload := []byte(`{"t":"vote","task":"t00000001","juror":"j00042","vote":true}`)
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := w.Append(payload); err != nil {
+		if err := appendDurable(w, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -271,7 +281,7 @@ func TestWALRejectsOversizedRecord(t *testing.T) {
 		t.Fatal("oversized record accepted: it would be silently truncated as a torn tail on replay")
 	}
 	// The log is untouched and still accepts normal records.
-	if err := w.Append([]byte("ok")); err != nil {
+	if err := appendDurable(w, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	if st := w.Stats(); st.Appends != 1 {

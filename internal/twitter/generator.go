@@ -28,7 +28,7 @@ type GeneratorConfig struct {
 	// sample).
 	RetweetFraction float64
 	// ChainContinue is the probability that a retweet chain extends one
-	// hop further (chain length ≈ 1 + Geometric; default 0.25, keeping
+	// hop further (chain length ≈ 1 + geometric; default 0.25, keeping
 	// chains short as on real Twitter).
 	ChainContinue float64
 	// MaxAccountAgeDays bounds the uniform account-age attribute (default
@@ -62,16 +62,6 @@ func (c GeneratorConfig) withDefaults() GeneratorConfig {
 type Corpus struct {
 	Tweets   []Record
 	Profiles []Profile
-}
-
-// Profile returns the profile for a user name, or false when unknown.
-func (c *Corpus) Profile(name string) (Profile, bool) {
-	for _, p := range c.Profiles {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
 }
 
 // fillers provides innocuous tweet text so generated records look like the

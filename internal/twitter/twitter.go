@@ -5,10 +5,7 @@
 // substitution table in DESIGN.md §4).
 package twitter
 
-import (
-	"regexp"
-	"strings"
-)
+import "regexp"
 
 // Record is one published tweet.
 type Record struct {
@@ -70,11 +67,4 @@ func RetweetPairs(r Record) []Pair {
 		last = u
 	}
 	return pairs
-}
-
-// StripMarkers removes all "RT @user" markers from content, leaving the
-// free text. Utility for display and tests.
-func StripMarkers(content string) string {
-	out := rtPattern.ReplaceAllString(content, "")
-	return strings.Join(strings.Fields(out), " ")
 }

@@ -1,7 +1,6 @@
 package twitter
 
 import (
-	"strings"
 	"testing"
 
 	"juryselect/internal/randx"
@@ -97,20 +96,6 @@ func TestRetweetPairsPlainTweet(t *testing.T) {
 	}
 }
 
-func TestStripMarkers(t *testing.T) {
-	got := StripMarkers("RT @a: RT @b: hello   world")
-	if got != ": : hello world" && got != "hello world" {
-		// Exact residue depends on the separator text; what matters is that
-		// no marker remains.
-		if strings.Contains(got, "RT @") {
-			t.Fatalf("marker survived: %q", got)
-		}
-	}
-	if RetweetChain(got) != nil {
-		t.Fatalf("stripped text still parses: %q", got)
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := GeneratorConfig{Users: 50, Tweets: 200}
 	a := Generate(cfg, randx.New(42))
@@ -168,16 +153,6 @@ func TestGeneratePopularityIsSkewed(t *testing.T) {
 	tail := mentions["u198"] + mentions["u199"] + mentions["u200"]
 	if head <= 5*tail {
 		t.Errorf("popularity not skewed: head=%d tail=%d", head, tail)
-	}
-}
-
-func TestCorpusProfileLookup(t *testing.T) {
-	c := Generate(GeneratorConfig{Users: 10, Tweets: 10}, randx.New(1))
-	if _, ok := c.Profile("u1"); !ok {
-		t.Fatal("u1 missing")
-	}
-	if _, ok := c.Profile("ghost"); ok {
-		t.Fatal("ghost found")
 	}
 }
 

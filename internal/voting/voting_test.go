@@ -110,7 +110,7 @@ func TestRunEmpiricalErrorRateMatchesJER(t *testing.T) {
 	// voting failure frequency must converge to the analytic JER.
 	sim := NewSimulator(randx.New(4))
 	rates := []float64{0.1, 0.2, 0.2, 0.3, 0.3}
-	want, err := jer.DP(rates)
+	want, err := jer.Compute(rates, jer.DPAlgo)
 	if err != nil {
 		t.Fatal(err)
 	}

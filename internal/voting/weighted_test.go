@@ -116,7 +116,7 @@ func TestRunWeightedNeverWorseThanPlain(t *testing.T) {
 	}
 	// And on this heterogeneous jury it should be strictly better by a
 	// visible margin: the expert dominates.
-	analyticPlain, err := jer.DP(rates)
+	analyticPlain, err := jer.Compute(rates, jer.DPAlgo)
 	if err != nil {
 		t.Fatal(err)
 	}
