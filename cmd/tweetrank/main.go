@@ -102,8 +102,8 @@ func readTweets(r io.Reader) ([]microblog.Tweet, error) {
 			continue
 		}
 		author, content, ok := strings.Cut(text, "\t")
-		if !ok {
-			return nil, fmt.Errorf("line %d: want 'author<TAB>content'", line)
+		if !ok || author == "" {
+			return nil, fmt.Errorf("line %d: want 'author<TAB>content' with a non-empty author", line)
 		}
 		out = append(out, microblog.Tweet{Author: author, Content: content})
 	}

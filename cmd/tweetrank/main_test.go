@@ -62,11 +62,16 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestReadTweetsMalformed(t *testing.T) {
-	if _, err := readTweets(strings.NewReader("no-tab-here\n")); err == nil {
-		t.Error("expected error for line without tab")
-	}
-	if _, err := readTweets(strings.NewReader("")); err == nil {
-		t.Error("expected error for empty input")
+	for _, tc := range []struct{ name, input, wantErr string }{
+		{"no tab", "no-tab-here\n", "line 1"},
+		{"empty input", "", "no tweets"},
+		{"empty author", "\tRT @alice: hi", "line 1:"},
+		{"empty author after a tweet", "bob\tRT @alice: yo\n\tRT @alice: hi\n", "line 2:"},
+	} {
+		_, err := readTweets(strings.NewReader(tc.input))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 	tweets, err := readTweets(strings.NewReader("a\thello\n\n\nb\tworld\n"))
 	if err != nil {

@@ -30,12 +30,6 @@ const (
 type PayOptions struct {
 	// Budget is the non-negative budget B of Definition 8.
 	Budget float64
-	// Algorithm selects the JER evaluator used for the improvement checks.
-	// The default (jer.Auto) uses the incremental wrong-vote distribution;
-	// an explicit DP/CBA/Enum choice evaluates each trial jury from
-	// scratch with that algorithm, exactly as the pre-incremental greedy
-	// did.
-	Algorithm jer.Algorithm
 	// Strict replicates the paper's pseudocode bookkeeping literally: the
 	// accumulated requirement r is never increased after the seed juror
 	// (the pseudocode omits the update on Line 13). The default (false)
@@ -99,15 +93,8 @@ func SelectPay(cands []Juror, opts PayOptions) (Selection, error) {
 	// rejection two Pops — the same discipline SelectOpt uses — instead of
 	// re-deriving the distribution of every trial jury from scratch. An
 	// Evaluate hook replaces this entirely (it sees the full trial rate
-	// slice, built in a reused buffer), as does an explicit Algorithm
-	// choice — including surfacing unknown Algorithm values as errors.
+	// slice, built in a reused buffer).
 	hook := opts.Evaluate
-	if hook == nil && opts.Algorithm != jer.Auto {
-		ev := jer.NewEvaluator()
-		hook = func(rates []float64) (float64, error) {
-			return ev.ComputeValidated(rates, opts.Algorithm)
-		}
-	}
 	var dist payDist
 	var trial []float64
 	if hook != nil {

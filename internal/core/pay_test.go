@@ -255,32 +255,3 @@ func TestSelectPayIncrementalMatchesScratch(t *testing.T) {
 		}
 	}
 }
-
-// TestSelectPayAlgorithmOption asserts an explicit Algorithm choice is
-// honored — trial juries evaluated from scratch with that algorithm, as
-// before the incremental default — and that an unknown Algorithm surfaces
-// as an error instead of being silently ignored.
-func TestSelectPayAlgorithmOption(t *testing.T) {
-	cands := []Juror{
-		{ID: "s", ErrorRate: 0.10, Cost: 0.1},
-		{ID: "a", ErrorRate: 0.20, Cost: 0.2},
-		{ID: "b", ErrorRate: 0.20, Cost: 0.2},
-	}
-	want, err := SelectPay(cands, PayOptions{Budget: 1, Evaluate: func(rates []float64) (float64, error) {
-		return jer.Compute(rates, jer.DPAlgo)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SelectPay(cands, PayOptions{Budget: 1, Algorithm: jer.DPAlgo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got.JER) != math.Float64bits(want.JER) || got.Size() != want.Size() {
-		t.Fatalf("explicit DPAlgo: %v/%d, want jer.Compute-identical %v/%d",
-			got.JER, got.Size(), want.JER, want.Size())
-	}
-	if _, err := SelectPay(cands, PayOptions{Budget: 1, Algorithm: jer.Algorithm(99)}); err == nil {
-		t.Fatal("unknown algorithm accepted silently")
-	}
-}

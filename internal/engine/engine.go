@@ -51,9 +51,6 @@ type Options struct {
 	// CacheSize bounds the number of memoized JER values. Zero selects
 	// DefaultCacheSize; negative disables caching entirely.
 	CacheSize int
-	// Algorithm selects the JER evaluator (default jer.Auto: DP for small
-	// juries, FFT convolution for large ones).
-	Algorithm jer.Algorithm
 	// CacheMinJurySize is the smallest jury the memo serves. Below it the
 	// engine always computes directly: the O(n²) DP on a tiny jury is
 	// cheaper than hashing the multiset key and taking the shard lock, so
@@ -103,7 +100,6 @@ type Stats struct {
 // memo cache accumulates across calls.
 type Engine struct {
 	workers  int
-	algo     jer.Algorithm
 	cacheMin int
 	memo     *memo.Cache[uint64, float64] // keyed on hashMultiset; nil when caching is disabled
 
@@ -144,7 +140,6 @@ func New(opts Options) *Engine {
 	}
 	e := &Engine{
 		workers:  w,
-		algo:     opts.Algorithm,
 		cacheMin: cacheMin,
 	}
 	if size > 0 {
@@ -206,14 +201,14 @@ func (e *Engine) evaluate(rates []float64, s *evalScratch) (float64, error) {
 	}
 	if e.memo == nil || len(rates) < e.cacheMin {
 		e.evals.Add(1)
-		return s.ev.ComputeValidated(rates, e.algo)
+		return s.ev.ComputeValidated(rates, jer.Auto)
 	}
 	// One shard-lock acquisition serves a resident value, joins an
 	// identical in-flight computation, or makes this call its leader.
 	key := hashMultiset(rates)
 	v, out, err := e.memo.Do(key, key, func() (float64, error) {
 		e.evals.Add(1)
-		return s.ev.ComputeValidated(canonicalize(rates, s), e.algo)
+		return s.ev.ComputeValidated(canonicalize(rates, s), jer.Auto)
 	})
 	if out != memo.Computed && err == nil {
 		e.hits.Add(1)

@@ -17,10 +17,7 @@
 // can rely on PMF non-negativity.
 package fft
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // convolveCrossover is the total output length above which FFT convolution
 // beats the schoolbook method. Determined empirically on amd64; correctness
@@ -93,8 +90,7 @@ func nextPow2(n int) int {
 // convolution path. A zero Scratch is ready to use; buffers grow to the
 // largest transform seen and are then reused, so a long-lived Scratch makes
 // ConvolveInto allocation-free in steady state. A Scratch is not safe for
-// concurrent use; give each worker its own (NewScratch) or pass nil to
-// ConvolveInto to draw one from a package-level pool.
+// concurrent use; give each worker its own (NewScratch).
 type Scratch struct {
 	buf  []complex128 // packed input spectrum fa = a + i·b
 	prod []complex128 // pointwise spectral product
@@ -115,10 +111,6 @@ func (s *Scratch) complexPair(n int) (buf, prod []complex128) {
 	clear(buf)
 	return buf, prod
 }
-
-// scratchPool recycles arenas for ConvolveInto callers that do not thread
-// their own Scratch through.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // convolveNaiveInto accumulates the schoolbook convolution of a and b into
 // out, which must be zeroed, have length len(a)+len(b)-1 and alias neither
@@ -173,9 +165,9 @@ func cconj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 // out; either input being empty yields nil. It uses the schoolbook method
 // below a crossover size and the FFT method above it, clamping the FFT
 // path's outputs to be non-negative: inputs are probability vectors, so
-// any negative value is floating-point noise. FFT temporaries come from s
-// (nil draws a pooled arena), so a caller holding its own Scratch and
-// output buffer performs no allocation.
+// any negative value is floating-point noise. FFT temporaries come from s,
+// which must not be nil, so a caller holding its own Scratch and output
+// buffer performs no allocation.
 func ConvolveInto(out, a, b []float64, s *Scratch) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
@@ -187,10 +179,6 @@ func ConvolveInto(out, a, b []float64, s *Scratch) []float64 {
 		clear(out)
 		convolveNaiveInto(out, a, b)
 		return out
-	}
-	if s == nil {
-		s = scratchPool.Get().(*Scratch)
-		defer scratchPool.Put(s)
 	}
 	convolveFFTInto(out, a, b, s)
 	for i, v := range out {

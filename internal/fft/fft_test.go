@@ -128,7 +128,7 @@ func TestConvolveEmpty(t *testing.T) {
 	if got := ConvolveInto(nil, []float64{1}, nil, NewScratch()); got != nil {
 		t.Fatalf("expected nil, got %v", got)
 	}
-	if got := ConvolveInto(nil, nil, nil, nil); got != nil {
+	if got := ConvolveInto(nil, nil, nil, NewScratch()); got != nil {
 		t.Fatalf("expected nil, got %v", got)
 	}
 }

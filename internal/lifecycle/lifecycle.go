@@ -23,7 +23,8 @@
 package lifecycle
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,9 +118,8 @@ type aggregate struct {
 type Engine struct {
 	mu      sync.Mutex
 	records map[string]*taskRecord
-	// closedIDs holds retained closed-task IDs in ascending order (task
-	// IDs are zero-padded, so string order is creation order); eviction
-	// pops the front.
+	// closedIDs holds retained closed-task IDs in ascending sequence
+	// order (see retain); eviction pops the front.
 	closedIDs []string
 	taskCap   int
 	aggs      map[aggKey]*aggregate
@@ -236,9 +236,11 @@ func trim[T any](s []T) []T {
 
 // retain enters a freshly closed task into the bounded closed set,
 // evicting the lowest retained ID while over cap. Task IDs are
-// monotonic, so the sorted insert is an append in the common case.
+// monotonic, so the sorted insert is an append in the common case. IDs
+// compare by length, then bytes: sequence order for every ID the store
+// renders, where string order would put t100000000 before t99999999.
 func (e *Engine) retain(id string) {
-	i := sort.SearchStrings(e.closedIDs, id)
+	i, _ := slices.BinarySearchFunc(e.closedIDs, id, func(a, b string) int { return cmp.Or(cmp.Compare(len(a), len(b)), cmp.Compare(a, b)) })
 	e.closedIDs = append(e.closedIDs, "")
 	copy(e.closedIDs[i+1:], e.closedIDs[i:])
 	e.closedIDs[i] = id

@@ -306,6 +306,28 @@ func TestEngineEvictsLowestClosedID(t *testing.T) {
 	}
 }
 
+// TestEngineEvictsLowestSequenceNumber closes three tasks whose IDs
+// cross the ninth digit. The lowest sequence number goes first, though
+// t100000000 sorts first as a string.
+func TestEngineEvictsLowestSequenceNumber(t *testing.T) {
+	eng := lifecycle.New(2)
+	at := newTestClock().now()
+	ids := []string{"t99999998", "t99999999", "t100000000"}
+	for _, id := range ids {
+		eng.TaskEvent(tasks.Event{Type: tasks.EvTaskCreated, Task: id, At: at, Strategy: "altr",
+			Jury: []tasks.EventJuror{{ID: "a", ErrorRate: 0.1}}})
+		eng.TaskEvent(tasks.Event{Type: tasks.EvTaskClosed, Task: id, At: at.Add(time.Second)})
+	}
+	if _, ok := eng.Timeline(ids[0]); ok {
+		t.Fatalf("lowest sequence number %s not evicted at cap 2", ids[0])
+	}
+	for _, id := range ids[1:] {
+		if _, ok := eng.Timeline(id); !ok {
+			t.Fatalf("timeline %s evicted, want retained", id)
+		}
+	}
+}
+
 func TestWatchdogFlagsStallsAndRecovery(t *testing.T) {
 	clk := newTestClock()
 	s, err := tasks.Open(tasks.Config{Now: clk.now, DefaultJurorTimeout: time.Minute})

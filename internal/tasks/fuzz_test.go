@@ -1,18 +1,29 @@
 package tasks
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+
+	"juryselect/jury"
 )
 
 // The two binary decoders read bytes from disk, a trust boundary: the
 // WAL record decoder and the snapshot section decoder. Their seed
 // corpora under testdata/fuzz hold encodeRecord output for every record
-// shape and every section of a small real snapshot. Explore with
+// shape and every section of a small real snapshot. FuzzRestoreSnapshot
+// feeds whole snapshots of fuzzer-chosen sections, seeded from the
+// section corpus, through the checks behind the CRC. Explore with
 //
 //	go test -run '^$' -fuzz='^FuzzDecodeRecord$' ./internal/tasks/
 //	go test -run '^$' -fuzz='^FuzzDecodeSnapshotFrame$' ./internal/tasks/
+//	go test -run '^$' -fuzz='^FuzzRestoreSnapshot$' ./internal/tasks/
 
 // decodeAllocBudget bounds what decoding n bytes may allocate. Legal
 // payloads stay well inside it (the densest, a run of version floors or
@@ -84,5 +95,88 @@ func encodeSection(f snapFrame) ([]byte, error) {
 func FuzzDecodeSnapshotFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkDecoder(t, payload, decodeSnapshotFrame, encodeSection)
+	})
+}
+
+// snapshotCorpus returns the FuzzDecodeSnapshotFrame seed payloads in
+// file name order, which is section order: the sections of one small
+// real snapshot.
+func snapshotCorpus(tb testing.TB) [][]byte {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshotFrame")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		head, body, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(body, "[]byte(")
+		if head != "go test fuzz v1" || !ok || !strings.HasSuffix(quoted, ")") {
+			tb.Fatalf("%s: not a one-[]byte corpus file", e.Name())
+		}
+		payload, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if err != nil {
+			tb.Fatalf("%s: %v", e.Name(), err)
+		}
+		out = append(out, []byte(payload))
+	}
+	return out
+}
+
+// joinSections encodes payloads as FuzzRestoreSnapshot reads its input:
+// each payload after its length as a uvarint.
+func joinSections(payloads ...[]byte) []byte {
+	var b []byte
+	for _, p := range payloads {
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		b = append(b, p...)
+	}
+	return b
+}
+
+// restoreAllocBudget bounds what restoring a snapshot of n framed bytes
+// may allocate. Decoding takes up to 64 bytes per byte. A task section,
+// about 70 framed bytes at the least, may land up to maxTaskGap past the
+// last task, which costs the table one 8 KiB chunk and 1,025 directory
+// entries, 8 KiB; the directory grows by doubling, so it allocates at
+// most four times the entries it needs. That is ~41 KiB per task
+// section, under 600 bytes per byte. A restore past 1 KiB per byte is
+// sizing an allocation by a count or number the file names.
+func restoreAllocBudget(n int) uint64 { return 1024*uint64(n) + 256<<10 }
+
+func FuzzRestoreSnapshot(f *testing.F) {
+	sections := snapshotCorpus(f)
+	f.Add(joinSections(sections...))
+	for _, p := range sections {
+		f.Add(joinSections(p))
+	}
+	eng := jury.NewEngine(jury.BatchOptions{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var payloads [][]byte
+		for len(data) > 0 {
+			n, k := binary.Uvarint(data)
+			if k <= 0 || n > uint64(len(data)-k) {
+				n, k = uint64(len(data)), 0 // the rest is the last section
+			}
+			payloads = append(payloads, data[k:k+int(n)])
+			data = data[k+int(n):]
+		}
+		framed := frameSnapshot(t, payloads)
+		s, err := Open(Config{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := &frameReader{r: bufio.NewReader(bytes.NewReader(framed)), remaining: int64(len(framed))}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s.restore(fr) //nolint:errcheck // refusing is fine; panicking or overallocating is not
+		runtime.ReadMemStats(&m1)
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > restoreAllocBudget(len(framed)) {
+			t.Fatalf("restoring %d bytes allocated %d", len(framed), alloc)
+		}
 	})
 }

@@ -34,10 +34,10 @@ import (
 //	juror   := id:string rate:f64 cost:f64 state:u8 vote:u8 invitedAt:time
 //	trailer := 0x1F pools:uvarint views:uvarint tasks:uvarint
 //
-// Pools come in name order, tasks in ID order. A view section holds a
-// candidate view an open task pins whose pool has since moved to a
-// newer version (or been deleted), once per (pool, version); a task
-// pinned to its pool's live version reads the view from the pool
+// Pools come in name order, tasks in sequence order. A view section
+// holds a candidate view an open task pins whose pool has since moved
+// to a newer version (or been deleted), once per (pool, version); a
+// task pinned to its pool's live version reads the view from the pool
 // section. A juror's vote code is 0 (none), 1 (no) or 2 (yes).
 const (
 	secHeader  byte = 0x11
@@ -390,7 +390,6 @@ func (s *Store) restore(fr *frameReader) error {
 		pools  []*pool.Pool
 		byName = make(map[string]*pool.Pool)
 		views  = make(map[viewKey][]jury.Juror)
-		lastID string
 		tab    = newInternTable()
 	)
 	for {
@@ -431,10 +430,22 @@ func (s *Store) restore(fr *frameReader) error {
 			seen.views++
 		case secTask:
 			t := f.task
-			if t.id <= lastID {
-				return fmt.Errorf("task %s out of ID order", t.id)
+			seq, ok := parseTaskID(t.id)
+			switch {
+			case !ok:
+				return fmt.Errorf("task ID %q is not one the store renders", t.id)
+			case seq >= hdr.nextTask:
+				return fmt.Errorf("task %s at or past the header's next number %d", t.id, hdr.nextTask)
+			case seen.tasks == 0: // the table starts at the first task
+				s.tasks.startAt(seq)
+				s.nextTask.Store(seq)
+			case seq < s.nextTask.Load():
+				return fmt.Errorf("task %s out of sequence order", t.id)
 			}
-			lastID = t.id
+			if err := s.checkRecovered(seq); err != nil {
+				return fmt.Errorf("task %s: %w", t.id, err)
+			}
+			t.seq = seq
 			if key := f.pinned; key != nil {
 				// Tasks pinning one view share one slice, as live tasks
 				// share their pool's.
@@ -455,16 +466,20 @@ func (s *Store) restore(fr *frameReader) error {
 	if last != secTrailer {
 		return errors.New("no trailer: the snapshot is cut short")
 	}
+	if err := s.checkRecovered(hdr.nextTask); err != nil {
+		return fmt.Errorf("header's next task number: %w", err)
+	}
 	s.pools.Install(pools, hdr.floors)
 	s.nextTask.Store(hdr.nextTask)
 	s.epoch = hdr.epoch
 	return nil
 }
 
-// insertRestored adds a task decoded from the snapshot and counts it in
-// the gauges. No events: compaction folded the history they describe.
+// insertRestored places a snapshot task, the highest so far, and counts
+// it in the gauges. No events: compaction folded the history they describe.
 func (s *Store) insertRestored(t *task) {
-	s.shardFor(t.id).insert(t)
+	s.tasks.place(t)
+	s.nextTask.Store(t.seq + 1)
 	s.nTasks.Add(1)
 	switch t.status {
 	case StatusOpen:
@@ -511,31 +526,30 @@ func (s *Store) encodeSnapshot(w *bufio.Writer, epoch uint64) error {
 		}
 		counts.pools++
 	}
-	tasks := s.tasksSorted()
 	written := make(map[viewKey]bool)
-	for _, t := range tasks {
+	if err := s.tasks.each(func(t *task) error {
 		key, ok := s.pinnedView(t)
 		if !ok || written[key] {
-			continue
+			return nil
 		}
 		if p, live := s.pools.Get(key.pool); live && p.Version == key.version {
-			continue // the pool section carries it
-		}
-		if err := sw.put(appendViewSection(sw.buf, key, t.candidates)); err != nil {
-			return err
+			return nil // the pool section carries it
 		}
 		written[key] = true
 		counts.views++
+		return sw.put(appendViewSection(sw.buf, key, t.candidates))
+	}); err != nil {
+		return err
 	}
-	for _, t := range tasks {
+	if err := s.tasks.each(func(t *task) error {
 		var pinned *viewKey
 		if key, ok := s.pinnedView(t); ok {
 			pinned = &key
 		}
-		if err := sw.put(appendTaskSection(sw.buf, t, pinned)); err != nil {
-			return err
-		}
 		counts.tasks++
+		return sw.put(appendTaskSection(sw.buf, t, pinned))
+	}); err != nil {
+		return err
 	}
 	return sw.put(appendTrailerSection(sw.buf, counts))
 }

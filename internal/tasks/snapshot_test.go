@@ -497,19 +497,9 @@ func TestOpenRejectsInvalidPoolSection(t *testing.T) {
 		{"repeated id", poolSection(jury.Juror{ID: "a", ErrorRate: 0.1}, jury.Juror{ID: "a", ErrorRate: 0.2}), pool.ErrDuplicateJuror},
 		{"no members", poolSection(), core.ErrNoCandidates},
 	} {
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		var hdr [walFrameOverhead]byte
-		for _, payload := range [][]byte{appendHeaderSection(nil, &sections[0].header), tc.section,
-			appendTrailerSection(nil, sections[2].counts)} {
-			if err := writeFrame(w, &hdr, payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, snapshotFileName), buf.Bytes(), 0o644); err != nil {
+		snapshot := frameSnapshot(t, [][]byte{appendHeaderSection(nil, &sections[0].header), tc.section,
+			appendTrailerSection(nil, sections[2].counts)})
+		if err := os.WriteFile(filepath.Join(dir, snapshotFileName), snapshot, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(Config{Dir: dir, Sync: SyncOff, Now: clk.now})

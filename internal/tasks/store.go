@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,60 +117,107 @@ type Stats struct {
 	WAL             WALStats
 }
 
-// taskNode is one link in a shard bucket chain, immutable once a reader
-// can observe it.
-type taskNode struct {
-	t    *task
-	next *taskNode
-}
-
-// taskIndex is a shard's lock-free hash index: a bucket array of
-// atomically published chain heads. Readers load a head and walk;
-// writers (holding the shard mutex) push fresh nodes onto heads, so an
-// insert is O(1) — a COW map here would copy the whole shard per create
-// and make task creation quadratic in store size. Tasks are never
-// removed (compaction snapshots them, it does not drop them), so chains
-// only grow, and when the average chain passes taskIndexLoad the index
-// is rebuilt at double width and swapped in whole.
-type taskIndex struct {
-	buckets []atomic.Pointer[taskNode]
-	mask    uint32
-}
-
+// Task table geometry: task n sits in slot n%taskChunkSize of chunk
+// n/taskChunkSize.
 const (
-	taskIndexMinBuckets = 8
-	taskIndexLoad       = 4 // max average chain length before doubling
+	taskChunkBits = 10
+	taskChunkSize = 1 << taskChunkBits
 )
 
-func newTaskIndex(buckets int) *taskIndex {
-	return &taskIndex{buckets: make([]atomic.Pointer[taskNode], buckets), mask: uint32(buckets - 1)}
+// maxTaskGap bounds how far past the next number the store would assign
+// recovery accepts a number a file names. A number is skipped only by a
+// Create that took it and failed to journal, which fails the store, so
+// only the creates then in flight skip one: no file this store writes
+// holds such a gap. Unbounded, one CRC-valid record could make the table
+// allocate in proportion to the number it names.
+const maxTaskGap = 1 << 20
+
+type taskChunk [taskChunkSize]atomic.Pointer[task]
+
+// taskDir is a published directory: chunks[k] is chunk base+k.
+type taskDir struct {
+	base   uint64
+	chunks []atomic.Pointer[taskChunk]
 }
 
-// bucket picks the chain for a task-ID hash. The shard was picked from
-// the hash's low bits, so the bucket uses the bits above the maximum
-// shard mask.
-func (ix *taskIndex) bucket(h uint32) *atomic.Pointer[taskNode] {
-	return &ix.buckets[(h>>10)&ix.mask]
-}
-
-// taskHash is FNV-1a over the task ID; the low bits pick the shard and
-// the high bits the bucket within it.
-func taskHash(id string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
+// find returns the chunk holding seq, or nil. A number below base wraps
+// k past the directory's end.
+func (d *taskDir) find(seq uint64) *taskChunk {
+	if k := seq>>taskChunkBits - d.base; k < uint64(len(d.chunks)) {
+		return d.chunks[k].Load()
 	}
-	return h
+	return nil
 }
 
-// shard is one slice of the task index. Mutations hold mu; reads load
-// the index pointer and each task's published view snapshot, so GET and
-// the sweeper's scan take no locks at all (same idiom as the pool
-// store's 9ns snapshot reads).
+// taskTable holds every task at its sequence number. Tasks are never
+// removed, so a walk in slot order is creation order. Readers take no
+// lock. Each number is placed once, by the create that took it, so
+// writers fill distinct slots; only allocating a chunk, and growing the
+// directory to reach it, takes mu.
+type taskTable struct {
+	dir atomic.Pointer[taskDir]
+	mu  sync.Mutex
+}
+
+// startAt empties the table and starts it at seq's chunk.
+func (tt *taskTable) startAt(seq uint64) { tt.dir.Store(&taskDir{base: seq >> taskChunkBits}) }
+
+// get returns the task at seq, or nil.
+func (tt *taskTable) get(seq uint64) *task {
+	if c := tt.dir.Load().find(seq); c != nil {
+		return c[seq%taskChunkSize].Load()
+	}
+	return nil
+}
+
+// place stores t at its sequence number. A grown directory is filled
+// before it is published, so readers see the old one or the new one.
+func (tt *taskTable) place(t *task) {
+	c := tt.dir.Load().find(t.seq)
+	if c == nil {
+		tt.mu.Lock()
+		d := tt.dir.Load()
+		k := t.seq>>taskChunkBits - d.base
+		if k >= uint64(len(d.chunks)) {
+			next := &taskDir{base: d.base, chunks: make([]atomic.Pointer[taskChunk], max(2*uint64(len(d.chunks)), k+1))}
+			for i := range d.chunks {
+				next.chunks[i].Store(d.chunks[i].Load())
+			}
+			tt.dir.Store(next)
+			d = next
+		}
+		if c = d.chunks[k].Load(); c == nil {
+			c = new(taskChunk)
+			d.chunks[k].Store(c)
+		}
+		tt.mu.Unlock()
+	}
+	c[t.seq%taskChunkSize].Store(t)
+}
+
+// each calls f on every placed task in sequence order and returns f's
+// first error. A task placed during the walk may or may not be visited.
+func (tt *taskTable) each(f func(*task) error) error {
+	d := tt.dir.Load()
+	for i := range d.chunks {
+		if c := d.chunks[i].Load(); c != nil {
+			for j := range c {
+				if t := c[j].Load(); t != nil {
+					if err := f(t); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// shard is one mutex stripe of the task table, picked by sequence
+// number. Mutations hold mu; reads load the table and each task's
+// published view snapshot, so GET and the sweeper's scan take no locks.
 type shard struct {
 	mu        sync.Mutex
-	idx       atomic.Pointer[taskIndex]
-	count     int // tasks in this shard; guarded by mu
 	contended atomic.Int64
 }
 
@@ -182,60 +229,13 @@ func (sh *shard) lockContended() {
 	}
 }
 
-// get returns the task without locking.
-func (sh *shard) get(id string) *task {
-	for n := sh.idx.Load().bucket(taskHash(id)).Load(); n != nil; n = n.next {
-		if n.t.id == id {
-			return n.t
-		}
-	}
-	return nil
-}
-
-// insert adds a task. Callers hold sh.mu (or are the only goroutine,
-// during recovery).
-func (sh *shard) insert(t *task) {
-	idx := sh.idx.Load()
-	if sh.count+1 > len(idx.buckets)*taskIndexLoad {
-		idx = sh.rebuild(idx)
-	}
-	b := idx.bucket(taskHash(t.id))
-	b.Store(&taskNode{t: t, next: b.Load()})
-	sh.count++
-}
-
-// rebuild doubles the index. The new buckets are filled before the
-// index pointer is published, so readers see either the old complete
-// index or the new one.
-func (sh *shard) rebuild(old *taskIndex) *taskIndex {
-	next := newTaskIndex(len(old.buckets) * 2)
-	for i := range old.buckets {
-		for n := old.buckets[i].Load(); n != nil; n = n.next {
-			b := next.bucket(taskHash(n.t.id))
-			b.Store(&taskNode{t: n.t, next: b.Load()})
-		}
-	}
-	sh.idx.Store(next)
-	return next
-}
-
-// forEach visits every task in the shard (lock-free; the snapshot is
-// whatever index was published at the load).
-func (sh *shard) forEach(f func(*task)) {
-	idx := sh.idx.Load()
-	for i := range idx.buckets {
-		for n := idx.buckets[i].Load(); n != nil; n = n.next {
-			f(n.t)
-		}
-	}
-}
-
 // Store is the durable decision-task store: the lifecycle state machine,
 // the journaled pool mutations, and the recovery machinery. All methods
 // are safe for concurrent use.
 //
-// Concurrency model: tasks live in a fixed shard array keyed by task-ID
-// hash; each mutation applies and journals under its shard's mutex
+// Concurrency model: tasks live in a table indexed by sequence number,
+// guarded by a fixed array of shard mutexes picked by the number's low
+// bits; each mutation applies and journals under its shard's mutex
 // only, so votes on distinct tasks fold in parallel and share fsyncs
 // through the WAL's pipelined committer. poolMu orders task creation
 // (read side) against journaled pool mutations (write side): a create
@@ -262,8 +262,9 @@ type Store struct {
 	compactLat          obs.Histogram // compaction wall time = writer stall
 
 	poolMu    sync.RWMutex
+	tasks     taskTable
 	shards    []shard
-	shardMask uint32
+	shardMask uint64
 	nextTask  atomic.Uint64
 	failed    atomic.Bool // sticky: a journal write failed after state applied
 
@@ -310,10 +311,8 @@ func Open(cfg Config) (*Store, error) {
 		nShards++
 	}
 	s.shards = make([]shard, nShards)
-	s.shardMask = uint32(nShards - 1)
-	for i := range s.shards {
-		s.shards[i].idx.Store(newTaskIndex(taskIndexMinBuckets))
-	}
+	s.shardMask = uint64(nShards - 1)
+	s.tasks.startAt(0)
 	if s.pools == nil {
 		s.pools = pool.NewStore()
 	}
@@ -371,14 +370,18 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// shardFor hashes a task ID (FNV-1a) onto its shard.
-func (s *Store) shardFor(id string) *shard {
-	return &s.shards[taskHash(id)&s.shardMask]
+// shardFor returns the shard whose mutex guards task seq.
+func (s *Store) shardFor(seq uint64) *shard {
+	return &s.shards[seq&s.shardMask]
 }
 
-// lookup returns the task without locking (index load + chain walk).
+// lookup returns the task an ID names without locking, or nil.
 func (s *Store) lookup(id string) *task {
-	return s.shardFor(id).get(id)
+	seq, ok := parseTaskID(id)
+	if !ok {
+		return nil
+	}
+	return s.tasks.get(seq)
 }
 
 // publish re-renders the task's lock-free view snapshot, which shares
@@ -395,20 +398,7 @@ func publish(t *task) View {
 // (per-mutation publication during replay would render a full view and
 // copy the juror array per vote for nothing).
 func (s *Store) publishAll() {
-	for i := range s.shards {
-		s.shards[i].forEach(func(t *task) { publish(t) })
-	}
-}
-
-// tasksSorted returns every task ordered by ID — creation order, since
-// IDs are zero-padded sequence numbers.
-func (s *Store) tasksSorted() []*task {
-	out := make([]*task, 0, s.nTasks.Load())
-	for i := range s.shards {
-		s.shards[i].forEach(func(t *task) { out = append(out, t) })
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	s.tasks.each(func(t *task) error { publish(t); return nil }) //nolint:errcheck // f never fails
 }
 
 // removeStaleWALs deletes log files from epochs other than the current
@@ -715,8 +705,7 @@ func (s *Store) Create(ctx context.Context, spec Spec) (View, error) {
 		PoolVersion:  p.Version,
 		PredictedJER: sel.JER,
 	}
-	id := taskID(seqNo)
-	sh := s.shardFor(id)
+	sh := s.shardFor(seqNo)
 	sh.lockContended()
 	tok, err := s.journal(&rec)
 	if err != nil {
@@ -724,7 +713,7 @@ func (s *Store) Create(ctx context.Context, spec Spec) (View, error) {
 		s.poolMu.RUnlock()
 		return View{}, err
 	}
-	t := s.applyCreate(sh, &rec, p.Sorted())
+	t := s.applyCreate(&rec, p.Sorted())
 	view := publish(t)
 	sh.mu.Unlock()
 	s.poolMu.RUnlock()
@@ -735,15 +724,26 @@ func (s *Store) Create(ctx context.Context, spec Spec) (View, error) {
 	return view, nil
 }
 
-// taskID renders a sequence number as the external task ID. Zero-padded,
-// so lexicographic ID order is creation order.
+// taskID renders a sequence number as the external task ID: "t", then
+// the number in at least eight digits.
 func taskID(seq uint64) string { return fmt.Sprintf("t%08d", seq) }
 
-// applyCreate inserts the journaled task. Callers hold the shard mutex
+// parseTaskID inverts taskID, reporting false for every string taskID
+// does not render, such as "t1" or "t000000001".
+func parseTaskID(id string) (uint64, bool) {
+	if len(id) < 9 || id[0] != 't' || len(id) > 9 && id[1] == '0' {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(id[1:], 10, 64)
+	return seq, err == nil
+}
+
+// applyCreate places the journaled task. Callers hold the shard mutex
 // (live) or are single-threaded (replay).
-func (s *Store) applyCreate(sh *shard, rec *record, candidates []jury.Juror) *task {
+func (s *Store) applyCreate(rec *record, candidates []jury.Juror) *task {
 	t := &task{
 		id:           taskID(rec.Seq),
+		seq:          rec.Seq,
 		spec:         *rec.Spec,
 		status:       StatusOpen,
 		poolVersion:  rec.PoolVersion,
@@ -757,11 +757,9 @@ func (s *Store) applyCreate(sh *shard, rec *record, candidates []jury.Juror) *ta
 		t.jurors[i] = JurorView{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost,
 			State: JurorInvited, InvitedAt: rec.At}
 	}
-	sh.insert(t)
-	for next := s.nextTask.Load(); rec.Seq >= next; next = s.nextTask.Load() {
-		if s.nextTask.CompareAndSwap(next, rec.Seq+1) {
-			break
-		}
+	s.tasks.place(t)
+	if rec.Seq >= s.nextTask.Load() { // replay only: a live create took its number
+		s.nextTask.Store(rec.Seq + 1)
 	}
 	s.nTasks.Add(1)
 	s.nOpen.Add(1)
@@ -786,15 +784,14 @@ func (s *Store) Get(id string) (View, error) {
 // List returns every task's view in creation order, optionally filtered
 // by status ("" = all). Lock-free: it reads the published snapshots.
 func (s *Store) List(status Status) []View {
-	ts := s.tasksSorted()
-	out := make([]View, 0, len(ts))
-	for _, t := range ts {
-		v := t.snap.Load()
-		if v == nil || (status != "" && v.Status != status) {
-			continue // nil: Create has inserted the task but not yet published it
+	out := make([]View, 0, s.nTasks.Load())
+	s.tasks.each(func(t *task) error { //nolint:errcheck // f never fails
+		// nil: Create has placed the task but not yet published it.
+		if v := t.snap.Load(); v != nil && (status == "" || v.Status == status) {
+			out = append(out, *v)
 		}
-		out = append(out, *v)
-	}
+		return nil
+	})
 	return out
 }
 
@@ -825,13 +822,12 @@ func (s *Store) Vote(ctx context.Context, id, jurorID string, voteYes bool) (Vie
 	if s.failed.Load() {
 		return View{}, ErrStoreFailed
 	}
-	sh := s.shardFor(id)
-	sh.lockContended()
-	t := sh.get(id)
+	t := s.lookup(id)
 	if t == nil {
-		sh.mu.Unlock()
 		return View{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
 	}
+	sh := s.shardFor(t.seq)
+	sh.lockContended()
 	i, err := checkVote(t, jurorID)
 	if err != nil {
 		sh.mu.Unlock()
@@ -884,13 +880,12 @@ func (s *Store) decline(ctx context.Context, id, jurorID string, timeout bool) (
 	if s.failed.Load() {
 		return View{}, ErrStoreFailed
 	}
-	sh := s.shardFor(id)
-	sh.lockContended()
-	t := sh.get(id)
+	t := s.lookup(id)
 	if t == nil {
-		sh.mu.Unlock()
 		return View{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
 	}
+	sh := s.shardFor(t.seq)
+	sh.lockContended()
 	i, err := checkVote(t, jurorID)
 	if err != nil {
 		sh.mu.Unlock()
@@ -1043,36 +1038,36 @@ func (s *Store) Sweep(now time.Time) (released, expired int, err error) {
 		return 0, 0, ErrStoreFailed
 	}
 	type action struct {
-		task  string
+		t     *task
 		juror string // "" = expire the task
 	}
 	var acts []action
-	for _, t := range s.tasksSorted() {
+	s.tasks.each(func(t *task) error { //nolint:errcheck // f never fails
 		v := t.snap.Load()
 		if v == nil || v.Status.closed() {
-			continue
+			return nil
 		}
 		if !now.Before(t.expiresAt) {
-			acts = append(acts, action{task: t.id})
-			continue
+			acts = append(acts, action{t: t})
+			return nil
 		}
 		for _, j := range v.Jurors {
 			if j.State == JurorInvited && !now.Before(j.InvitedAt.Add(t.spec.JurorTimeout)) {
-				acts = append(acts, action{task: t.id, juror: j.ID})
+				acts = append(acts, action{t: t, juror: j.ID})
 			}
 		}
-	}
+		return nil
+	})
 	var lastCommit commit
 	for _, a := range acts {
-		sh := s.shardFor(a.task)
+		t, sh := a.t, s.shardFor(a.t.seq)
 		sh.lockContended()
-		t := sh.get(a.task)
-		if t == nil || t.status.closed() {
+		if t.status.closed() {
 			sh.mu.Unlock()
 			continue // closed since the scan (a vote, or an earlier action)
 		}
 		if a.juror == "" {
-			c, jerr := s.journal(&record{Type: recExpire, At: now, Task: a.task})
+			c, jerr := s.journal(&record{Type: recExpire, At: now, Task: t.id})
 			if jerr != nil {
 				sh.mu.Unlock()
 				return released, expired, jerr
@@ -1087,7 +1082,7 @@ func (s *Store) Sweep(now time.Time) (released, expired int, err error) {
 				sh.mu.Unlock()
 				continue // voted or released since the scan (replacement chains)
 			}
-			c, jerr := s.journal(&record{Type: recDecline, At: now, Task: a.task, Juror: a.juror, Timeout: true})
+			c, jerr := s.journal(&record{Type: recDecline, At: now, Task: t.id, Juror: a.juror, Timeout: true})
 			if jerr != nil {
 				sh.mu.Unlock()
 				return released, expired, jerr
@@ -1145,30 +1140,29 @@ func (s *Store) StalledInvites(now time.Time, grace time.Duration) (tasks int, o
 	if grace < 0 {
 		grace = 0
 	}
-	for i := range s.shards {
-		s.shards[i].forEach(func(t *task) {
-			v := t.snap.Load()
-			if v == nil || v.Status.closed() {
-				return
+	s.tasks.each(func(t *task) error { //nolint:errcheck // f never fails
+		v := t.snap.Load()
+		if v == nil || v.Status.closed() {
+			return nil
+		}
+		stalled := false
+		for _, j := range v.Jurors {
+			if j.State != JurorInvited {
+				continue
 			}
-			stalled := false
-			for _, j := range v.Jurors {
-				if j.State != JurorInvited {
-					continue
-				}
-				overdue := now.Sub(j.InvitedAt.Add(t.spec.JurorTimeout + grace))
-				if overdue >= 0 {
-					stalled = true
-					if overdue > oldest {
-						oldest = overdue
-					}
+			overdue := now.Sub(j.InvitedAt.Add(t.spec.JurorTimeout + grace))
+			if overdue >= 0 {
+				stalled = true
+				if overdue > oldest {
+					oldest = overdue
 				}
 			}
-			if stalled {
-				tasks++
-			}
-		})
-	}
+		}
+		if stalled {
+			tasks++
+		}
+		return nil
+	})
 	return tasks, oldest
 }
 
@@ -1227,11 +1221,14 @@ func (s *Store) applyRecord(rec *record) error {
 		if rec.Spec == nil {
 			return errors.New("tasks: create record missing spec")
 		}
+		if err := s.checkRecovered(rec.Seq); err != nil {
+			return err
+		}
 		var candidates []jury.Juror
 		if p, ok := s.pools.Get(rec.Spec.Pool); ok {
 			candidates = p.Sorted()
 		}
-		s.applyCreate(s.shardFor(taskID(rec.Seq)), rec, candidates)
+		s.applyCreate(rec, candidates)
 		return nil
 	case recVote:
 		t := s.lookup(rec.Task)
@@ -1268,4 +1265,18 @@ func (s *Store) applyRecord(rec *record) error {
 	default:
 		return fmt.Errorf("tasks: unknown wal record type %q", rec.Type)
 	}
+}
+
+// checkRecovered reports why recovery may not place a task at seq: the
+// number lies below the table's first chunk or maxTaskGap or more past
+// the next one the store would assign, or is taken.
+func (s *Store) checkRecovered(seq uint64) error {
+	lo, hi := s.tasks.dir.Load().base<<taskChunkBits, s.nextTask.Load()+maxTaskGap
+	switch {
+	case seq < lo || seq >= hi:
+		return fmt.Errorf("task number %d outside [%d, %d)", seq, lo, hi)
+	case s.tasks.get(seq) != nil:
+		return fmt.Errorf("task number %d reused", seq)
+	}
+	return nil
 }

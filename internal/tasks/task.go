@@ -127,13 +127,14 @@ type Verdict struct {
 }
 
 // task is the store's internal task state. Mutable fields are guarded
-// by the owning shard's mutex; id, spec, createdAt, expiresAt,
+// by the owning shard's mutex; id, seq, spec, createdAt, expiresAt,
 // poolVersion, predictedJER and candidates are immutable after creation
 // and safe to read lock-free. snap is the published copy-on-write view:
 // every live mutation publishes a fresh View, so Get, List and the
 // sweeper's scan never take the shard lock.
 type task struct {
 	id           string
+	seq          uint64 // the sequence number id renders
 	spec         Spec
 	status       Status
 	poolVersion  uint64
