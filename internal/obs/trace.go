@@ -141,7 +141,8 @@ const DefaultTraceRing = 256
 // TraceRing is a fixed-size ring of recently captured traces. Capture
 // copies the trace into a preallocated entry under a short mutex — no
 // allocation, no contention with uncaptured requests (which never touch
-// the ring). Readers get fresh copies, newest first.
+// the ring). Readers get fresh copies, newest first. A nil ring reads as
+// an empty one, so a server with tracing off allocates none.
 type TraceRing struct {
 	mu      sync.Mutex
 	entries []Trace
@@ -181,6 +182,9 @@ func (r *TraceRing) Capture(t *Trace) {
 // Total returns the number of traces captured since creation (captures,
 // not residents — the ring holds at most its capacity).
 func (r *TraceRing) Total() int64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
@@ -190,6 +194,9 @@ func (r *TraceRing) Total() int64 {
 // the filter (nil accepts all). The returned traces are deep copies —
 // safe to hold across further captures.
 func (r *TraceRing) Snapshot(filter func(*Trace) bool, limit int) []Trace {
+	if r == nil {
+		return []Trace{}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.next

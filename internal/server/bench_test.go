@@ -194,10 +194,10 @@ func TestTaskAllocations(t *testing.T) {
 		servers int
 		reqs    func(s *Server) []*http.Request
 	}{
-		{"create", 109, http.StatusCreated, 1, func(s *Server) []*http.Request {
+		{"create", 40, http.StatusCreated, 1, func(s *Server) []*http.Request {
 			return repeated(50, http.MethodPost, "/v1/tasks", `{"pool":"crowd"}`)
 		}},
-		{"vote", 83, http.StatusOK, 1, func(s *Server) []*http.Request {
+		{"vote", 16, http.StatusOK, 1, func(s *Server) []*http.Request {
 			// One jury is voted through untimed, so every measured
 			// verdict finds its agreement pairs tracked; insight's first
 			// verdict is the first-verdict case. Two more juries are
@@ -219,7 +219,7 @@ func TestTaskAllocations(t *testing.T) {
 			}
 			return reqs
 		}},
-		{"vote-batch", 366, http.StatusOK, 1, func(s *Server) []*http.Request {
+		{"vote-batch", 298, http.StatusOK, 1, func(s *Server) []*http.Request {
 			// The warm-up batch takes insight's first verdict.
 			reqs := make([]*http.Request, 11)
 			for i := range reqs {
@@ -229,7 +229,7 @@ func TestTaskAllocations(t *testing.T) {
 			}
 			return reqs
 		}},
-		{"first-verdict", 123, http.StatusOK, 10, func(s *Server) []*http.Request {
+		{"first-verdict", 55, http.StatusOK, 10, func(s *Server) []*http.Request {
 			// Insight's first verdict: the measured vote closes the first
 			// task to close, so all 2,080 pairs of its 65-juror jury enter
 			// the tracker. The jury's other votes go in untimed, and the
@@ -248,6 +248,10 @@ func TestTaskAllocations(t *testing.T) {
 				httptest.NewRequest(http.MethodPost, "/v1/tasks/"+first.ID+"/votes",
 					strings.NewReader(voteBody(last.ID))),
 			}
+		}},
+		{"get", 4, http.StatusOK, 1, func(s *Server) []*http.Request {
+			// A decided task: the view renders its jurors and verdict.
+			return repeated(200, http.MethodGet, "/v1/tasks/"+decidedTask(t, s), "")
 		}},
 		{"timeline", 18, http.StatusOK, 1, func(s *Server) []*http.Request {
 			return repeated(200, http.MethodGet, "/v1/tasks/"+decidedTask(t, s)+"/timeline", "")

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"juryselect/internal/insight"
 	"juryselect/internal/obs"
@@ -355,6 +356,54 @@ func TestDebugTracesStageBreakdown(t *testing.T) {
 	doTaskJSON(t, http.MethodGet, hs.URL+"/debug/traces", nil, http.StatusOK, &all)
 	if len(all.Traces) < 2 {
 		t.Errorf("unfiltered traces = %d, want at least create+vote", len(all.Traces))
+	}
+}
+
+// TestTraceRingOnlyWhenTracing: with neither sampling nor a slow-request
+// threshold nothing is ever captured, so the server builds no ring,
+// /debug/traces answers an empty one and juryd_traces_total reads 0.
+// Either setting builds it.
+func TestTraceRingOnlyWhenTracing(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		ring bool
+	}{
+		{Config{}, false},
+		{Config{TraceEvery: 1}, true},
+		{Config{SlowRequest: time.Hour}, true},
+	} {
+		srv, hs := newDurableTaskServer(t, tc.cfg)
+		if (srv.ring != nil) != tc.ring {
+			t.Fatalf("%+v: ring built %v, want %v", tc.cfg, srv.ring != nil, tc.ring)
+		}
+		if tc.ring {
+			continue
+		}
+		doTaskJSON(t, http.MethodPost, hs.URL+"/v1/tasks", map[string]string{"pool": "crowd"}, http.StatusCreated, nil)
+		resp, err := http.Get(hs.URL + "/debug/traces")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || string(body) != "{\"total\":0,\"traces\":[]}\n" {
+			t.Fatalf("/debug/traces with tracing off: %d %q", resp.StatusCode, body)
+		}
+		resp, err = http.Get(hs.URL + "/metrics/prometheus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseProm(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := fams["juryd_traces_total"]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value != 0 {
+			t.Fatalf("juryd_traces_total with tracing off: %+v", f)
+		}
 	}
 }
 

@@ -106,7 +106,9 @@ type Config struct {
 	// GET /debug/traces (1 = every request). Zero disables sampling;
 	// slow requests are still captured when SlowRequest is set.
 	TraceEvery int
-	// TraceRingSize bounds the trace ring (0 = obs.DefaultTraceRing).
+	// TraceRingSize bounds the trace ring (0 = obs.DefaultTraceRing). The
+	// ring exists only when TraceEvery or SlowRequest is set: nothing is
+	// captured otherwise, and /debug/traces answers an empty ring.
 	TraceRingSize int
 	// Logger receives slow-request warnings; nil selects slog.Default().
 	Logger *slog.Logger
@@ -138,9 +140,9 @@ type Server struct {
 	// histograms, plus the sampled trace ring behind /debug/traces.
 	eps        [numEndpoints]endpointMetrics
 	stages     [obs.NumStages]obs.Histogram
-	ring       *obs.TraceRing
-	traceSeq   atomic.Int64 // request counter driving 1-in-N sampling
-	traceTotal atomic.Int64 // trace IDs
+	ring       *obs.TraceRing // nil unless tracing is on
+	traceSeq   atomic.Int64   // request counter driving 1-in-N sampling
+	traceTotal atomic.Int64   // trace IDs
 	traceEvery int
 	slowNS     int64
 	logger     *slog.Logger
@@ -201,7 +203,9 @@ func New(cfg Config) *Server {
 	s.sem = make(chan struct{}, s.maxInflight)
 	s.slowNS = cfg.SlowRequest.Nanoseconds()
 	s.traceEvery = cfg.TraceEvery
-	s.ring = obs.NewTraceRing(cfg.TraceRingSize)
+	if s.traceEvery > 0 || s.slowNS > 0 {
+		s.ring = obs.NewTraceRing(cfg.TraceRingSize)
+	}
 	s.logger = slogLogger(cfg.Logger)
 
 	s.mux = http.NewServeMux()

@@ -103,7 +103,7 @@ func (s *Server) handleTaskCreate(w http.ResponseWriter, r *http.Request) {
 	mark(w, obs.StageStore)
 	setTraceTask(w, view.ID)
 	s.m.taskCreates.Add(1)
-	writeJSON(w, http.StatusCreated, TaskResponse{Task: view})
+	writeTask(w, http.StatusCreated, &view)
 }
 
 // handleTaskList serves GET /v1/tasks[?status=...].
@@ -115,8 +115,7 @@ func (s *Server) handleTaskList(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequest("unknown status %q", status))
 		return
 	}
-	views := s.tasks.List(status)
-	writeJSON(w, http.StatusOK, TaskListResponse{Tasks: views})
+	writeTaskList(w, s.tasks.List(status))
 }
 
 // handleTaskGet serves GET /v1/tasks/{id}.
@@ -127,7 +126,7 @@ func (s *Server) handleTaskGet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TaskResponse{Task: view})
+	writeTask(w, http.StatusOK, &view)
 }
 
 // handleTaskVote serves POST /v1/tasks/{id}/votes: one juror's vote (or
@@ -165,7 +164,7 @@ func (s *Server) handleTaskVote(w http.ResponseWriter, r *http.Request) {
 	if view.Status == tasks.StatusDecided && view.Verdict != nil {
 		s.m.taskVerdicts.Add(1)
 	}
-	writeJSON(w, http.StatusOK, TaskResponse{Task: view})
+	writeTask(w, http.StatusOK, &view)
 }
 
 // TaskVoteBatchRequest is the body of POST /v1/tasks/{id}/votes/batch:
@@ -219,8 +218,7 @@ func (s *Server) handleTaskVoteBatch(w http.ResponseWriter, r *http.Request) {
 	if applied > 0 && view.Status == tasks.StatusDecided && view.Verdict != nil {
 		s.m.taskVerdicts.Add(1)
 	}
-	resp := TaskVoteBatchResponse{Results: results, Task: view}
 	mark(w, obs.StageStore)
 	s.m.batchVotes.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	writeTaskBatch(w, results, &view)
 }

@@ -119,10 +119,10 @@ func TestShardedStoreEquivalence(t *testing.T) {
 }
 
 // TestShardedConcurrentReads hammers the lock-free read paths (Get,
-// List, Stats) while writers vote and decline, under -race: the COW
-// snapshot publication must never expose a torn view, and a published
-// juror array is never written again, not even by the decline that
-// grows the task's array by a replacement.
+// List, Stats) while writers vote and decline, under -race: views render
+// from published states, which must never be torn, and a published
+// state's invitee array is never written again, not even by the decline
+// that grows the task's array by a replacement.
 func TestShardedConcurrentReads(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, Sync: SyncOff, Shards: 4,

@@ -212,17 +212,18 @@ func (s *Store) emitCreated(t *task, rec *record) {
 	})
 }
 
-// emitClosed publishes the terminal event for a task that just closed.
-func (s *Store) emitClosed(t *task, at time.Time) {
+// emitClosed publishes the terminal event for a task that just closed
+// into state st.
+func (s *Store) emitClosed(t *task, st *taskState, at time.Time) {
 	if s.events == nil {
 		return
 	}
 	ev := Event{Type: EvTaskClosed, Task: t.id, At: at}
-	if t.verdict != nil {
+	if v := st.verdict; v != nil {
 		ev.Decided = true
-		ev.Answer = t.verdict.Answer
-		ev.Confidence = t.verdict.Confidence
-		ev.EarlyStopped = t.verdict.EarlyStopped
+		ev.Answer = v.Answer
+		ev.Confidence = v.Confidence
+		ev.EarlyStopped = v.EarlyStopped
 	}
 	s.events.TaskEvent(ev)
 }

@@ -32,8 +32,9 @@ func heapAfterGC() uint64 {
 // every invitee; 10% of invitations are declined, and every invitation
 // is answered. Warm-up tasks fill the insight pair map to its cap first,
 // so the measured tasks pay only for what grows with them. Each task
-// must retain at most 6,000 B; the log splits out what the store and
-// the lifecycle engine alone hold, by dropping each in turn.
+// must retain at most 2,376 B (2,160 read, plus 10%), the store's share
+// at most 1,000 B; dropping the store and then the lifecycle engine
+// splits out what each alone holds.
 func TestTaskRetainedBytes(t *testing.T) {
 	const (
 		nPools  = 64
@@ -120,7 +121,10 @@ func TestTaskRetainedBytes(t *testing.T) {
 	store := (float64(all) - float64(noStore)) / (warmup + measure)
 	timelines := (float64(noStore) - float64(noLifecycle)) / (warmup + measure)
 	t.Logf("%.0f B retained per task: the store alone %.0f B, the lifecycle engine alone %.0f B", perTask, store, timelines)
-	if perTask > 6000 {
-		t.Fatalf("tasks retain %.0f B each, want at most 6,000", perTask)
+	if perTask > 2376 {
+		t.Fatalf("tasks retain %.0f B each, want at most 2,376", perTask)
+	}
+	if store > 1000 {
+		t.Fatalf("the store retains %.0f B per task, want at most 1,000", store)
 	}
 }

@@ -63,13 +63,6 @@ const (
 // epoch 0 and delete the live epoch's log as stale.
 var ErrV1Snapshot = errors.New("tasks: v1 JSON compaction snapshot, which this version does not load")
 
-// statusCodes and jurorStateCodes give the snapshot's one-byte codes:
-// a value's index.
-var (
-	statusCodes     = [...]Status{StatusOpen, StatusAwaitingVotes, StatusDecided, StatusExpired}
-	jurorStateCodes = [...]JurorState{JurorInvited, JurorVoted, JurorDeclined, JurorTimedOut}
-)
-
 // code returns v's index in codes; a value outside codes gets one the
 // loader rejects.
 func code[T comparable](codes []T, v T) byte {
@@ -115,7 +108,7 @@ type snapFrame struct {
 	pool   *pool.Pool   // secPool
 	view   viewKey      // secView
 	jurors []jury.Juror // secView
-	task   *task        // secTask, without its candidates
+	task   *task        // secTask: its invitees index its own juror list
 	pinned *viewKey     // secTask: the view the task pins, if any
 	counts snapCounts   // secTrailer
 }
@@ -170,37 +163,32 @@ func appendViewSection(b []byte, key viewKey, jurors []jury.Juror) []byte {
 	return b
 }
 
-// appendTaskSection encodes t; pinned, when non-nil, is the candidate
-// view the task still draws replacements from.
+// appendTaskSection encodes t as its current state holds it; pinned,
+// when non-nil, is the candidate view the task still draws replacements
+// from.
 func appendTaskSection(b []byte, t *task, pinned *viewKey) []byte {
+	st := t.cur
 	b = append(b, secTask)
 	b = appendStr(b, t.id)
 	b = appendSpec(b, &t.spec)
-	b = append(b, code(statusCodes[:], t.status))
+	b = append(b, code(statusCodes[:], st.status))
 	b = binary.AppendUvarint(b, t.poolVersion)
 	b = appendF64(b, t.predictedJER)
 	b = appendTime(b, t.createdAt)
 	b = appendTime(b, t.expiresAt)
-	b = binary.AppendUvarint(b, uint64(len(t.jurors)))
-	for _, j := range t.jurors {
+	b = binary.AppendUvarint(b, uint64(len(st.jurors)))
+	for _, e := range st.jurors {
+		j := t.juror(e)
 		b = appendStr(b, j.ID)
 		b = appendF64(b, j.ErrorRate)
 		b = appendF64(b, j.Cost)
-		b = append(b, code(jurorStateCodes[:], j.State))
-		switch {
-		case j.Vote == nil:
-			b = append(b, 0)
-		case *j.Vote:
-			b = append(b, 2)
-		default:
-			b = append(b, 1)
-		}
-		b = appendTime(b, j.InvitedAt)
+		b = append(b, e.state, e.vote)
+		b = appendTime(b, t.invitedAt(st, e))
 	}
-	b = binary.AppendVarint(b, int64(t.declines))
-	b = appendF64(b, t.post.LogOdds())
-	b = binary.AppendVarint(b, int64(t.post.Votes()))
-	if v := t.verdict; v != nil {
+	b = binary.AppendVarint(b, int64(st.declines))
+	b = appendF64(b, st.post.LogOdds())
+	b = binary.AppendVarint(b, int64(st.post.Votes()))
+	if v := st.verdict; v != nil {
 		b = append(b, 1)
 		b = appendBool(b, v.Answer)
 		b = appendF64(b, v.Confidence)
@@ -287,29 +275,30 @@ func decodeSnapshotFrame(payload []byte, tab *internTable) (snapFrame, error) {
 	return f, nil
 }
 
-// task reads a task section's body up to its pinned view.
+// task reads a task section's body up to its pinned view. The task
+// pins no view yet, so invitee i indexes juror i of its own list.
 func (r *recReader) task() *task {
 	t := &task{id: r.str(), spec: r.spec()}
-	t.status = statusCodes[r.enum(len(statusCodes))]
+	st := &taskState{status: statusCodes[r.enum(len(statusCodes))]}
+	t.cur = st
 	t.poolVersion = r.uvarint()
 	t.predictedJER = r.f64()
 	t.createdAt = r.time()
 	t.expiresAt = r.time()
-	t.jurors = make([]JurorView, r.count(minTaskJurorLen))
-	for i := range t.jurors {
-		j := &t.jurors[i]
-		j.ID, j.ErrorRate, j.Cost = r.str(), r.f64(), r.f64()
-		j.State = jurorStateCodes[r.enum(len(jurorStateCodes))]
-		if vote := r.enum(3); vote != 0 {
-			j.Vote = sharedBool(vote == 2)
-		}
-		j.InvitedAt = r.time()
+	n := r.count(minTaskJurorLen)
+	t.extra = make([]jury.Juror, n)
+	st.jurors = make([]invitee, n)
+	for i := range st.jurors {
+		t.extra[i] = jury.Juror{ID: r.str(), ErrorRate: r.f64(), Cost: r.f64()}
+		state, vote := r.enum(len(jurorStateCodes)), r.enum(3)
+		st.jurors[i] = t.invite(st, uint32(i), r.time())
+		st.jurors[i].state, st.jurors[i].vote = uint8(state), uint8(vote)
 	}
-	t.declines = int(r.varint())
+	st.declines = int(r.varint())
 	logOdds := r.f64()
-	t.post = estimate.RestoreVerdictPosterior(logOdds, int(r.varint()))
+	st.post = estimate.RestoreVerdictPosterior(logOdds, int(r.varint()))
 	if r.enum(2) == 1 {
-		t.verdict = &Verdict{Answer: r.bool(), Confidence: r.f64(),
+		st.verdict = &Verdict{Answer: r.bool(), Confidence: r.f64(),
 			EarlyStopped: r.bool(), DecidedAt: r.time()}
 	}
 	return t
@@ -449,11 +438,13 @@ func (s *Store) restore(fr *frameReader) error {
 			if key := f.pinned; key != nil {
 				// Tasks pinning one view share one slice, as live tasks
 				// share their pool's.
+				cands := views[*key]
 				if p := byName[key.pool]; p != nil && p.Version == key.version {
-					t.candidates = p.Sorted()
-				} else if t.candidates = views[*key]; t.candidates == nil {
+					cands = p.Sorted()
+				} else if cands == nil {
 					return fmt.Errorf("task %s pins view %s v%d, which the snapshot lacks", t.id, key.pool, key.version)
 				}
+				t.pin(cands)
 			}
 			s.insertRestored(t)
 			seen.tasks++
@@ -481,16 +472,7 @@ func (s *Store) insertRestored(t *task) {
 	s.tasks.place(t)
 	s.nextTask.Store(t.seq + 1)
 	s.nTasks.Add(1)
-	switch t.status {
-	case StatusOpen:
-		s.nOpen.Add(1)
-	case StatusAwaitingVotes:
-		s.nAwaiting.Add(1)
-	case StatusDecided:
-		s.nDecided.Add(1)
-	case StatusExpired:
-		s.nExpired.Add(1)
-	}
+	s.gauge(t.cur.status).Add(1)
 }
 
 // snapshotWriter frames sections into w, building each payload in one
@@ -558,7 +540,7 @@ func (s *Store) encodeSnapshot(w *bufio.Writer, epoch uint64) error {
 // from: its pool at the version it was created against. Closed tasks
 // invite no one, so the snapshot drops their view.
 func (s *Store) pinnedView(t *task) (viewKey, bool) {
-	if t.status.closed() || len(t.candidates) == 0 {
+	if t.cur.status.closed() || len(t.candidates) == 0 {
 		return viewKey{}, false
 	}
 	return viewKey{pool: t.spec.Pool, version: t.poolVersion}, true

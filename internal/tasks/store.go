@@ -215,7 +215,7 @@ func (tt *taskTable) each(f func(*task) error) error {
 
 // shard is one mutex stripe of the task table, picked by sequence
 // number. Mutations hold mu; reads load the table and each task's
-// published view snapshot, so GET and the sweeper's scan take no locks.
+// published state, so GET and the sweeper's scan take no locks.
 type shard struct {
 	mu        sync.Mutex
 	contended atomic.Int64
@@ -384,19 +384,9 @@ func (s *Store) lookup(id string) *task {
 	return s.tasks.get(seq)
 }
 
-// publish re-renders the task's lock-free view snapshot, which shares
-// the juror array from then on. Callers hold the task's shard mutex (or
-// are single-threaded, during recovery).
-func publish(t *task) View {
-	v := t.view()
-	t.snap.Store(&v)
-	t.shared = true
-	return v
-}
-
-// publishAll renders every recovered task's snapshot once, after replay
-// (per-mutation publication during replay would render a full view and
-// copy the juror array per vote for nothing).
+// publishAll publishes every recovered task's state once, after replay
+// (publication per replayed mutation would copy the state per vote for
+// nothing).
 func (s *Store) publishAll() {
 	s.tasks.each(func(t *task) error { publish(t); return nil }) //nolint:errcheck // f never fails
 }
@@ -714,14 +704,15 @@ func (s *Store) Create(ctx context.Context, spec Spec) (View, error) {
 		return View{}, err
 	}
 	t := s.applyCreate(&rec, p.Sorted())
-	view := publish(t)
+	publish(t)
+	st := t.cur
 	sh.mu.Unlock()
 	s.poolMu.RUnlock()
 	s.maybeCompact()
 	if err := s.waitDurable(ctx, tok); err != nil {
 		return View{}, err
 	}
-	return view, nil
+	return t.view(st), nil
 }
 
 // taskID renders a sequence number as the external task ID: "t", then
@@ -745,17 +736,16 @@ func (s *Store) applyCreate(rec *record, candidates []jury.Juror) *task {
 		id:           taskID(rec.Seq),
 		seq:          rec.Seq,
 		spec:         *rec.Spec,
-		status:       StatusOpen,
 		poolVersion:  rec.PoolVersion,
 		predictedJER: rec.PredictedJER,
-		createdAt:    rec.At,
+		createdAt:    rec.At.Round(0),
 		expiresAt:    rec.At.Add(rec.Spec.ExpiresIn),
-		jurors:       make([]JurorView, len(rec.Jury)),
 		candidates:   candidates,
+		cur:          &taskState{status: StatusOpen, jurors: make([]invitee, len(rec.Jury))},
 	}
 	for i, j := range rec.Jury {
-		t.jurors[i] = JurorView{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost,
-			State: JurorInvited, InvitedAt: rec.At}
+		// Invited at creation: offset 0.
+		t.cur.jurors[i].juror = t.resolve(jury.Juror{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost})
 	}
 	s.tasks.place(t)
 	if rec.Seq >= s.nextTask.Load() { // replay only: a live create took its number
@@ -767,28 +757,32 @@ func (s *Store) applyCreate(rec *record, candidates []jury.Juror) *task {
 	return t
 }
 
-// Get returns the task's current view: two atomic loads, no locks. A
-// task whose Create has not yet published its first view reads as not
-// found, like a task not yet inserted.
+// Get renders the task's current view from its published state, with
+// no lock. A task whose Create has not yet published its first state
+// reads as not found, like a task not yet inserted.
 func (s *Store) Get(id string) (View, error) {
-	var v *View
 	if t := s.lookup(id); t != nil {
-		v = t.snap.Load()
+		if st := t.snap.Load(); st != nil {
+			return t.view(st), nil
+		}
 	}
-	if v == nil {
-		return View{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
-	}
-	return *v, nil
+	return View{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
 }
 
 // List returns every task's view in creation order, optionally filtered
-// by status ("" = all). Lock-free: it reads the published snapshots.
+// by status ("" = all). Lock-free: it renders the published states. The
+// result is sized by the status gauge, so a filter that matches nothing
+// allocates nothing.
 func (s *Store) List(status Status) []View {
-	out := make([]View, 0, s.nTasks.Load())
+	var n int64
+	if g := s.gauge(status); g != nil {
+		n = g.Load()
+	}
+	out := make([]View, 0, n)
 	s.tasks.each(func(t *task) error { //nolint:errcheck // f never fails
 		// nil: Create has placed the task but not yet published it.
-		if v := t.snap.Load(); v != nil && (status == "" || v.Status == status) {
-			out = append(out, *v)
+		if st := t.snap.Load(); st != nil && (status == "" || st.status == status) {
+			out = append(out, t.view(st))
 		}
 		return nil
 	})
@@ -798,17 +792,17 @@ func (s *Store) List(status Status) []View {
 // checkVote validates a prospective vote/decline without mutating, and
 // returns the juror's index.
 func checkVote(t *task, jurorID string) (int, error) {
-	if t.status.closed() {
-		return 0, fmt.Errorf("%w: %s is %s", ErrTaskClosed, t.id, t.status)
+	if st := t.cur.status; st.closed() {
+		return 0, fmt.Errorf("%w: %s is %s", ErrTaskClosed, t.id, st)
 	}
 	i := t.find(jurorID)
 	if i < 0 {
 		return 0, fmt.Errorf("%w: %q on task %s", ErrNotInvited, jurorID, t.id)
 	}
-	switch t.jurors[i].State {
-	case JurorVoted:
+	switch t.cur.jurors[i].state {
+	case codeVoted:
 		return 0, fmt.Errorf("%w: %q on task %s", ErrAlreadyVoted, jurorID, t.id)
-	case JurorDeclined, JurorTimedOut:
+	case codeDeclined, codeTimedOut:
 		return 0, fmt.Errorf("%w: %q on task %s", ErrJurorReleased, jurorID, t.id)
 	}
 	return i, nil
@@ -818,92 +812,85 @@ func checkVote(t *task, jurorID string) (int, error) {
 // the task when the confidence target is crossed (sequential early stop)
 // or the jury is exhausted.
 func (s *Store) Vote(ctx context.Context, id, jurorID string, voteYes bool) (View, error) {
-	at := s.now()
-	if s.failed.Load() {
-		return View{}, ErrStoreFailed
-	}
-	t := s.lookup(id)
-	if t == nil {
-		return View{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
-	}
-	sh := s.shardFor(t.seq)
-	sh.lockContended()
-	i, err := checkVote(t, jurorID)
+	t, st, err := s.answer(ctx, id, jurorID, sharedBool(voteYes))
 	if err != nil {
-		sh.mu.Unlock()
 		return View{}, err
 	}
-	c, err := s.journal(&record{Type: recVote, At: at, Task: id, Juror: jurorID, Vote: sharedBool(voteYes)})
-	if err != nil {
-		sh.mu.Unlock()
-		return View{}, err
-	}
-	s.applyVote(t, i, voteYes, at)
-	view := publish(t)
-	sh.mu.Unlock()
-	s.maybeCompact()
-	if err := s.waitDurable(ctx, c); err != nil {
-		return View{}, err
-	}
-	return view, nil
-}
-
-// applyVote applies a validated vote by juror i. Callers hold the shard
-// mutex.
-func (s *Store) applyVote(t *task, i int, voteYes bool, at time.Time) {
-	t.edit(len(t.jurors))
-	j := &t.jurors[i]
-	j.Vote = sharedBool(voteYes)
-	j.State = JurorVoted
-	// The rate was validated at pool ingest and pinned at invitation, so
-	// Observe cannot fail.
-	t.post.Observe(voteYes, j.ErrorRate) //nolint:errcheck
-	if s.events != nil {
-		s.events.TaskEvent(Event{Type: EvVoteRecorded, Task: t.id, At: at,
-			Juror: j.ID, ErrorRate: j.ErrorRate, Vote: voteYes,
-			LatencyNS: at.Sub(j.InvitedAt).Nanoseconds()})
-	}
-	if t.status == StatusOpen {
-		s.setStatus(t, StatusAwaitingVotes)
-	}
-	s.closeCheck(t, at)
+	return t.view(st), nil
 }
 
 // Decline releases a juror who refused the invitation and invites the
 // next-best replacement under the remaining budget.
 func (s *Store) Decline(ctx context.Context, id, jurorID string) (View, error) {
-	return s.decline(ctx, id, jurorID, false)
+	t, st, err := s.answer(ctx, id, jurorID, nil)
+	if err != nil {
+		return View{}, err
+	}
+	return t.view(st), nil
 }
 
-func (s *Store) decline(ctx context.Context, id, jurorID string, timeout bool) (View, error) {
+// answer journals and applies one juror's vote, or, with a nil vote, a
+// decline, and returns the task and the state it published, from which
+// the caller renders the view outside the shard lock.
+func (s *Store) answer(ctx context.Context, id, jurorID string, vote *bool) (*task, *taskState, error) {
 	at := s.now()
 	if s.failed.Load() {
-		return View{}, ErrStoreFailed
+		return nil, nil, ErrStoreFailed
 	}
 	t := s.lookup(id)
 	if t == nil {
-		return View{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
+		return nil, nil, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
 	}
 	sh := s.shardFor(t.seq)
 	sh.lockContended()
 	i, err := checkVote(t, jurorID)
 	if err != nil {
 		sh.mu.Unlock()
-		return View{}, err
+		return nil, nil, err
 	}
-	c, err := s.journal(&record{Type: recDecline, At: at, Task: id, Juror: jurorID, Timeout: timeout})
+	rec := record{Type: recVote, At: at, Task: id, Juror: jurorID, Vote: vote}
+	if vote == nil {
+		rec.Type = recDecline
+	}
+	c, err := s.journal(&rec)
 	if err != nil {
 		sh.mu.Unlock()
-		return View{}, err
+		return nil, nil, err
 	}
-	s.applyDecline(t, i, timeout, at)
-	view := publish(t)
+	if vote != nil {
+		s.applyVote(t, i, *vote, at)
+	} else {
+		s.applyDecline(t, i, false, at)
+	}
+	publish(t)
+	st := t.cur
 	sh.mu.Unlock()
 	s.maybeCompact()
 	if err := s.waitDurable(ctx, c); err != nil {
-		return View{}, err
+		return nil, nil, err
 	}
-	return view, nil
+	return t, st, nil
+}
+
+// applyVote applies a validated vote by juror i. Callers hold the shard
+// mutex.
+func (s *Store) applyVote(t *task, i int, voteYes bool, at time.Time) {
+	st := t.edit(len(t.cur.jurors))
+	e := &st.jurors[i]
+	e.state, e.vote = codeVoted, voteCode(voteYes)
+	j := t.juror(*e)
+	// The rate was validated at pool ingest and pinned at invitation, so
+	// Observe cannot fail.
+	st.post.Observe(voteYes, j.ErrorRate) //nolint:errcheck
+	if s.events != nil {
+		s.events.TaskEvent(Event{Type: EvVoteRecorded, Task: t.id, At: at,
+			Juror: j.ID, ErrorRate: j.ErrorRate, Vote: voteYes,
+			LatencyNS: at.Sub(t.invitedAt(st, *e)).Nanoseconds()})
+	}
+	if st.status == StatusOpen {
+		s.setStatus(st, StatusAwaitingVotes)
+	}
+	s.closeCheck(t, st, at)
 }
 
 // VoteBatch applies ballots to one task in order; early stop depends on
@@ -915,9 +902,9 @@ func (s *Store) decline(ctx context.Context, id, jurorID string, timeout bool) (
 func (s *Store) VoteBatch(ctx context.Context, id string, ballots []Ballot) ([]BallotResult, View, error) {
 	results := make([]BallotResult, len(ballots))
 	var (
-		view    View
-		applied bool
-		closed  bool
+		t      *task
+		last   *taskState // published by the last applied ballot
+		closed bool
 	)
 	for i, b := range ballots {
 		res := &results[i]
@@ -930,15 +917,8 @@ func (s *Store) VoteBatch(ctx context.Context, id string, ballots []Ballot) ([]B
 			res.Error = err.Error()
 			continue
 		}
-		var (
-			v   View
-			err error
-		)
-		if b.Decline {
-			v, err = s.Decline(ctx, id, b.JurorID)
-		} else {
-			v, err = s.Vote(ctx, id, b.JurorID, *b.Vote)
-		}
+		// Check leaves Vote nil exactly when the ballot declines.
+		bt, st, err := s.answer(ctx, id, b.JurorID, b.Vote)
 		switch {
 		case errors.Is(err, ErrTaskNotFound):
 			return nil, View{}, err
@@ -949,78 +929,78 @@ func (s *Store) VoteBatch(ctx context.Context, id string, ballots []Ballot) ([]B
 			res.Error = err.Error()
 		default:
 			res.Applied = true
-			view, applied = v, true
-			closed = v.Status.closed()
+			t, last = bt, st
+			closed = st.status.closed()
 		}
 	}
-	if !applied {
+	if last == nil {
 		v, err := s.Get(id)
 		if err != nil {
 			return nil, View{}, err
 		}
-		view = v
+		return results, v, nil
 	}
-	return results, view, nil
+	return results, t.view(last), nil
 }
 
 // applyDecline releases juror i, invites a replacement when one fits,
 // and re-checks closure. Callers hold the shard mutex.
 func (s *Store) applyDecline(t *task, i int, timeout bool, at time.Time) {
-	c, replace := t.replacement(i)
-	n := len(t.jurors)
+	k, replace := t.replacement(i)
+	n := len(t.cur.jurors)
 	if replace {
 		n++
 	}
-	t.edit(n)
-	j := &t.jurors[i]
+	st := t.edit(n)
+	e := &st.jurors[i]
+	e.state = codeDeclined
 	if timeout {
-		j.State = JurorTimedOut
-	} else {
-		j.State = JurorDeclined
+		e.state = codeTimedOut
 	}
-	t.declines++
+	st.declines++
 	if s.events != nil {
+		j := t.juror(*e)
 		s.events.TaskEvent(Event{Type: EvJurorReleased, Task: t.id, At: at,
 			Juror: j.ID, ErrorRate: j.ErrorRate, Timeout: timeout})
 	}
 	if replace {
-		t.jurors[n-1] = JurorView{ID: c.ID, ErrorRate: c.ErrorRate, Cost: c.Cost,
-			State: JurorInvited, InvitedAt: at}
+		st.jurors[n-1] = t.invite(st, uint32(k), at)
 		if s.events != nil {
+			c := &t.candidates[k]
 			s.events.TaskEvent(Event{Type: EvJurorInvited, Task: t.id, At: at,
 				Juror: c.ID, ErrorRate: c.ErrorRate})
 		}
 	}
-	s.closeCheck(t, at)
+	s.closeCheck(t, st, at)
 }
 
-// closeCheck applies the sequential stopping rule. Callers hold the
-// shard mutex.
-func (s *Store) closeCheck(t *task, at time.Time) {
-	if t.status.closed() {
+// closeCheck applies the sequential stopping rule to st, the task's
+// state being edited. Callers hold the shard mutex.
+func (s *Store) closeCheck(t *task, st *taskState, at time.Time) {
+	if st.status.closed() {
 		return
 	}
-	answer, conf := t.post.Verdict()
+	answer, conf := st.post.Verdict()
 	if t.spec.TargetConfidence < 1 && conf >= t.spec.TargetConfidence {
-		t.verdict = &Verdict{Answer: answer, Confidence: conf,
-			EarlyStopped: t.pending() > 0, DecidedAt: at}
-		s.setStatus(t, StatusDecided)
-		s.emitClosed(t, at)
+		st.verdict = &Verdict{Answer: answer, Confidence: conf,
+			EarlyStopped: st.pending() > 0, DecidedAt: at}
+		s.setStatus(st, StatusDecided)
+		s.emitClosed(t, st, at)
 		return
 	}
-	if t.pending() > 0 {
+	if st.pending() > 0 {
 		return
 	}
 	// Jury exhausted below the target: emit the MAP verdict if the
 	// evidence favours one answer at all, otherwise expire undecided.
-	if t.post.Decisive() {
-		t.verdict = &Verdict{Answer: answer, Confidence: conf, DecidedAt: at}
-		s.setStatus(t, StatusDecided)
-		s.emitClosed(t, at)
+	if st.post.Decisive() {
+		st.verdict = &Verdict{Answer: answer, Confidence: conf, DecidedAt: at}
+		s.setStatus(st, StatusDecided)
+		s.emitClosed(t, st, at)
 		return
 	}
-	s.setStatus(t, StatusExpired)
-	s.emitClosed(t, at)
+	s.setStatus(st, StatusExpired)
+	s.emitClosed(t, st, at)
 }
 
 // Sweep applies wall-clock policy at the given instant: tasks past their
@@ -1030,9 +1010,9 @@ func (s *Store) closeCheck(t *task, at time.Time) {
 // jurors were released and how many tasks expired. juryd calls it on a
 // timer; tests call it with explicit clocks.
 //
-// The scan reads the lock-free view snapshots (spec and expiry are
-// immutable after creation); each resulting action revalidates under
-// its task's shard mutex before journaling.
+// The scan reads the published states (spec and expiry are immutable
+// after creation); each resulting action revalidates under its task's
+// shard mutex before journaling.
 func (s *Store) Sweep(now time.Time) (released, expired int, err error) {
 	if s.failed.Load() {
 		return 0, 0, ErrStoreFailed
@@ -1043,17 +1023,17 @@ func (s *Store) Sweep(now time.Time) (released, expired int, err error) {
 	}
 	var acts []action
 	s.tasks.each(func(t *task) error { //nolint:errcheck // f never fails
-		v := t.snap.Load()
-		if v == nil || v.Status.closed() {
+		st := t.snap.Load()
+		if st == nil || st.status.closed() {
 			return nil
 		}
 		if !now.Before(t.expiresAt) {
 			acts = append(acts, action{t: t})
 			return nil
 		}
-		for _, j := range v.Jurors {
-			if j.State == JurorInvited && !now.Before(j.InvitedAt.Add(t.spec.JurorTimeout)) {
-				acts = append(acts, action{t: t, juror: j.ID})
+		for _, e := range st.jurors {
+			if e.state == codeInvited && !now.Before(t.invitedAt(st, e).Add(t.spec.JurorTimeout)) {
+				acts = append(acts, action{t: t, juror: t.juror(e).ID})
 			}
 		}
 		return nil
@@ -1062,7 +1042,7 @@ func (s *Store) Sweep(now time.Time) (released, expired int, err error) {
 	for _, a := range acts {
 		t, sh := a.t, s.shardFor(a.t.seq)
 		sh.lockContended()
-		if t.status.closed() {
+		if t.cur.status.closed() {
 			sh.mu.Unlock()
 			continue // closed since the scan (a vote, or an earlier action)
 		}
@@ -1134,23 +1114,23 @@ func (s *Store) SweepProgress() SweepProgress {
 // that sweeping has stalled (a healthy sweeper releases overdue jurors
 // within one interval). It returns the number of open tasks carrying at
 // least one such juror and the largest overdue amount (time past
-// timeout+grace). The scan is lock-free: published view snapshots plus
-// the immutable spec.
+// timeout+grace). The scan is lock-free: published states plus the
+// immutable spec.
 func (s *Store) StalledInvites(now time.Time, grace time.Duration) (tasks int, oldest time.Duration) {
 	if grace < 0 {
 		grace = 0
 	}
 	s.tasks.each(func(t *task) error { //nolint:errcheck // f never fails
-		v := t.snap.Load()
-		if v == nil || v.Status.closed() {
+		st := t.snap.Load()
+		if st == nil || st.status.closed() {
 			return nil
 		}
 		stalled := false
-		for _, j := range v.Jurors {
-			if j.State != JurorInvited {
+		for _, e := range st.jurors {
+			if e.state != codeInvited {
 				continue
 			}
-			overdue := now.Sub(j.InvitedAt.Add(t.spec.JurorTimeout + grace))
+			overdue := now.Sub(t.invitedAt(st, e).Add(t.spec.JurorTimeout + grace))
 			if overdue >= 0 {
 				stalled = true
 				if overdue > oldest {
@@ -1169,37 +1149,38 @@ func (s *Store) StalledInvites(now time.Time, grace time.Duration) (tasks int, o
 // applyExpire closes the task without a verdict. Callers hold the shard
 // mutex.
 func (s *Store) applyExpire(t *task, at time.Time) {
-	if t.status.closed() {
+	if t.cur.status.closed() {
 		return
 	}
-	s.setStatus(t, StatusExpired)
-	s.emitClosed(t, at)
+	st := t.edit(len(t.cur.jurors))
+	s.setStatus(st, StatusExpired)
+	s.emitClosed(t, st, at)
 }
 
-// setStatus transitions a task and maintains the gauges. Callers hold
-// the shard mutex.
-func (s *Store) setStatus(t *task, next Status) {
-	switch t.status {
+// gauge returns the counter of tasks in status st, every task's for "",
+// and nil for a status no task takes.
+func (s *Store) gauge(st Status) *atomic.Int64 {
+	switch st {
+	case "":
+		return &s.nTasks
 	case StatusOpen:
-		s.nOpen.Add(-1)
+		return &s.nOpen
 	case StatusAwaitingVotes:
-		s.nAwaiting.Add(-1)
+		return &s.nAwaiting
 	case StatusDecided:
-		s.nDecided.Add(-1)
+		return &s.nDecided
 	case StatusExpired:
-		s.nExpired.Add(-1)
+		return &s.nExpired
 	}
-	t.status = next
-	switch next {
-	case StatusOpen:
-		s.nOpen.Add(1)
-	case StatusAwaitingVotes:
-		s.nAwaiting.Add(1)
-	case StatusDecided:
-		s.nDecided.Add(1)
-	case StatusExpired:
-		s.nExpired.Add(1)
-	}
+	return nil
+}
+
+// setStatus transitions the state being edited and maintains the
+// gauges. Callers hold the shard mutex.
+func (s *Store) setStatus(st *taskState, next Status) {
+	s.gauge(st.status).Add(-1)
+	st.status = next
+	s.gauge(next).Add(1)
 }
 
 // applyRecord replays one journaled mutation. Records passed validation

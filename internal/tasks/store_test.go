@@ -239,10 +239,10 @@ func TestDeclineInvitesNextBestReplacement(t *testing.T) {
 	}
 }
 
-// TestPublishedViewsStayUnchanged: a task shares its juror array with
-// the view it publishes, so a later vote or decline must copy the array
-// instead of writing a view some reader still holds. A replacement
-// grows the array by exactly one juror.
+// TestPublishedViewsStayUnchanged: a published state is never written
+// again, so a view rendered from it renders the same after later votes
+// and declines, and so does every view a caller holds. A replacement
+// grows the invitee array by exactly one, with no spare capacity.
 func TestPublishedViewsStayUnchanged(t *testing.T) {
 	s, _ := newTestStore(t, 20)
 	ctx := context.Background()
@@ -250,26 +250,34 @@ func TestPublishedViewsStayUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want0 := slices.Clone(v0.Jurors)
+	tk := s.lookup(v0.ID)
+	st0, want0 := tk.snap.Load(), slices.Clone(v0.Jurors)
 	v1, err := s.Vote(ctx, v0.ID, v0.Jurors[0].ID, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want1 := slices.Clone(v1.Jurors)
+	st1, want1 := tk.snap.Load(), slices.Clone(v1.Jurors)
 	v2, err := s.Decline(ctx, v0.ID, v0.Jurors[1].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v2.Jurors) != len(v1.Jurors)+1 || cap(v2.Jurors) != len(v2.Jurors) {
-		t.Fatalf("decline left %d jurors with capacity %d, want %d with none spare", len(v2.Jurors), cap(v2.Jurors), len(v1.Jurors)+1)
+	st2 := tk.snap.Load()
+	if len(st2.jurors) != len(st1.jurors)+1 || cap(st2.jurors) != len(st2.jurors) {
+		t.Fatalf("decline left %d invitees with capacity %d, want %d with none spare", len(st2.jurors), cap(st2.jurors), len(st1.jurors)+1)
 	}
 	if _, err := s.Vote(ctx, v0.ID, v2.Jurors[len(v2.Jurors)-1].ID, false); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(v0.Jurors, want0) || !slices.Equal(v1.Jurors, want1) {
-		t.Fatalf("a published view changed after later mutations:\n%v\n%v", v0.Jurors, v1.Jurors)
+	for i, c := range []struct {
+		held []JurorView
+		st   *taskState
+		want []JurorView
+	}{{v0.Jurors, st0, want0}, {v1.Jurors, st1, want1}} {
+		if !slices.Equal(c.held, c.want) || !slices.Equal(tk.view(c.st).Jurors, c.want) {
+			t.Fatalf("view %d changed after later mutations:\nheld     %v\nrendered %v\nwant     %v", i, c.held, tk.view(c.st).Jurors, c.want)
+		}
 	}
-	if v2.Jurors[len(v2.Jurors)-1].State != JurorInvited {
+	if j := tk.view(st2).Jurors; j[len(j)-1].State != JurorInvited || v2.Jurors[len(j)-1].State != JurorInvited {
 		t.Fatal("the decline's view saw the replacement's later vote")
 	}
 }

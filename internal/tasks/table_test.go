@@ -380,6 +380,24 @@ func TestSweepIdleAllocations(t *testing.T) {
 	}
 }
 
+// TestListSizedToMatches: List reserves room for the tasks its status
+// filter matches, not for every task, so listing the decided tasks of a
+// store holding only open ones allocates nothing.
+func TestListSizedToMatches(t *testing.T) {
+	s, _ := openTasks(t, 1000)
+	if n := len(s.List(StatusOpen)); n != 1000 {
+		t.Fatalf("List(open) = %d tasks, want 1,000", n)
+	}
+	var got []View
+	allocs := testing.AllocsPerRun(20, func() { got = s.List(StatusDecided) })
+	if len(got) != 0 {
+		t.Fatalf("List(decided) = %d tasks, want none", len(got))
+	}
+	if allocs != 0 {
+		t.Fatalf("List(decided) over 1,000 open tasks allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // BenchmarkSweepIdle times the sweeper's scan of 100k open tasks when
 // nothing is due: the per-second cost of enforcing juror timeouts.
 func BenchmarkSweepIdle(b *testing.B) {

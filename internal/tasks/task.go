@@ -1,10 +1,13 @@
 package tasks
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -126,57 +129,175 @@ type Verdict struct {
 	DecidedAt    time.Time
 }
 
-// task is the store's internal task state. Mutable fields are guarded
-// by the owning shard's mutex; id, seq, spec, createdAt, expiresAt,
-// poolVersion, predictedJER and candidates are immutable after creation
-// and safe to read lock-free. snap is the published copy-on-write view:
-// every live mutation publishes a fresh View, so Get, List and the
-// sweeper's scan never take the shard lock.
+// task is the store's internal task: an immutable header and the
+// current state. id, seq, spec, poolVersion, predictedJER, createdAt,
+// expiresAt, candidates and extra are fixed once the task is placed and
+// safe to read lock-free. cur is the writers' state, guarded by the
+// owning shard's mutex; snap is the published state. A published state
+// is never written again: live mutations publish a fresh one every
+// time, so Get, List and the sweeper's scan never take the shard lock,
+// and render views from a state and the header on demand.
 type task struct {
 	id           string
 	seq          uint64 // the sequence number id renders
 	spec         Spec
-	status       Status
 	poolVersion  uint64
 	predictedJER float64
-	createdAt    time.Time
+	createdAt    time.Time // no monotonic reading: invite offsets are wall clock
 	expiresAt    time.Time
-	// jurors is the task's one juror array: the jury, then each
-	// replacement in invite order. The published view shares it; shared
-	// records that, and edit copies a shared array before a mutation.
-	jurors   []JurorView
-	shared   bool
+	// candidates is the ε-sorted creation-snapshot view replacements are
+	// drawn from (shared with the pool snapshot); extra holds the
+	// invitees it lacks exactly. An invitee's juror index counts through
+	// candidates, then extra.
+	candidates []jury.Juror
+	extra      []jury.Juror
+
+	cur  *taskState
+	snap atomic.Pointer[taskState]
+}
+
+// taskState is a task's mutable state: what a vote, a decline or an
+// expiry changes.
+type taskState struct {
+	status   Status
+	declines int
 	post     estimate.VerdictPosterior
 	verdict  *Verdict
-	declines int
-	// candidates is the ε-sorted creation-snapshot view replacements are
-	// drawn from (immutable, shared with the pool snapshot).
-	candidates []jury.Juror
-
-	// snap is the lock-free published view. A published view and its
-	// juror array are never written again.
-	snap atomic.Pointer[View]
+	// jurors is the jury in selection order, then each replacement in
+	// invite order.
+	jurors []invitee
+	// odd holds the invite times an offset from creation cannot carry
+	// exactly: another zone offset, or more than ±292 years away.
+	odd []time.Time
 }
 
-// edit readies jurors for a mutation that leaves n ≥ len(jurors) of
-// them. Published arrays are immutable, so a shared array is copied
-// first, and so is one a replacement grows: by exactly one juror, with
-// no append slack. Replay publishes only once it is done, so there every
-// mutation but a replacement edits in place.
-func (t *task) edit(n int) {
-	if !t.shared && n == len(t.jurors) {
-		return
+// invitee is one invited juror within a task, in 16 bytes.
+type invitee struct {
+	// at is the invite time in nanoseconds after the task's creation or,
+	// when odd is set, its index in the state's odd times.
+	at    int64
+	juror uint32 // index into the task's candidates, then its extra jurors
+	state uint8  // index into jurorStateCodes, as the snapshot writes it
+	vote  uint8  // 0 none, 1 no, 2 yes, as the snapshot writes it
+	odd   bool
+}
+
+// Invitee state codes: indexes into jurorStateCodes.
+const (
+	codeInvited uint8 = iota
+	codeVoted
+	codeDeclined
+	codeTimedOut
+)
+
+// statusCodes and jurorStateCodes give the one-byte codes of statuses
+// and invitee states: a value's index.
+var (
+	statusCodes     = [...]Status{StatusOpen, StatusAwaitingVotes, StatusDecided, StatusExpired}
+	jurorStateCodes = [...]JurorState{JurorInvited, JurorVoted, JurorDeclined, JurorTimedOut}
+)
+
+// voteCode encodes a vote as an invitee carries it.
+func voteCode(yes bool) uint8 {
+	if yes {
+		return 2
 	}
-	next := make([]JurorView, n)
-	copy(next, t.jurors)
-	t.jurors, t.shared = next, false
+	return 1
 }
+
+// juror returns the juror e names.
+func (t *task) juror(e invitee) *jury.Juror {
+	if k := int(e.juror); k < len(t.candidates) {
+		return &t.candidates[k]
+	}
+	return &t.extra[int(e.juror)-len(t.candidates)]
+}
+
+// resolve returns the juror index an invitee of j carries: j's position
+// in the candidate view when the view holds j exactly, as it does unless
+// the pool moved between selection and creation or a restored task pins
+// no view; otherwise a position past the view, in extra, which resolve
+// extends. Only an unpublished task resolves.
+func (t *task) resolve(j jury.Juror) uint32 {
+	c := t.candidates
+	k, ok := slices.BinarySearchFunc(c, j, func(c, j jury.Juror) int {
+		return cmp.Or(cmp.Compare(c.ErrorRate, j.ErrorRate), strings.Compare(c.ID, j.ID))
+	})
+	// A match has j's ID; ε and cost must match to the bit (-0 is not 0).
+	if ok && math.Float64bits(c[k].ErrorRate) == math.Float64bits(j.ErrorRate) &&
+		math.Float64bits(c[k].Cost) == math.Float64bits(j.Cost) {
+		return uint32(k)
+	}
+	t.extra = append(t.extra, j)
+	return uint32(len(c) + len(t.extra) - 1)
+}
+
+// pin moves a restored task's invitees, which index its own juror list,
+// onto the candidate view it pins; extra keeps only those the view
+// lacks.
+func (t *task) pin(candidates []jury.Juror) {
+	own := t.extra
+	t.candidates, t.extra = candidates, nil
+	for i := range t.cur.jurors {
+		e := &t.cur.jurors[i]
+		e.juror = t.resolve(own[e.juror])
+	}
+}
+
+// invite returns an invitee of juror k invited at `at`: the offset from
+// creation when createdAt.Add of it gives the same instant in the same
+// zone offset, which is all a rendering or a snapshot keeps; otherwise
+// at's index in st.odd, which invite extends. st must be unpublished.
+func (t *task) invite(st *taskState, k uint32, at time.Time) invitee {
+	at = at.Round(0)
+	d := at.Sub(t.createdAt)
+	back := t.createdAt.Add(d)
+	_, want := at.Zone()
+	if _, got := back.Zone(); got == want && back.Equal(at) {
+		return invitee{at: int64(d), juror: k}
+	}
+	st.odd = append(st.odd[:len(st.odd):len(st.odd)], at) // copied: a published state may share it
+	return invitee{at: int64(len(st.odd) - 1), juror: k, odd: true}
+}
+
+// invitedAt returns e's invite time.
+func (t *task) invitedAt(st *taskState, e invitee) time.Time {
+	if e.odd {
+		return st.odd[e.at]
+	}
+	return t.createdAt.Add(time.Duration(e.at))
+}
+
+// edit readies t.cur for a mutation that leaves n ≥ len(jurors)
+// invitees and returns it. A published state is copied first, and so is
+// an invitee array a replacement grows: by exactly one, with no append
+// slack. Replay publishes only once it is done, so there every mutation
+// but a replacement edits in place.
+func (t *task) edit(n int) *taskState {
+	st := t.cur
+	if st == t.snap.Load() {
+		next := *st
+		st = &next
+		t.cur = st
+	} else if n == len(st.jurors) {
+		return st
+	}
+	jurors := make([]invitee, n)
+	copy(jurors, st.jurors)
+	st.jurors = jurors
+	return st
+}
+
+// publish makes the task's current state the one lock-free readers see.
+// Callers hold the task's shard mutex (or are single-threaded, during
+// recovery).
+func publish(t *task) { t.snap.Store(t.cur) }
 
 // find returns the index of the invited juror with the given ID, or -1.
 // A task invites at most MaxInvites jurors, so a scan is cheap.
 func (t *task) find(id string) int {
-	for i := range t.jurors {
-		if t.jurors[i].ID == id {
+	for i, e := range t.cur.jurors {
+		if t.juror(e).ID == id {
 			return i
 		}
 	}
@@ -185,24 +306,26 @@ func (t *task) find(id string) int {
 
 // pending counts invited jurors who have not yet answered or been
 // released.
-func (t *task) pending() int {
+func (st *taskState) pending() int {
 	n := 0
-	for _, j := range t.jurors {
-		if j.State == JurorInvited {
+	for _, e := range st.jurors {
+		if e.state == codeInvited {
 			n++
 		}
 	}
 	return n
 }
 
-// replacement picks the juror to invite once juror released is let go:
-// the lowest-ε candidate of the task's creation snapshot not yet invited
-// and, under the pay strategy, fitting the budget the jurors still on
-// the task leave. Deterministic — the candidate view is ε-sorted and
-// immutable — so WAL replay re-derives the same invitation.
-func (t *task) replacement(released int) (jury.Juror, bool) {
-	if len(t.jurors) >= t.spec.MaxInvites {
-		return jury.Juror{}, false
+// replacement picks the juror to invite once juror released is let go
+// and returns its index in the candidate view: the lowest-ε candidate
+// of the task's creation snapshot not yet invited and, under the pay
+// strategy, fitting the budget the jurors still on the task leave.
+// Deterministic — the candidate view is ε-sorted and immutable — so WAL
+// replay re-derives the same invitation.
+func (t *task) replacement(released int) (int, bool) {
+	jurors := t.cur.jurors
+	if len(jurors) >= t.spec.MaxInvites {
+		return 0, false
 	}
 	pay := t.spec.Strategy == StrategyPay
 	var remaining float64
@@ -210,24 +333,24 @@ func (t *task) replacement(released int) (jury.Juror, bool) {
 		// The committed cost sums the jurors still on the task (invited
 		// or voted) in invite order.
 		committed := 0.0
-		for i, j := range t.jurors {
-			if i != released && (j.State == JurorInvited || j.State == JurorVoted) {
-				committed += j.Cost
+		for i, e := range jurors {
+			if i != released && (e.state == codeInvited || e.state == codeVoted) {
+				committed += t.juror(e).Cost
 			}
 		}
 		remaining = t.spec.Budget - committed
 	}
-	invited := make(map[string]struct{}, len(t.jurors))
-	for _, j := range t.jurors {
-		invited[j.ID] = struct{}{}
+	invited := make(map[string]struct{}, len(jurors))
+	for _, e := range jurors {
+		invited[t.juror(e).ID] = struct{}{}
 	}
-	for _, c := range t.candidates {
+	for k, c := range t.candidates {
 		if _, ok := invited[c.ID]; ok || pay && c.Cost > remaining {
 			continue
 		}
-		return c, true
+		return k, true
 	}
-	return jury.Juror{}, false
+	return 0, false
 }
 
 // normalizeSpec fills spec defaults from the store configuration and
@@ -275,7 +398,7 @@ func (s *Store) normalizeSpec(spec Spec) (Spec, error) {
 	return spec, nil
 }
 
-// JurorView is one invited juror within a task, as stored and as served.
+// JurorView is one invited juror within a task, as served.
 // ErrorRate and Cost are the juror's estimate and payment requirement at
 // invitation time (the pool may drift afterwards; the task's posterior
 // arithmetic stays pinned to what selection saw). Vote is set once State
@@ -360,13 +483,12 @@ type BallotResult struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// view renders the task's external state; it shares the juror array.
-// Callers hold the task's shard mutex (or are single-threaded, during
-// recovery).
-func (t *task) view() View {
+// view renders the task's external state as st holds it. The view owns
+// its juror array and verdict: a later mutation leaves it unchanged.
+func (t *task) view(st *taskState) View {
 	v := View{
 		ID:               t.id,
-		Status:           t.status,
+		Status:           st.status,
 		Pool:             t.spec.Pool,
 		PoolVersion:      t.poolVersion,
 		Question:         t.spec.Question,
@@ -376,18 +498,26 @@ func (t *task) view() View {
 		PredictedJER:     t.predictedJER,
 		CreatedAt:        t.createdAt,
 		ExpiresAt:        t.expiresAt,
-		Jurors:           t.jurors,
-		Invites:          len(t.jurors),
-		VotesSpent:       t.post.Votes(),
-		Declines:         t.declines,
-		PYes:             t.post.PYes(),
+		Jurors:           make([]JurorView, len(st.jurors)),
+		Invites:          len(st.jurors),
+		VotesSpent:       st.post.Votes(),
+		Declines:         st.declines,
+		PYes:             st.post.PYes(),
 	}
-	if t.verdict != nil {
+	for i, e := range st.jurors {
+		j := t.juror(e)
+		v.Jurors[i] = JurorView{ID: j.ID, ErrorRate: j.ErrorRate, Cost: j.Cost,
+			State: jurorStateCodes[e.state], InvitedAt: t.invitedAt(st, e)}
+		if e.vote != 0 {
+			v.Jurors[i].Vote = sharedBool(e.vote == 2)
+		}
+	}
+	if vd := st.verdict; vd != nil {
 		v.Verdict = &VerdictView{
-			Answer:       t.verdict.Answer,
-			Confidence:   t.verdict.Confidence,
-			EarlyStopped: t.verdict.EarlyStopped,
-			DecidedAt:    t.verdict.DecidedAt,
+			Answer:       vd.Answer,
+			Confidence:   vd.Confidence,
+			EarlyStopped: vd.EarlyStopped,
+			DecidedAt:    vd.DecidedAt,
 		}
 	}
 	return v
