@@ -337,7 +337,7 @@ func TestRunFailsOnBadPoolFlag(t *testing.T) {
 func TestRunRefusesPreV2WAL(t *testing.T) {
 	walDir := t.TempDir()
 	path := filepath.Join(walDir, "wal-000000.log") // the first epoch's log
-	w, _, err := tasks.OpenWAL(path, tasks.WALOptions{Sync: tasks.SyncOff})
+	w, err := tasks.OpenWAL(path, tasks.WALOptions{Sync: tasks.SyncOff}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

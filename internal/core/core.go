@@ -152,7 +152,7 @@ func totalCost(jurors []Juror) float64 {
 // ties broken by ID — the ordering whose prefixes are size-wise optimal
 // under AltrM (Lemma 3). Exposed for callers that evaluate the prefix
 // juries themselves, e.g. the batch engine's parallel altruistic solver.
-func SortedByErrorRate(cands []Juror) []Juror { return sortByErrorRate(cands, nil) }
+func SortedByErrorRate(cands []Juror) []Juror { return sortJurors(cands, nil, false) }
 
 // RankByErrorRate returns SortedByErrorRate(cands) together with each
 // candidate's position in it: sorted[rank[i]] is cands[i]. A caller that
@@ -160,27 +160,35 @@ func SortedByErrorRate(cands []Juror) []Juror { return sortByErrorRate(cands, ni
 // rank, at 4 bytes per juror. len(cands) must fit in an int32.
 func RankByErrorRate(cands []Juror) (sorted []Juror, rank []int32) {
 	rank = make([]int32, len(cands))
-	return sortByErrorRate(cands, rank), rank
+	return sortJurors(cands, rank, false), rank
 }
 
-// sortByErrorRate is the one implementation of the Lemma 3 order: a
-// copy of cands sorted ascending by ε, ties broken by ID. It sorts
-// pointer-free (ε, index) keys with one unstable sort, which moves 16
-// bytes per swap and pays no write barriers, and gathers the jurors in
-// key order, recording each one's position in rank when rank is
-// non-nil. The index is the last tie-break, so the result is the slice
-// a stable sort yields even when IDs repeat, as inline candidates may.
-func sortByErrorRate(cands []Juror, rank []int32) []Juror {
-	type key struct {
-		eps float64
-		i   int
+// sortJurors is the one implementation of both candidate orders: a copy
+// of cands sorted ascending by ε (Lemma 3) or, with byCostQuality, by
+// the ε·r product PayALG uses (Algorithm 4, Line 1) and then by cost;
+// ties break by ID. It sorts pointer-free (key, key, index) entries with
+// one unstable sort, which moves 24 bytes per swap and pays no write
+// barriers, and gathers the jurors in entry order, recording each one's
+// position in rank when rank is non-nil. The index is the last
+// tie-break, so the result is the slice a stable sort yields even when
+// IDs repeat, as inline candidates may.
+func sortJurors(cands []Juror, rank []int32, byCostQuality bool) []Juror {
+	type entry struct {
+		first, second float64
+		i             int
 	}
-	keys := make([]key, len(cands))
+	entries := make([]entry, len(cands))
 	for i, c := range cands {
-		keys[i] = key{c.ErrorRate, i}
+		entries[i] = entry{c.ErrorRate, 0, i}
+		if byCostQuality {
+			entries[i] = entry{c.ErrorRate * c.Cost, c.Cost, i}
+		}
 	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := cmp.Compare(a.eps, b.eps); c != 0 {
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := cmp.Compare(a.first, b.first); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.second, b.second); c != 0 {
 			return c
 		}
 		if c := strings.Compare(cands[a.i].ID, cands[b.i].ID); c != 0 {
@@ -188,29 +196,12 @@ func sortByErrorRate(cands []Juror, rank []int32) []Juror {
 		}
 		return cmp.Compare(a.i, b.i)
 	})
-	out := make([]Juror, len(keys))
-	for k, key := range keys {
-		out[k] = cands[key.i]
+	out := make([]Juror, len(entries))
+	for k, e := range entries {
+		out[k] = cands[e.i]
 		if rank != nil {
-			rank[key.i] = int32(k)
+			rank[e.i] = int32(k)
 		}
 	}
-	return out
-}
-
-// sortByCostQuality returns a copy of cands sorted ascending by the ε·r
-// product PayALG uses (Algorithm 4, Line 1), breaking ties by cost then ID.
-func sortByCostQuality(cands []Juror) []Juror {
-	out := make([]Juror, len(cands))
-	copy(out, cands)
-	slices.SortStableFunc(out, func(a, b Juror) int {
-		if c := cmp.Compare(a.ErrorRate*a.Cost, b.ErrorRate*b.Cost); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
-			return c
-		}
-		return strings.Compare(a.ID, b.ID)
-	})
 	return out
 }

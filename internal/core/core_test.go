@@ -113,7 +113,7 @@ func TestSortByCostQuality(t *testing.T) {
 		{ID: "y", ErrorRate: 0.1, Cost: 1.0}, // product 0.10
 		{ID: "z", ErrorRate: 0.2, Cost: 0.5}, // product 0.10, cheaper
 	}
-	sorted := sortByCostQuality(cands)
+	sorted := sortJurors(cands, nil, true)
 	wantOrder := []string{"z", "y", "x"}
 	for i, id := range wantOrder {
 		if sorted[i].ID != id {
@@ -193,8 +193,8 @@ func TestSortsMatchSliceStable(t *testing.T) {
 			}
 			placed[r] = true
 		}
-		if got, want := sortByCostQuality(cands), refByCostQuality(cands); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: sortByCostQuality diverges from sort.SliceStable:\ngot  %v\nwant %v", trial, got, want)
+		if got, want := sortJurors(cands, nil, true), refByCostQuality(cands); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: the ε·r sort diverges from sort.SliceStable:\ngot  %v\nwant %v", trial, got, want)
 		}
 	}
 	if productTies == 0 {

@@ -72,7 +72,7 @@ func SelectPay(cands []Juror, opts PayOptions) (Selection, error) {
 	if opts.Budget < 0 {
 		return Selection{}, errors.New("core: negative budget")
 	}
-	sorted := sortByCostQuality(cands)
+	sorted := sortJurors(cands, nil, true)
 
 	// Lines 3–5: find the first candidate whose requirement fits the
 	// budget on its own.

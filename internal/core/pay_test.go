@@ -86,7 +86,7 @@ func TestSelectPayNeverWorseThanSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Recompute the seed: first affordable in ε·r order.
-		sorted := sortByCostQuality(cands)
+		sorted := sortJurors(cands, nil, true)
 		var seed *Juror
 		for i := range sorted {
 			if sorted[i].Cost <= budget {

@@ -140,24 +140,15 @@ type PutJurorsRequest struct {
 	Jurors []dataio.JurorJSON `json:"jurors"`
 }
 
-// VotesJSON is a batch of observed voting outcomes for one juror.
-type VotesJSON struct {
-	// Wrong counts votes cast against the resolved truth.
-	Wrong int64 `json:"wrong"`
-	// Total counts votes on tasks whose truth resolved.
-	Total int64 `json:"total"`
-}
+// VotesJSON is a batch of observed voting outcomes for one juror: the
+// pool's own type, whose JSON tags are the wire's.
+type VotesJSON = pool.VoteObservation
 
-// JurorUpdateJSON is one update inside PATCH /v1/pools/{name}/jurors.
-// See JurorUpdate for the semantics; pointer fields distinguish "absent"
-// from zero values.
-type JurorUpdateJSON struct {
-	ID        string     `json:"id"`
-	ErrorRate *float64   `json:"error_rate,omitempty"`
-	Cost      *float64   `json:"cost,omitempty"`
-	Votes     *VotesJSON `json:"votes,omitempty"`
-	Remove    bool       `json:"remove,omitempty"`
-}
+// JurorUpdateJSON is one update inside PATCH /v1/pools/{name}/jurors:
+// the pool's own type, whose JSON tags are the wire's. See
+// pool.JurorUpdate for the semantics; pointer fields distinguish
+// "absent" from zero values.
+type JurorUpdateJSON = pool.JurorUpdate
 
 // PatchJurorsRequest is the body of PATCH /v1/pools/{name}/jurors.
 type PatchJurorsRequest struct {

@@ -791,14 +791,7 @@ func (s *Server) handlePoolPatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	ups := make([]pool.JurorUpdate, len(req.Updates))
-	for i, u := range req.Updates {
-		ups[i] = pool.JurorUpdate{ID: u.ID, ErrorRate: u.ErrorRate, Cost: u.Cost, Remove: u.Remove}
-		if u.Votes != nil {
-			ups[i].Votes = &pool.VoteObservation{Wrong: u.Votes.Wrong, Total: u.Votes.Total}
-		}
-	}
-	p, err := s.patchPool(name, ups)
+	p, err := s.patchPool(name, req.Updates)
 	if err != nil {
 		s.fail(w, poolWriteError(err))
 		return

@@ -183,8 +183,11 @@ type TaskVoteBatchResponse struct {
 
 // handleTaskVoteBatch serves POST /v1/tasks/{id}/votes/batch: the votes
 // apply in order through tasks.Store.VoteBatch, which skips the items
-// after the task closes and reports item failures per item; only an
-// unknown task fails the whole batch.
+// after the task closes and reports item failures per item. An unknown
+// task fails the whole batch, a 404, and so does a failed durability
+// wait, a 500 (tasks.ErrStoreFailed): the batch waits once, on its last
+// applied vote, so when that wait fails no applied vote is known
+// durable.
 func (s *Server) handleTaskVoteBatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	setTraceTask(w, id)

@@ -130,13 +130,7 @@ func (hb *httpBackend) PutPool(ctx context.Context, name string, jurors []jury.J
 }
 
 func (hb *httpBackend) Patch(ctx context.Context, name string, ups []pool.JurorUpdate) error {
-	req := server.PatchJurorsRequest{Updates: make([]server.JurorUpdateJSON, len(ups))}
-	for i, u := range ups {
-		req.Updates[i] = server.JurorUpdateJSON{ID: u.ID, ErrorRate: u.ErrorRate, Cost: u.Cost, Remove: u.Remove}
-		if u.Votes != nil {
-			req.Updates[i].Votes = &server.VotesJSON{Wrong: u.Votes.Wrong, Total: u.Votes.Total}
-		}
-	}
+	req := server.PatchJurorsRequest{Updates: ups}
 	_, err := hb.doJSON(ctx, http.MethodPatch, "/v1/pools/"+name+"/jurors", req, nil, http.StatusOK)
 	return err
 }

@@ -19,11 +19,14 @@ import (
 // corpora under testdata/fuzz hold encodeRecord output for every record
 // shape and every section of a small real snapshot. FuzzRestoreSnapshot
 // feeds whole snapshots of fuzzer-chosen sections, seeded from the
-// section corpus, through the checks behind the CRC. Explore with
+// section corpus, through the checks behind the CRC. FuzzOpenWAL opens
+// fuzzer-written logs against readWAL, the in-memory reader the
+// streaming replay replaced. Explore with
 //
 //	go test -run '^$' -fuzz='^FuzzDecodeRecord$' ./internal/tasks/
 //	go test -run '^$' -fuzz='^FuzzDecodeSnapshotFrame$' ./internal/tasks/
 //	go test -run '^$' -fuzz='^FuzzRestoreSnapshot$' ./internal/tasks/
+//	go test -run '^$' -fuzz='^FuzzOpenWAL$' ./internal/tasks/
 
 // decodeAllocBudget bounds what decoding n bytes may allocate. Legal
 // payloads stay well inside it (the densest, a run of version floors or
@@ -177,6 +180,50 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		runtime.ReadMemStats(&m1)
 		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > restoreAllocBudget(len(framed)) {
 			t.Fatalf("restoring %d bytes allocated %d", len(framed), alloc)
+		}
+	})
+}
+
+// FuzzOpenWAL writes the input as a log and opens it. OpenWAL must
+// replay exactly the payloads readWAL finds, in order, report that count
+// and the bytes after them as ReplayRecords and TornBytes, and leave the
+// file as exactly that intact prefix.
+func FuzzOpenWAL(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "wal.log") // inputs run one at a time
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, validLen, err := readWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]byte
+		w, err := OpenWAL(path, WALOptions{Sync: SyncOff}, func(payload []byte) error {
+			got = append(got, bytes.Clone(payload))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := w.Stats()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("replayed %d records, readWAL finds %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i].payload) {
+				t.Fatalf("record %d: %x, readWAL finds %x", i, got[i], want[i].payload)
+			}
+		}
+		if st.ReplayRecords != int64(len(want)) || st.TornBytes != int64(len(data))-validLen {
+			t.Fatalf("stats report %d records and %d torn bytes, want %d and %d",
+				st.ReplayRecords, st.TornBytes, len(want), int64(len(data))-validLen)
+		}
+		if left, err := os.ReadFile(path); err != nil || !bytes.Equal(left, data[:validLen]) {
+			t.Fatalf("left %d bytes (err %v), want the %d-byte intact prefix", len(left), err, validLen)
 		}
 	})
 }

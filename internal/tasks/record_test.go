@@ -137,7 +137,7 @@ func TestOpenRefusesJSONFramedWAL(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := walFile(dir, 0)
-			w, _, err := OpenWAL(path, WALOptions{Sync: SyncOff})
+			w, err := OpenWAL(path, WALOptions{Sync: SyncOff}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"sync/atomic"
 	"testing"
@@ -288,6 +289,50 @@ func TestCompactionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompactionDropsStaleNextEpoch: a crashed earlier compaction may
+// leave records in the next epoch's log, which an older snapshot covers.
+// Compaction must drop them before the new snapshot names that epoch,
+// or a restart would replay them on top of it.
+func TestCompactionDropsStaleNextEpoch(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	s := buildBusyStore(t, dir, clk)
+	before := storeFingerprint(t, s)
+	w, err := OpenWAL(walFile(dir, 1), WALOptions{Sync: SyncOff}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := encodeRecord(nil, &record{Type: recPoolDelete, Pool: "crowd"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendDurable(w, stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Config{Dir: dir, Sync: SyncOff, Now: clk.now,
+		DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close() //nolint:errcheck
+	if rec := s2.Recovery(); !rec.SnapshotLoaded || rec.Records != 0 {
+		t.Fatalf("snapshot loaded %v, replayed %d records, want the snapshot and 0", rec.SnapshotLoaded, rec.Records)
+	}
+	if got := storeFingerprint(t, s2); string(got) != string(before) {
+		t.Fatalf("recovery after compaction diverges:\n%s\nvs\n%s", got, before)
+	}
+}
+
 // TestAutoCompaction: crossing CompactEvery folds the log into the
 // snapshot without losing state.
 func TestAutoCompaction(t *testing.T) {
@@ -353,7 +398,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	payload := []byte(`{"t":"vote","task":"t00000001","juror":"j00042","vote":true}`)
 	for _, mode := range []SyncMode{SyncOff, SyncBatch} {
 		b.Run(string(mode), func(b *testing.B) {
-			w, _, err := OpenWAL(filepath.Join(b.TempDir(), "wal.log"), WALOptions{Sync: mode})
+			w, err := OpenWAL(filepath.Join(b.TempDir(), "wal.log"), WALOptions{Sync: mode}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -489,25 +534,34 @@ func reopen(tb testing.TB, cfg Config, records int64) *Store {
 }
 
 // TestStoreReplayAllocations caps what recovering BenchmarkStoreReplay's
-// log allocates. The collector is off while it counts, because a
-// collection empties the sync.Pools replay draws from. The pipelined
-// decoder's chunking still varies, so the count moves by a few
-// allocations from run to run: the cap is the highest of five readings
-// taken when it was set (2,599–2,613), plus 1%. Before tasks stored their
-// juror arrays once, the same recovery allocated 17,405.
+// log allocates, Open plus Close, counted as testing.AllocsPerRun counts
+// (after one warm-up run, at GOMAXPROCS 1) with the collector off. The
+// log streams through one frame buffer and one intern table, so every
+// run reads the same: the count cap is that reading, and the byte bound
+// is its 977,392 B plus 10%. Before tasks stored their juror arrays
+// once, the same recovery allocated 17,405 objects.
 func TestStoreReplayAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items; allocation counts are not meaningful")
 	}
-	const limit = 2639
+	const allocLimit, byteLimit, runs = 1805, 977_392 * 11 / 10, 3
 	cfg, records := writeReplayLog(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	got := testing.AllocsPerRun(3, func() {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	reopen(t, cfg, records).Close() //nolint:errcheck // warm-up
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
 		reopen(t, cfg, records).Close() //nolint:errcheck
-	})
-	t.Logf("replay of %d records: %.0f allocs/op (cap %d)", records, got, limit)
-	if got > limit {
-		t.Errorf("replaying %d records allocates %.0f, cap %d", records, got, limit)
+	}
+	runtime.ReadMemStats(&m1)
+	allocs, bytes := (m1.Mallocs-m0.Mallocs)/runs, (m1.TotalAlloc-m0.TotalAlloc)/runs
+	t.Logf("replay of %d records: %d allocs and %d B per op (caps %d and %d)", records, allocs, bytes, allocLimit, byteLimit)
+	if allocs > allocLimit {
+		t.Errorf("replaying %d records allocates %d objects, cap %d", records, allocs, allocLimit)
+	}
+	if bytes > byteLimit {
+		t.Errorf("replaying %d records allocates %d B, cap %d", records, bytes, byteLimit)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -304,50 +303,12 @@ func (r *recReader) task() *task {
 	return t
 }
 
-// frameReader reads a snapshot's frames one at a time into one reused
-// buffer.
-type frameReader struct {
-	r         *bufio.Reader
-	remaining int64 // bytes of the file not yet read
-	hdr       [walFrameOverhead]byte
-	buf       []byte
-}
-
-// next returns the next frame's payload, valid until the following
-// call, or io.EOF at a clean end between frames. A frame that fails its
-// length or CRC check is an error, not a torn tail: the snapshot was
-// renamed into place only after its fsync. The length is checked
-// against the bytes left in the file before anything is allocated.
-func (fr *frameReader) next() ([]byte, error) {
-	if fr.remaining == 0 {
-		return nil, io.EOF
-	}
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return nil, fmt.Errorf("reading frame header: %w", err)
-	}
-	fr.remaining -= walFrameOverhead
-	n := int64(binary.LittleEndian.Uint32(fr.hdr[:4]))
-	if n > maxRecordLen || n > fr.remaining {
-		return nil, fmt.Errorf("frame of %d bytes with %d left in the file", n, fr.remaining)
-	}
-	if int64(cap(fr.buf)) < n {
-		fr.buf = make([]byte, n)
-	}
-	payload := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return nil, fmt.Errorf("reading frame payload: %w", err)
-	}
-	fr.remaining -= n
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(fr.hdr[4:]) {
-		return nil, errors.New("frame fails its CRC check")
-	}
-	return payload, nil
-}
-
 // loadSnapshot restores snapshot.bin, if present, decoding it frame by
-// frame. Called by Open before WAL replay. Any damaged frame, a section
-// out of order or a missing trailer fails the load; the pool store is
-// replaced only once the trailer has checked out.
+// frame. Called by Open before WAL replay. A bad frame is damage, not a
+// torn tail: the snapshot was renamed into place only after its fsync.
+// It fails the load, as a section out of order or a missing trailer
+// does; the pool store is replaced only once the trailer has checked
+// out.
 func (s *Store) loadSnapshot() error {
 	path := filepath.Join(s.dir, snapshotFileName)
 	f, err := os.Open(path)
@@ -584,18 +545,17 @@ func (s *Store) compactLocked() error {
 	// that moment on. Opening first keeps the failure cases safe: an
 	// open error leaves the old (snapshot, full log) pair untouched,
 	// and after a successful rename only in-memory pointer swaps remain.
-	next, stale, err := OpenWAL(walFile(s.dir, epoch), WALOptions{Sync: wal.mode, FsyncObserver: wal.fsyncObs})
+	// A crashed earlier compaction may have left records in this
+	// epoch's file, which an older snapshot covers: remove it first. The
+	// rename's directory fsync makes the removal durable before any
+	// snapshot names the epoch.
+	path := walFile(s.dir, epoch)
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("tasks: removing stale wal epoch %d: %w", epoch, err)
+	}
+	next, err := OpenWAL(path, WALOptions{Sync: wal.mode, FsyncObserver: wal.fsyncObs}, nil)
 	if err != nil {
 		return fmt.Errorf("tasks: opening wal epoch %d: %w", epoch, err)
-	}
-	if len(stale) > 0 {
-		// A crashed previous compaction left records in this epoch's
-		// file; they are covered by an older snapshot that has since been
-		// replaced, so drop them.
-		if err := next.Reset(); err != nil {
-			next.Close() //nolint:errcheck
-			return err
-		}
 	}
 	renamed, err := s.writeSnapshot(filepath.Join(s.dir, snapshotFileName), epoch)
 	if err != nil {
@@ -608,7 +568,7 @@ func (s *Store) compactLocked() error {
 			s.failed.Store(true)
 			return fmt.Errorf("tasks: snapshot rename finished but could not be confirmed durable: %w", err)
 		}
-		os.Remove(walFile(s.dir, epoch)) //nolint:errcheck // stale empty epoch
+		os.Remove(path) //nolint:errcheck // stale empty epoch
 		return fmt.Errorf("tasks: writing snapshot: %w", err)
 	}
 

@@ -340,7 +340,7 @@ func TestOpenRefusesV1Snapshot(t *testing.T) {
 	if err := os.WriteFile(v1, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := OpenWAL(walFile(dir, 1), WALOptions{Sync: SyncOff})
+	w, err := OpenWAL(walFile(dir, 1), WALOptions{Sync: SyncOff}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func TestOpenRestoresEveryRecordThePatchPathWrites(t *testing.T) {
 // the write path's checks, so Open fails, naming the pool.
 func TestOpenRefusesWrappingPatchRecord(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenWAL(walFile(dir, 0), WALOptions{Sync: SyncOff})
+	w, err := OpenWAL(walFile(dir, 0), WALOptions{Sync: SyncOff}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

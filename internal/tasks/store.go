@@ -348,19 +348,27 @@ func Open(cfg Config) (*Store, error) {
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	walPath := walFile(s.dir, s.epoch)
-	wal, records, err := OpenWAL(walPath, WALOptions{Sync: cfg.Sync, FsyncObserver: cfg.FsyncObserver})
+	// Records re-run in log order, which is application order; one
+	// intern table serves the whole log.
+	tab := newInternTable()
+	wal, err := OpenWAL(walFile(s.dir, s.epoch), WALOptions{Sync: cfg.Sync, FsyncObserver: cfg.FsyncObserver},
+		func(payload []byte) error {
+			rec, err := decodeRecord(payload, tab)
+			if err != nil {
+				return err
+			}
+			if err := s.applyRecord(&rec); err != nil {
+				return fmt.Errorf("tasks: replaying %s record: %w", rec.Type, err)
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
 	s.wal.Store(wal)
-	if err := s.replayRecords(records); err != nil {
-		wal.Close() //nolint:errcheck
-		return nil, fmt.Errorf("%s: %w", walPath, err)
-	}
 	s.publishAll()
-	s.sinceCompact.Store(int64(len(records)))
 	st := wal.Stats()
+	s.sinceCompact.Store(st.ReplayRecords)
 	s.recovery.Records = st.ReplayRecords
 	s.recovery.TornBytes = st.TornBytes
 	s.recovery.Pools = s.pools.Len()
@@ -812,8 +820,11 @@ func checkVote(t *task, jurorID string) (int, error) {
 // the task when the confidence target is crossed (sequential early stop)
 // or the jury is exhausted.
 func (s *Store) Vote(ctx context.Context, id, jurorID string, voteYes bool) (View, error) {
-	t, st, err := s.answer(ctx, id, jurorID, sharedBool(voteYes))
+	t, st, c, err := s.answer(id, jurorID, sharedBool(voteYes))
 	if err != nil {
+		return View{}, err
+	}
+	if err := s.waitDurable(ctx, c); err != nil {
 		return View{}, err
 	}
 	return t.view(st), nil
@@ -822,31 +833,35 @@ func (s *Store) Vote(ctx context.Context, id, jurorID string, voteYes bool) (Vie
 // Decline releases a juror who refused the invitation and invites the
 // next-best replacement under the remaining budget.
 func (s *Store) Decline(ctx context.Context, id, jurorID string) (View, error) {
-	t, st, err := s.answer(ctx, id, jurorID, nil)
+	t, st, c, err := s.answer(id, jurorID, nil)
 	if err != nil {
+		return View{}, err
+	}
+	if err := s.waitDurable(ctx, c); err != nil {
 		return View{}, err
 	}
 	return t.view(st), nil
 }
 
 // answer journals and applies one juror's vote, or, with a nil vote, a
-// decline, and returns the task and the state it published, from which
-// the caller renders the view outside the shard lock.
-func (s *Store) answer(ctx context.Context, id, jurorID string, vote *bool) (*task, *taskState, error) {
+// decline. It returns the task and the state it published, from which
+// the caller renders the view outside the shard lock, and the record's
+// commit, which the caller waits on before it answers.
+func (s *Store) answer(id, jurorID string, vote *bool) (*task, *taskState, commit, error) {
 	at := s.now()
 	if s.failed.Load() {
-		return nil, nil, ErrStoreFailed
+		return nil, nil, commit{}, ErrStoreFailed
 	}
 	t := s.lookup(id)
 	if t == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
+		return nil, nil, commit{}, fmt.Errorf("%w: %q", ErrTaskNotFound, id)
 	}
 	sh := s.shardFor(t.seq)
 	sh.lockContended()
 	i, err := checkVote(t, jurorID)
 	if err != nil {
 		sh.mu.Unlock()
-		return nil, nil, err
+		return nil, nil, commit{}, err
 	}
 	rec := record{Type: recVote, At: at, Task: id, Juror: jurorID, Vote: vote}
 	if vote == nil {
@@ -855,7 +870,7 @@ func (s *Store) answer(ctx context.Context, id, jurorID string, vote *bool) (*ta
 	c, err := s.journal(&rec)
 	if err != nil {
 		sh.mu.Unlock()
-		return nil, nil, err
+		return nil, nil, commit{}, err
 	}
 	if vote != nil {
 		s.applyVote(t, i, *vote, at)
@@ -866,10 +881,7 @@ func (s *Store) answer(ctx context.Context, id, jurorID string, vote *bool) (*ta
 	st := t.cur
 	sh.mu.Unlock()
 	s.maybeCompact()
-	if err := s.waitDurable(ctx, c); err != nil {
-		return nil, nil, err
-	}
-	return t, st, nil
+	return t, st, c, nil
 }
 
 // applyVote applies a validated vote by juror i. Callers hold the shard
@@ -896,14 +908,18 @@ func (s *Store) applyVote(t *task, i int, voteYes bool, at time.Time) {
 // VoteBatch applies ballots to one task in order; early stop depends on
 // the order, so it is kept exactly. Once the task closes, the remaining
 // ballots are skipped without touching it. A malformed ballot, or one
-// the task rejects, is a per-item error; only an unknown task fails the
-// whole batch. The view is the task after the last applied ballot, or
-// its current view when none applied.
+// the task rejects, is a per-item error. An unknown task fails the whole
+// batch, and so does a failed durability wait (ErrStoreFailed): the
+// batch waits once, on the last applied ballot's commit, which covers
+// the earlier ones because the log is ordered, so when it fails no
+// applied ballot is known durable. The view is the task after the last
+// applied ballot, or its current view when none applied.
 func (s *Store) VoteBatch(ctx context.Context, id string, ballots []Ballot) ([]BallotResult, View, error) {
 	results := make([]BallotResult, len(ballots))
 	var (
 		t      *task
 		last   *taskState // published by the last applied ballot
+		lastC  commit     // the last applied ballot's record
 		closed bool
 	)
 	for i, b := range ballots {
@@ -918,7 +934,7 @@ func (s *Store) VoteBatch(ctx context.Context, id string, ballots []Ballot) ([]B
 			continue
 		}
 		// Check leaves Vote nil exactly when the ballot declines.
-		bt, st, err := s.answer(ctx, id, b.JurorID, b.Vote)
+		bt, st, c, err := s.answer(id, b.JurorID, b.Vote)
 		switch {
 		case errors.Is(err, ErrTaskNotFound):
 			return nil, View{}, err
@@ -929,7 +945,7 @@ func (s *Store) VoteBatch(ctx context.Context, id string, ballots []Ballot) ([]B
 			res.Error = err.Error()
 		default:
 			res.Applied = true
-			t, last = bt, st
+			t, last, lastC = bt, st, c
 			closed = st.status.closed()
 		}
 	}
@@ -939,6 +955,9 @@ func (s *Store) VoteBatch(ctx context.Context, id string, ballots []Ballot) ([]B
 			return nil, View{}, err
 		}
 		return results, v, nil
+	}
+	if err := s.waitDurable(ctx, lastC); err != nil {
+		return nil, View{}, err
 	}
 	return results, t.view(last), nil
 }

@@ -46,7 +46,7 @@ func writeLog(t *testing.T, path string, payloads [][]byte) {
 	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		t.Fatal(err)
 	}
-	w, _, err := OpenWAL(path, WALOptions{Sync: SyncOff})
+	w, err := OpenWAL(path, WALOptions{Sync: SyncOff}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,6 +156,53 @@ func TestVoteBatchUnknownTask(t *testing.T) {
 	}
 }
 
+// TestVoteBatchWaitsOnce: a batch waits for durability once, on its last
+// applied ballot, whose commit covers the earlier ones because the log
+// is ordered. Voting a whole fixed jury in one batch on a SyncBatch
+// store appends a record per ballot and adds one durability wait.
+func TestVoteBatchWaitsOnce(t *testing.T) {
+	ctx := context.Background()
+	s, err := Open(Config{Dir: t.TempDir(), Sync: SyncBatch, Now: newFakeClock().now, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck
+	if _, err := s.PutPool("crowd", crowdJurors(29)); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.Create(ctx, Spec{Pool: "crowd", TargetConfidence: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Jurors) < 2 {
+		t.Fatalf("jury of %d, want several ballots", len(v.Jurors))
+	}
+	ballots := make([]Ballot, len(v.Jurors))
+	for i, j := range v.Jurors {
+		ballots[i] = Ballot{JurorID: j.ID, Vote: sharedBool(i%2 == 0)}
+	}
+	before := s.Stats().WAL
+	results, view, err := s.VoteBatch(ctx, v.ID, ballots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if !res.Applied {
+			t.Fatalf("ballot %d: %+v", i, res)
+		}
+	}
+	if !view.Status.closed() {
+		t.Fatalf("a fully voted fixed jury left the task %s", view.Status)
+	}
+	after := s.Stats().WAL
+	if got := after.Appends - before.Appends; got != int64(len(ballots)) {
+		t.Errorf("%d ballots appended %d records", len(ballots), got)
+	}
+	if got := after.DurableWaitHist.Count - before.DurableWaitHist.Count; got != 1 {
+		t.Errorf("%d ballots waited for durability %d times, want 1", len(ballots), got)
+	}
+}
+
 // newTrioStore opens a memory-only store holding the three-juror "trio"
 // pool.
 func newTrioStore(t *testing.T) *Store {

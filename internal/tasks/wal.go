@@ -174,70 +174,97 @@ func writeFrame(w *bufio.Writer, hdr *[walFrameOverhead]byte, payload []byte) er
 	return err
 }
 
-// walRecord is one intact record yielded by readWAL.
-type walRecord struct {
-	payload []byte
+// errBadFrame marks a frame cut short, declaring more than maxRecordLen
+// or the bytes left in the file, or failing its CRC check. In the log
+// it starts the torn tail; in the snapshot it is damage.
+var errBadFrame = errors.New("bad frame")
+
+// frameReader reads a file's frames one at a time into one reused
+// buffer. The log and the compaction snapshot both read through it.
+type frameReader struct {
+	r         *bufio.Reader
+	remaining int64 // bytes of the file not yet read
+	hdr       [walFrameOverhead]byte
+	buf       []byte
 }
 
-// readWAL reads every intact frame of the file at path and returns the
-// records plus the byte offset where intact data ends (the truncation
-// point for a torn tail). A missing file yields zero records.
-func readWAL(path string) (records []walRecord, validLen int64, err error) {
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
+// next returns the next frame's payload, valid until the following
+// call, or io.EOF at a clean end between frames. A bad frame is
+// errBadFrame; any other error is the reader's. The length is checked
+// against the bytes left in the file before anything is allocated.
+func (fr *frameReader) next() ([]byte, error) {
+	if fr.remaining == 0 {
+		return nil, io.EOF
 	}
-	if err != nil {
-		return nil, 0, err
+	if fr.remaining < walFrameOverhead {
+		return nil, fmt.Errorf("%w: %d bytes left for an %d-byte header", errBadFrame, fr.remaining, walFrameOverhead)
 	}
-	off := int64(0)
-	for {
-		rest := raw[off:]
-		if len(rest) < walFrameOverhead {
-			break // short header: torn tail
-		}
-		n := int64(binary.LittleEndian.Uint32(rest))
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if n > maxRecordLen || int64(len(rest))-walFrameOverhead < n {
-			break // impossible length or short payload: torn tail
-		}
-		payload := rest[walFrameOverhead : walFrameOverhead+n]
-		if crc32.Checksum(payload, crcTable) != crc {
-			break // corrupt payload: treat as torn
-		}
-		records = append(records, walRecord{payload: payload})
-		off += walFrameOverhead + n
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return nil, fmt.Errorf("reading frame header: %w", err)
 	}
-	return records, off, nil
+	fr.remaining -= walFrameOverhead
+	n := int64(binary.LittleEndian.Uint32(fr.hdr[:4]))
+	if n > maxRecordLen || n > fr.remaining {
+		return nil, fmt.Errorf("%w: %d bytes with %d left in the file", errBadFrame, n, fr.remaining)
+	}
+	if int64(cap(fr.buf)) < n {
+		fr.buf = make([]byte, n)
+	}
+	payload := fr.buf[:n]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return nil, fmt.Errorf("reading frame payload: %w", err)
+	}
+	fr.remaining -= n
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(fr.hdr[4:]) {
+		return nil, fmt.Errorf("%w: CRC mismatch", errBadFrame)
+	}
+	return payload, nil
 }
 
-// OpenWAL opens (creating if absent) the log at path, truncates any torn
-// tail, and positions for appending. The returned records are the intact
-// prefix, for the caller to replay.
-func OpenWAL(path string, opts WALOptions) (*WAL, []walRecord, error) {
-	records, validLen, err := readWAL(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("tasks: reading wal %s: %w", path, err)
-	}
+// OpenWAL opens (creating if absent) the log at path, hands each intact
+// record's payload to replay in log order, truncates the torn tail from
+// the first bad frame on, and positions for appending. A payload is
+// valid only during its call, and replay is not called on an empty log.
+// An error from replay fails the open, wrapped with path, and leaves
+// the file as it was.
+func OpenWAL(path string, opts WALOptions, replay func(payload []byte) error) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
+	}
+	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16), remaining: info.Size()}
+	var records, validLen int64
+	for {
+		payload, err := fr.next()
+		if err == io.EOF || errors.Is(err, errBadFrame) {
+			break
+		}
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("tasks: reading wal %s: %w", path, err)
+		}
+		if err := replay(payload); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		records++
+		validLen = info.Size() - fr.remaining
 	}
 	torn := info.Size() - validLen
 	if torn > 0 {
 		if err := f.Truncate(validLen); err != nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("tasks: truncating torn wal tail: %w", err)
+			return nil, fmt.Errorf("tasks: truncating torn wal tail: %w", err)
 		}
 	}
 	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	w := &WAL{
 		f:        f,
@@ -246,7 +273,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []walRecord, error) {
 		syncReq:  make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		loopDone: make(chan struct{}),
-		replayed: int64(len(records)),
+		replayed: records,
 		torn:     torn,
 		fsyncObs: opts.FsyncObserver,
 	}
@@ -255,7 +282,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []walRecord, error) {
 	}
 	w.durable = sync.NewCond(&w.mu)
 	go w.syncLoop()
-	return w, records, nil
+	return w, nil
 }
 
 // AppendAsync buffers one record and returns its sequence number without
@@ -418,35 +445,6 @@ func (w *WAL) recordBatch(n uint64) {
 		b++
 	}
 	w.batchHist[b].Add(1)
-}
-
-// Reset truncates the log to empty. Called by snapshot compaction after
-// the snapshot containing every logged mutation is durable; the caller
-// must ensure no concurrent appends.
-func (w *WAL) Reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrWALClosed
-	}
-	if err := w.w.Flush(); err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.f.Truncate(0); err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.err = err
-		return err
-	}
-	w.synced = w.written // nothing outstanding
-	return nil
 }
 
 // Close flushes, syncs and closes the log. Further appends fail.

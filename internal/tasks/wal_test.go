@@ -1,8 +1,11 @@
 package tasks
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,9 +22,53 @@ func appendDurable(w *WAL, payload []byte) error {
 	return w.WaitDurable(seq)
 }
 
+// walRecord is one intact record yielded by readWAL.
+type walRecord struct {
+	payload []byte
+}
+
+// readWAL is the in-memory reader OpenWAL's streaming replay replaced,
+// kept as its reference: it reads every intact frame of the file at
+// path and returns the records plus the byte offset where intact data
+// ends (the truncation point for a torn tail). A missing file yields
+// zero records.
+func readWAL(path string) (records []walRecord, validLen int64, err error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, 0, nil
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	off := int64(0)
+	for {
+		rest := raw[off:]
+		if len(rest) < walFrameOverhead {
+			break // short header: torn tail
+		}
+		n := int64(binary.LittleEndian.Uint32(rest))
+		crc := binary.LittleEndian.Uint32(rest[4:])
+		if n > maxRecordLen || int64(len(rest))-walFrameOverhead < n {
+			break // impossible length or short payload: torn tail
+		}
+		payload := rest[walFrameOverhead : walFrameOverhead+n]
+		if crc32.Checksum(payload, crcTable) != crc {
+			break // corrupt payload: treat as torn
+		}
+		records = append(records, walRecord{payload: payload})
+		off += walFrameOverhead + n
+	}
+	return records, off, nil
+}
+
+// openTestWAL opens the log at path and returns the records it replayed.
 func openTestWAL(t *testing.T, path string, opts WALOptions) (*WAL, []walRecord) {
 	t.Helper()
-	w, recs, err := OpenWAL(path, opts)
+	var recs []walRecord
+	w, err := OpenWAL(path, opts, func(payload []byte) error {
+		recs = append(recs, walRecord{payload: bytes.Clone(payload)})
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
