@@ -142,21 +142,14 @@ func BenchmarkSelectPay_n501(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectOpt_n18 runs the sharded exact enumeration on GOMAXPROCS
+// workers (-cpu 1 runs it on the benchmark's own goroutine).
 func BenchmarkSelectOpt_n18(b *testing.B) {
 	cands := randomJurors(18)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SelectOpt(cands, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSelectOptParallel_n18(b *testing.B) {
-	cands := randomJurors(18)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SelectOptParallel(cands, 1, 0); err != nil {
+		if _, err := core.SelectOpt(context.Background(), cands, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,9 +5,9 @@
 // Usage:
 //
 //	juryd [-addr :8080] [-pool name=jurors.csv ...] [-workers N]
-//	      [-cache N] [-max-inflight N] [-max-queue N]
+//	      [-cache N] [-select-cache N] [-max-inflight N] [-max-queue N]
 //	      [-timeout 5s] [-max-timeout 30s] [-drain 10s] [-drain-delay 0s]
-//	      [-wal-dir DIR] [-fsync batch] [-compact-every N] [-task-shards N]
+//	      [-wal-dir DIR] [-fsync batch] [-compact-every N]
 //	      [-sweep 1s] [-juror-timeout 60s] [-task-expiry 1h]
 //	      [-slow-ms N] [-trace-every N] [-trace-ring N] [-pprof-addr ADDR]
 //	      [-insight-pairs N] [-lifecycle-timelines N]
@@ -147,7 +147,6 @@ type config struct {
 	walDir       string
 	fsync        string
 	compactEvery int
-	taskShards   int
 	sweep        time.Duration
 	jurorTimeout time.Duration
 	taskExpiry   time.Duration
@@ -210,7 +209,6 @@ func main() {
 	flag.StringVar(&cfg.walDir, "wal-dir", "", "directory for the task/pool write-ahead log (empty = ephemeral store)")
 	flag.StringVar(&cfg.fsync, "fsync", "batch", "WAL durability: batch (fsync before acknowledging, group-committed; always is another name for it) or off (no fsync)")
 	flag.IntVar(&cfg.compactEvery, "compact-every", 0, "WAL records between snapshot compactions (0 = default, negative = never)")
-	flag.IntVar(&cfg.taskShards, "task-shards", 0, "task store shard count, rounded up to a power of two (0 = default)")
 	flag.DurationVar(&cfg.sweep, "sweep", time.Second, "juror-timeout/expiry sweep period (0 = no sweeper)")
 	flag.DurationVar(&cfg.jurorTimeout, "juror-timeout", 0, "default juror response timeout (0 = 60s)")
 	flag.DurationVar(&cfg.taskExpiry, "task-expiry", 0, "default task expiry (0 = 1h)")
@@ -281,7 +279,6 @@ func run(ctx context.Context, cfg config, logger *slog.Logger, ready chan<- stri
 		Sync:                syncMode,
 		Engine:              eng,
 		CompactEvery:        cfg.compactEvery,
-		Shards:              cfg.taskShards,
 		DefaultJurorTimeout: cfg.jurorTimeout,
 		DefaultExpiry:       cfg.taskExpiry,
 		Events:              tasks.Sinks(ins, lce),

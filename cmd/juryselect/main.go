@@ -4,13 +4,14 @@
 // Usage:
 //
 //	juryselect -input jurors.csv [-format csv|json] [-model altr|pay]
-//	           [-budget B] [-exact] [-workers N] [-json]
+//	           [-budget B] [-exact] [-json]
 //
 // CSV input has a header and rows "id,error_rate[,cost]"; JSON input is an
 // array of {"id","error_rate","cost"} objects. Pass "-" to read standard
 // input. Under -model altr the exact AltrALG optimum is returned; under
 // -model pay the PayALG heuristic is used (or exact enumeration with
-// -exact, for at most 26 candidates). -json switches the report to the
+// -exact, for at most 26 candidates, sharded across every core with the
+// same result on any core count). -json switches the report to the
 // canonical Selection JSON — the same shape cmd/juryd returns under
 // "selection" in /v1/select responses, so CLI and service payloads are
 // interchangeable.
@@ -42,13 +43,12 @@ func main() {
 		model   = flag.String("model", "altr", "crowdsourcing model: altr or pay")
 		budget  = flag.Float64("budget", 0, "budget for the pay model")
 		exact   = flag.Bool("exact", false, "use exact enumeration instead of the greedy (pay model, ≤26 candidates)")
-		workers = flag.Int("workers", 0, "worker pool for the exact enumeration (0 = all cores); the result is identical for every value")
 		jsonOut = flag.Bool("json", false, "emit the selection report as JSON")
 	)
 	flag.Parse()
 	if err := run(runConfig{
 		input: *input, format: *format, model: *model,
-		budget: *budget, exact: *exact, workers: *workers, jsonOut: *jsonOut,
+		budget: *budget, exact: *exact, jsonOut: *jsonOut,
 	}, os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "juryselect: %v\n", err)
 		os.Exit(1)
@@ -59,7 +59,6 @@ type runConfig struct {
 	input, format, model string
 	budget               float64
 	exact                bool
-	workers              int
 	jsonOut              bool
 }
 
@@ -94,13 +93,10 @@ func run(cfg runConfig, stdin io.Reader, out io.Writer) error {
 	var sel jury.Selection
 	switch cfg.model {
 	case "altr":
-		// The incremental sweep is already the fastest altruistic path on
-		// any core count (O(N²) total versus O(N³) for the parallelized
-		// per-size evaluations), so -workers does not apply here.
 		sel, err = jury.SelectAltruistic(cands)
 	case "pay":
 		if cfg.exact {
-			sel, err = jury.SelectParallelExact(cands, cfg.budget, jury.BatchOptions{Workers: cfg.workers})
+			sel, err = jury.SelectExact(cands, cfg.budget)
 		} else {
 			sel, err = jury.SelectBudgeted(cands, cfg.budget)
 		}

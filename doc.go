@@ -6,7 +6,7 @@
 //
 //	juryselect/jury      — JER computation, AltrALG/PayALG/exact selection,
 //	                       the concurrent batch engine (EvaluateAll,
-//	                       SelectParallel*), majority voting and simulation
+//	                       Engine), majority voting and simulation
 //	juryselect/microblog — tweets → retweet graph → HITS/PageRank →
 //	                       error-rate/requirement estimation pipeline
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -82,7 +83,7 @@ func TestSelectAltrIsOptimalBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Brute force: AltrM is PayM with infinite budget.
-		opt, err := SelectOpt(cands, 1e18)
+		opt, err := SelectOpt(context.Background(), cands, 1e18, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -255,3 +255,38 @@ func TestSelectPayIncrementalMatchesScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectPayEvaluatorOverride asserts the pluggable evaluator is used
+// and selects the same jury as the default. The default evaluator is the
+// incremental distribution (Append/Pop), whose round-off can differ from a
+// from-scratch jer.Compute in the last ulps, so the reported JERs are
+// compared to relative 1e-12 rather than bit-for-bit.
+func TestSelectPayEvaluatorOverride(t *testing.T) {
+	cands := optTestJurors(20, 9)
+	def, err := SelectPay(cands, PayOptions{Budget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	over, err := SelectPay(cands, PayOptions{Budget: 2, Evaluate: func(rates []float64) (float64, error) {
+		calls++
+		return jer.Compute(rates, jer.Auto)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Fatal("override evaluator never called")
+	}
+	if def.Size() != over.Size() {
+		t.Fatalf("override changed the jury: %d jurors vs %d", over.Size(), def.Size())
+	}
+	for i := range def.Jurors {
+		if def.Jurors[i] != over.Jurors[i] {
+			t.Fatalf("juror %d differs: %+v vs %+v", i, def.Jurors[i], over.Jurors[i])
+		}
+	}
+	if math.Abs(def.JER-over.JER) > 1e-12*math.Max(def.JER, over.JER) {
+		t.Fatalf("override changed result: %v vs %v", over.JER, def.JER)
+	}
+}

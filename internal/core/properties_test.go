@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -92,8 +93,8 @@ func TestPropertyBudgetMonotonicityOfOpt(t *testing.T) {
 		}
 		b1 := src.Float64()
 		b2 := b1 + src.Float64()
-		o1, e1 := SelectOpt(cands, b1)
-		o2, e2 := SelectOpt(cands, b2)
+		o1, e1 := SelectOpt(context.Background(), cands, b1, 1)
+		o2, e2 := SelectOpt(context.Background(), cands, b2, 1)
 		if errors.Is(e1, ErrNoFeasibleJury) {
 			return true // smaller budget infeasible says nothing
 		}
@@ -118,7 +119,7 @@ func TestPropertyAltrOptimalityAgainstOpt(t *testing.T) {
 			cands[i] = Juror{ErrorRate: src.TruncNormal(0.4, 0.25, 0, 1)}
 		}
 		a, e1 := SelectAltr(cands, AltrOptions{Incremental: true})
-		o, e2 := SelectOpt(cands, 1e18)
+		o, e2 := SelectOpt(context.Background(), cands, 1e18, 1)
 		if e1 != nil || e2 != nil {
 			return false
 		}

@@ -220,8 +220,8 @@ func (e *Engine) evaluate(rates []float64, s *evalScratch) (float64, error) {
 // Chunked claiming amortizes work-queue synchronization, which matters
 // when the per-jury cost is sub-microsecond (small juries on the DP
 // path); chunkFor shrinks the chunk for small or few-item batches so a
-// tail of expensive items (e.g. the monotonically growing prefixes of
-// SelectParallelAltruistic) is not serialized onto one worker.
+// tail of expensive items (e.g. juries of steeply growing size) is not
+// serialized onto one worker.
 const maxChunk = 32
 
 func chunkFor(items, workers int) int {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -41,7 +42,7 @@ func runAblationPair(cfg Config) (*Result, error) {
 			}
 		}
 		budget := 0.3 + tsrc.Float64()*1.2
-		opt, err := core.SelectOptParallel(cands, budget, cfg.Workers)
+		opt, err := core.SelectOpt(context.TODO(), cands, budget, cfg.Workers)
 		if errors.Is(err, core.ErrNoFeasibleJury) {
 			continue
 		}

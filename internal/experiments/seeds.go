@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"juryselect/internal/core"
@@ -41,7 +42,7 @@ func runAblationSeeds(cfg Config) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				opt, err := core.SelectOptParallel(cands, b, cfg.Workers)
+				opt, err := core.SelectOpt(context.TODO(), cands, b, cfg.Workers)
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -268,7 +269,7 @@ func runOptCompare(cfg Config, id, tableTitle, title, metric string,
 		if err != nil {
 			return nil, err
 		}
-		so, err := core.SelectOptParallel(cands, b, cfg.Workers)
+		so, err := core.SelectOpt(context.TODO(), cands, b, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +284,7 @@ func runOptCompare(cfg Config, id, tableTitle, title, metric string,
 	notes := []string{
 		fmt.Sprintf("APPX achieved the optimal JER in %d of %d budgets (paper: 4 of 11).",
 			matches, len(cfg.OptBudgets)),
-		"OPT is sharded exact enumeration (SelectOptParallel); APPX is the PayALG greedy.",
+		"OPT is sharded exact enumeration (SelectOpt); APPX is the PayALG greedy.",
 		fmt.Sprintf("Engine memo over the budget sweep: %d exact JER computations, %d cache hits.",
 			st.Evaluations, st.CacheHits),
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"juryselect/internal/core"
@@ -216,7 +217,7 @@ func runFig3h(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt, err := core.SelectOptParallel(pool, budget, cfg.Workers)
+			opt, err := core.SelectOpt(context.TODO(), pool, budget, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -325,7 +326,7 @@ func runFig3i(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt, err := core.SelectOptParallel(pool, b, cfg.Workers)
+			opt, err := core.SelectOpt(context.TODO(), pool, b, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}

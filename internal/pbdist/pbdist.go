@@ -48,6 +48,17 @@ type Dist struct {
 // N returns the number of trials currently in the distribution.
 func (d *Dist) N() int { return len(d.rates) }
 
+// Reset empties the distribution back to zero trials, keeping its
+// buffers. Later Appends compute exactly what they would on a fresh Dist:
+// the point mass is restored, not reached by Pops with their round-off.
+func (d *Dist) Reset() {
+	if d.pmf != nil {
+		d.pmf = d.pmf[:1]
+		d.pmf[0] = 1
+	}
+	d.rates = d.rates[:0]
+}
+
 // Append adds one trial with success probability p.
 func (d *Dist) Append(p float64) error {
 	if math.IsNaN(p) || p <= 0 || p >= 1 {
@@ -94,7 +105,7 @@ func (d *Dist) Pop() error {
 		prev := 0.0
 		for k := 0; k < n; k++ {
 			prev = (pmf[k] - prev*p) / q
-			pmf[k] = prev
+			pmf[k] = clampNoise(prev)
 		}
 	} else {
 		// Backward: prev[n-1] = pmf[n]/p; prev[k-1] = (pmf[k] - prev[k]·q)/p.
@@ -106,18 +117,22 @@ func (d *Dist) Pop() error {
 			cur := next
 			next = pmf[k-1]
 			prev = (cur - prev*q) / p
-			pmf[k-1] = prev
-		}
-	}
-	// Clamp round-off noise.
-	for k := 0; k < n; k++ {
-		if pmf[k] < 0 {
-			pmf[k] = 0
+			pmf[k-1] = clampNoise(prev)
 		}
 	}
 	d.pmf = pmf[:n]
 	d.rates = d.rates[:n-1]
 	return nil
+}
+
+// clampNoise stores deconvolution round-off below zero as zero. The
+// recurrence continues from the unclamped value, so clamping as each slot
+// is written gives the bits a separate clamping pass would.
+func clampNoise(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	return x
 }
 
 // TailAtLeast returns Pr(C ≥ k). For k ≤ 0 it returns 1; for k > N it

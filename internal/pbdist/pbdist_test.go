@@ -178,6 +178,40 @@ func TestDeepAppendPopStack(t *testing.T) {
 	}
 }
 
+// TestResetMatchesFresh: after a push/pop walk has left round-off in the
+// buffers, Reset and the same appends reproduce a fresh Dist bit for bit,
+// which is what lets the OPT enumerator reuse one Dist across shards.
+func TestResetMatchesFresh(t *testing.T) {
+	var zero Dist
+	zero.Reset()
+	if zero.N() != 0 || zero.TailAtLeast(1) != 0 {
+		t.Fatalf("Reset of the zero value: N %d, tail %g", zero.N(), zero.TailAtLeast(1))
+	}
+	rng := rand.New(rand.NewSource(43))
+	d := build(t, []float64{0.3, 0.6, 0.45})
+	for step := 0; step < 200; step++ {
+		if err := d.Append(0.02 + 0.96*rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(3) == 0 {
+			if err := d.Pop(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d.Reset()
+	rates := []float64{0.12, 0.71, 0.33, 0.5}
+	for _, p := range rates {
+		if err := d.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := build(t, rates)
+	if d.N() != want.N() || !slices.Equal(d.pmf, want.pmf) {
+		t.Fatalf("after Reset: %v, fresh: %v", d.pmf, want.pmf)
+	}
+}
+
 func TestPopEmptyErrors(t *testing.T) {
 	var d Dist
 	if err := d.Pop(); err == nil {

@@ -342,7 +342,7 @@ func TestTaskMetricsExposeWritePathHealth(t *testing.T) {
 		t.Fatal("no tasks metrics block")
 	}
 	if m.Tasks.Shards == 0 {
-		t.Errorf("shards = 0, want the configured shard count")
+		t.Errorf("shards = 0, want the store's shard count")
 	}
 	if m.Tasks.ShardContention < 0 {
 		t.Errorf("shard_contention = %d", m.Tasks.ShardContention)

@@ -160,11 +160,9 @@ type localBackend struct {
 
 // newLocalBackend builds an in-process backend with a fresh store. The
 // engine is shared across replications (it is safe for concurrent use and
-// its memo accelerates repeated JER work). shards overrides the task
-// store's shard count (zero = default); trajectories must not depend on
-// it — see Options.TaskShards.
-func newLocalBackend(eng *jury.Engine, shards int) *localBackend {
-	ts, err := tasks.Open(tasks.Config{Engine: eng, Shards: shards})
+// its memo accelerates repeated JER work).
+func newLocalBackend(eng *jury.Engine) *localBackend {
+	ts, err := tasks.Open(tasks.Config{Engine: eng})
 	if err != nil {
 		// Memory-mode Open touches no disk; it cannot fail today. Guard
 		// anyway so a future failure mode is loud.

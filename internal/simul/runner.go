@@ -47,12 +47,6 @@ type Options struct {
 	Batch bool
 	// Client overrides the HTTP client (tests; HTTP mode only).
 	Client *http.Client
-	// TaskShards overrides the in-process task store's shard count
-	// (zero = store default). Simulated trajectories are shard-count
-	// invariant — the parity tests run the same scenario at 1 shard
-	// (the PR 6 global-lock model) and the sharded default and demand
-	// identical reports.
-	TaskShards int
 	// Engine overrides the shared JER engine (tests and benchmarks).
 	Engine *jury.Engine
 	// ShedRetries bounds how many 429 responses one select absorbs via
@@ -115,7 +109,7 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		}
 		// A fresh store per replication keeps pool histories independent;
 		// the engine (and its memo) is shared, like in the real service.
-		return newLocalBackend(eng, opts.TaskShards)
+		return newLocalBackend(eng)
 	}
 
 	// Fail fast: the first replication error cancels the rest (their

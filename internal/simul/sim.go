@@ -226,7 +226,8 @@ func oracleJER(sc Scenario, w *world, eng *jury.Engine) (float64, error) {
 	case StrategyPay:
 		sel, err = core.SelectPay(cands, core.PayOptions{Budget: sc.Budget})
 	case StrategyExact:
-		sel, err = core.SelectOpt(cands, sc.Budget)
+		// One worker: the replications already run in parallel.
+		sel, err = core.SelectOpt(context.TODO(), cands, sc.Budget, 1)
 	default:
 		sel, err = core.SelectAltr(cands, core.AltrOptions{Incremental: true})
 	}

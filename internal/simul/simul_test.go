@@ -392,33 +392,6 @@ func TestMixSeedDecorrelates(t *testing.T) {
 	}
 }
 
-// TestMetricsShardCountInvariant: the task store's shard count is a
-// concurrency knob, not a semantics knob. The same task-lifecycle
-// scenario run against the PR 6 global-lock configuration (1 shard) and
-// the sharded default must produce bit-identical reports.
-func TestMetricsShardCountInvariant(t *testing.T) {
-	sc := Scenario{Name: "shard-parity", Seed: 11, Steps: 25, Population: 12, Replications: 3,
-		Lifecycle: LifecycleTask, Availability: 0.7, ChurnPerStep: 0.3}
-	run := func(shards int) []byte {
-		rep, err := Run(context.Background(), sc, Options{TaskShards: shards, Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := rep.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	global, def, wide := run(1), run(0), run(64)
-	if !bytes.Equal(global, def) {
-		t.Fatalf("1-shard and default-shard reports differ:\n%s\n----\n%s", clip(global), clip(def))
-	}
-	if !bytes.Equal(def, wide) {
-		t.Fatalf("default and 64-shard reports differ:\n%s\n----\n%s", clip(def), clip(wide))
-	}
-}
-
 // BenchmarkRun times one whole in-process run of a drifting, churning
 // 40-juror crowd, four replications of 100 steps, and reports simulated
 // steps/s. serial runs the replications on one worker and parallel on

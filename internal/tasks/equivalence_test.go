@@ -11,15 +11,14 @@ import (
 
 // TestShardedStoreEquivalence is the sharding property test: a
 // randomized concurrent create/vote/decline workload against the
-// sharded store must be trace-equivalent to a single-shard (global
-// lock) store. Concretely, after the workload:
+// sharded store must be trace-equivalent to a serial replay of its log.
+// Concretely, after the workload:
 //
 //   - per-task operation order and early-stop skip semantics are exactly
 //     what the live store responded with (votes raced past a verdict were
 //     rejected, not silently dropped), and
-//   - recovering the WAL under ANY shard count — 1 shard serializes
-//     every mutation on one mutex — rebuilds a byte-identical
-//     fingerprint.
+//   - recovering the WAL, which applies every record on one goroutine,
+//     rebuilds a byte-identical fingerprint.
 //
 // Runs in the -race matrix for internal/tasks, so it also serves as the
 // data-race probe for the lock-free read paths.
@@ -31,7 +30,7 @@ func TestShardedStoreEquivalence(t *testing.T) {
 		declineEveryN = 3
 	)
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Sync: SyncBatch, Shards: 8,
+	s, err := Open(Config{Dir: dir, Sync: SyncBatch,
 		DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -89,32 +88,18 @@ func TestShardedStoreEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recover the same WAL under three configurations spanning the
-	// old and new concurrency models. Every one must rebuild the exact
-	// bytes the live sharded store was serving.
-	for _, cfg := range []struct {
-		name string
-		conf Config
-	}{
-		{"global-lock", Config{Dir: dir, Shards: 1, Sync: SyncBatch,
-			DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour}},
-		{"sharded-default", Config{Dir: dir, Sync: SyncBatch,
-			DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour}},
-		{"sharded-wide", Config{Dir: dir, Shards: 256, Sync: SyncBatch,
-			DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour}},
-	} {
-		r, err := Open(cfg.conf)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
-		}
-		got := storeFingerprint(t, r)
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(live) {
-			t.Errorf("%s recovery diverged from the live sharded store (%d vs %d bytes)",
-				cfg.name, len(got), len(live))
-		}
+	// Recovery must rebuild the exact bytes the live store was serving.
+	r, err := Open(Config{Dir: dir, Sync: SyncBatch,
+		DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := storeFingerprint(t, r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(live) {
+		t.Errorf("recovery diverged from the live sharded store (%d vs %d bytes)", len(got), len(live))
 	}
 }
 
@@ -125,7 +110,7 @@ func TestShardedStoreEquivalence(t *testing.T) {
 // that grows the task's array by a replacement.
 func TestShardedConcurrentReads(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Sync: SyncOff, Shards: 4,
+	s, err := Open(Config{Dir: dir, Sync: SyncOff,
 		DefaultJurorTimeout: time.Minute, DefaultExpiry: time.Hour})
 	if err != nil {
 		t.Fatal(err)

@@ -25,12 +25,10 @@ const (
 	// DefaultCompactEvery is the number of WAL records between automatic
 	// snapshot compactions.
 	DefaultCompactEvery = 8192
-	// DefaultTaskShards is the task-store shard count (rounded up to a
-	// power of two if configured otherwise). Votes on tasks in different
+	// taskShards is the task-store shard count, a power of two: a task's
+	// mutations lock shard seq%taskShards, so votes on tasks in different
 	// shards fold under different mutexes.
-	DefaultTaskShards = 32
-	// maxTaskShards bounds a configured shard count.
-	maxTaskShards = 1024
+	taskShards = 32
 )
 
 // ErrStoreFailed reports a journal failure. A failed append fails the
@@ -49,9 +47,6 @@ type Config struct {
 	Dir string
 	// Sync is the WAL durability mode (default SyncBatch).
 	Sync SyncMode
-	// Shards is the task-store shard count (0 = DefaultTaskShards;
-	// rounded up to a power of two). 1 degenerates to a global lock.
-	Shards int
 	// Engine is the shared JER engine; nil constructs a default one.
 	Engine *jury.Engine
 	// Pools is the live juror-pool store the tasks select from; nil
@@ -109,7 +104,7 @@ type Stats struct {
 	// CompactHist is the wall time of each compaction. Every store lock
 	// is held throughout, so it is also how long writers stalled.
 	CompactHist obs.HistSnapshot
-	// Shards is the configured shard count; ShardContention counts
+	// Shards is the shard count; ShardContention counts
 	// mutations that found their shard's mutex already held (a TryLock
 	// miss — the cross-task serialization the sharding exists to avoid).
 	Shards          int
@@ -261,12 +256,11 @@ type Store struct {
 	compactions         atomic.Int64
 	compactLat          obs.Histogram // compaction wall time = writer stall
 
-	poolMu    sync.RWMutex
-	tasks     taskTable
-	shards    []shard
-	shardMask uint64
-	nextTask  atomic.Uint64
-	failed    atomic.Bool // sticky: a journal write failed after state applied
+	poolMu   sync.RWMutex
+	tasks    taskTable
+	shards   [taskShards]shard
+	nextTask atomic.Uint64
+	failed   atomic.Bool // sticky: a journal write failed after state applied
 
 	nTasks, nOpen, nAwaiting, nDecided, nExpired atomic.Int64
 
@@ -300,18 +294,6 @@ func Open(cfg Config) (*Store, error) {
 		compactEvery:        cfg.CompactEvery,
 		dir:                 cfg.Dir,
 	}
-	nShards := cfg.Shards
-	if nShards <= 0 {
-		nShards = DefaultTaskShards
-	}
-	if nShards > maxTaskShards {
-		nShards = maxTaskShards
-	}
-	for nShards&(nShards-1) != 0 {
-		nShards++
-	}
-	s.shards = make([]shard, nShards)
-	s.shardMask = uint64(nShards - 1)
 	s.tasks.startAt(0)
 	if s.pools == nil {
 		s.pools = pool.NewStore()
@@ -380,7 +362,7 @@ func Open(cfg Config) (*Store, error) {
 
 // shardFor returns the shard whose mutex guards task seq.
 func (s *Store) shardFor(seq uint64) *shard {
-	return &s.shards[seq&s.shardMask]
+	return &s.shards[seq%taskShards]
 }
 
 // lookup returns the task an ID names without locking, or nil.

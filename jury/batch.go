@@ -7,21 +7,17 @@ import (
 	"juryselect/internal/engine"
 )
 
-// BatchOptions configures the concurrent batch-evaluation engine behind
-// EvaluateAll and the SelectParallel* solvers. The zero value selects
-// sensible defaults.
+// BatchOptions configures an Engine. The zero value selects sensible
+// defaults.
 type BatchOptions struct {
-	// Workers bounds the number of concurrent JER evaluations; zero or
-	// negative selects runtime.GOMAXPROCS(0).
+	// Workers bounds the number of concurrent JER evaluations and exact
+	// enumeration workers; zero or negative selects runtime.GOMAXPROCS(0).
 	Workers int
 	// CacheSize bounds the engine's JER memo (entries, LRU-evicted). Zero
-	// selects the engine default; negative disables memoization.
+	// selects the engine default; negative disables memoization. Juries
+	// smaller than 16 jurors bypass the memo: the O(n²) DP on a tiny jury
+	// is cheaper than a lookup.
 	CacheSize int
-	// CacheMinJurySize is the smallest jury the memo serves: below it the
-	// engine recomputes directly, because the O(n²) DP on a tiny jury is
-	// cheaper than a memo lookup. Zero selects the engine default
-	// (currently 16); negative memoizes every size.
-	CacheMinJurySize int
 }
 
 // Result is the outcome of evaluating one jury in a batch. Index is the
@@ -47,21 +43,13 @@ type Engine struct {
 // NewEngine returns an Engine with the given options.
 func NewEngine(opts BatchOptions) *Engine {
 	return &Engine{eng: engine.New(engine.Options{
-		Workers:          opts.Workers,
-		CacheSize:        opts.CacheSize,
-		CacheMinJurySize: opts.CacheMinJurySize,
+		Workers:   opts.Workers,
+		CacheSize: opts.CacheSize,
 	})}
 }
 
 // Workers returns the engine's concurrency bound.
 func (e *Engine) Workers() int { return e.eng.Workers() }
-
-// CacheStats returns the number of exact JER computations performed and
-// the number of requests served from the memo since construction.
-func (e *Engine) CacheStats() (evaluations, hits int64) {
-	st := e.eng.Stats()
-	return st.Evaluations, st.CacheHits
-}
 
 // EngineStats is a snapshot of the engine's counters, the observability
 // surface a serving layer exports (e.g. juryd's /metrics).
@@ -101,8 +89,8 @@ func (e *Engine) JERContext(ctx context.Context, errorRates []float64) (float64,
 // EvaluateAll computes the exact JER of every jury concurrently and
 // returns one Result per jury in input order, for every worker count.
 // Juries computed directly are byte-identical to a serial JER loop over
-// the same member order; memo-served juries (CacheMinJurySize and up,
-// cache enabled) are evaluated in canonical sorted order, making the
+// the same member order; memo-served juries (16 jurors and up, cache
+// enabled) are evaluated in canonical sorted order, making the
 // value a pure function of the jury's error-rate multiset — byte-stable
 // across member orders, schedules and runs. When ctx is cancelled,
 // juries not yet claimed carry ctx.Err(); the slice is always fully
@@ -116,56 +104,12 @@ func (e *Engine) EvaluateAll(ctx context.Context, juries [][]Juror) []Result {
 		}
 		rateSets[i] = rates
 	}
-	return e.EvaluateAllRates(ctx, rateSets)
-}
-
-// EvaluateAllRates is EvaluateAll for callers that already hold plain
-// error-rate slices.
-func (e *Engine) EvaluateAllRates(ctx context.Context, rateSets [][]float64) []Result {
 	raw := e.eng.EvaluateAll(ctx, rateSets)
 	out := make([]Result, len(raw))
 	for i, r := range raw {
 		out[i] = Result{Index: r.Index, JER: r.JER, Err: r.Err}
 	}
 	return out
-}
-
-// SelectAltruistic solves JSP under the Altruism model like the
-// package-level SelectAltruistic, but evaluates the odd sorted-prefix
-// juries (Lemma 3) concurrently on the engine's worker pool. The returned
-// jury minimizes the exact JER; ties resolve to the smallest jury, as in
-// Algorithm 3's sequential scan.
-func (e *Engine) SelectAltruistic(candidates []Juror) (Selection, error) {
-	if err := core.ValidateCandidates(candidates); err != nil {
-		return Selection{}, err
-	}
-	sorted := core.SortedByErrorRate(candidates)
-	rates := make([]float64, len(sorted))
-	for i, j := range sorted {
-		rates[i] = j.ErrorRate
-	}
-	var prefixes [][]float64
-	for n := 1; n <= len(rates); n += 2 {
-		prefixes = append(prefixes, rates[:n])
-	}
-	results := e.EvaluateAllRates(context.Background(), prefixes)
-	best := Selection{JER: 2}
-	bestN := 0
-	for i, r := range results {
-		if r.Err != nil {
-			return Selection{}, r.Err
-		}
-		best.Evaluations++
-		if r.JER < best.JER {
-			best.JER = r.JER
-			bestN = 2*i + 1
-		}
-	}
-	best.Jurors = append([]Juror(nil), sorted[:bestN]...)
-	for _, j := range best.Jurors {
-		best.Cost += j.Cost
-	}
-	return best, nil
 }
 
 // SelectAltruisticSnapshot solves JSP under the Altruism model over a
@@ -186,9 +130,11 @@ func (e *Engine) SelectAltruisticSnapshot(ctx context.Context, sorted []Juror) (
 	})
 }
 
-// SelectBudgetedContext is SelectBudgeted with cancellation: the greedy's
-// JER admission checks run through the engine memo and poll ctx, so a
-// per-request deadline bounds the scan. A check already in flight
+// SelectBudgetedContext runs the PayALG greedy like SelectBudgeted with
+// the engine's memo fronting the admission checks: across a budget sweep
+// (or any workload that revisits sub-juries) each distinct error-rate
+// multiset of 16 or more jurors is computed once. The checks poll ctx, so
+// a per-request deadline bounds the scan; a check already in flight
 // completes normally.
 func (e *Engine) SelectBudgetedContext(ctx context.Context, candidates []Juror, budget float64) (Selection, error) {
 	return core.SelectPay(candidates, core.PayOptions{
@@ -199,31 +145,13 @@ func (e *Engine) SelectBudgetedContext(ctx context.Context, candidates []Juror, 
 	})
 }
 
-// SelectExact returns the true optimum under the given budget like the
-// package-level SelectExact, sharding the exponential enumeration across
-// the engine's worker pool. The result is bit-for-bit identical for every
-// worker count.
-func (e *Engine) SelectExact(candidates []Juror, budget float64) (Selection, error) {
-	return core.SelectOptParallel(candidates, budget, e.eng.Workers())
-}
-
-// SelectExactContext is SelectExact with cancellation: enumeration
-// workers poll ctx between shards, so a per-request deadline bounds the
-// exponential scan (at most a few milliseconds of overshoot per worker).
+// SelectExactContext is SelectExact on the engine's worker count, with
+// cancellation: enumeration workers poll ctx between shards, so a
+// per-request deadline bounds the exponential scan (at most a few
+// milliseconds of overshoot per worker). The result is the one
+// SelectExact returns.
 func (e *Engine) SelectExactContext(ctx context.Context, candidates []Juror, budget float64) (Selection, error) {
-	return core.SelectOptParallelCtx(ctx, candidates, budget, e.eng.Workers())
-}
-
-// SelectBudgeted runs the PayALG greedy like the package-level
-// SelectBudgeted with the engine's memo fronting the admission checks:
-// across a budget sweep (or any workload that revisits sub-juries) each
-// distinct error-rate multiset is computed once. The greedy itself is
-// inherently sequential, so the benefit is the cache, not parallelism.
-func (e *Engine) SelectBudgeted(candidates []Juror, budget float64) (Selection, error) {
-	return core.SelectPay(candidates, core.PayOptions{
-		Budget:   budget,
-		Evaluate: e.eng.Evaluate,
-	})
+	return core.SelectOpt(ctx, candidates, budget, e.eng.Workers())
 }
 
 // EvaluateAll computes the exact JER of every jury concurrently with a
@@ -231,34 +159,4 @@ func (e *Engine) SelectBudgeted(candidates []Juror, budget float64) (Selection, 
 // the memo cache carries across calls.
 func EvaluateAll(ctx context.Context, juries [][]Juror) []Result {
 	return NewEngine(BatchOptions{}).EvaluateAll(ctx, juries)
-}
-
-// EvaluateAllOpts is EvaluateAll with explicit options.
-func EvaluateAllOpts(ctx context.Context, juries [][]Juror, opts BatchOptions) []Result {
-	return NewEngine(opts).EvaluateAll(ctx, juries)
-}
-
-// SelectParallelAltruistic is SelectAltruistic with the per-size JER
-// evaluations of Algorithm 3 sharded across a worker pool. Prefix juries
-// are all distinct, so the memo is disabled for the one-shot call.
-func SelectParallelAltruistic(candidates []Juror, opts BatchOptions) (Selection, error) {
-	opts.CacheSize = -1
-	return NewEngine(opts).SelectAltruistic(candidates)
-}
-
-// SelectParallelExact is SelectExact with the subset enumeration sharded
-// across a worker pool: the include/exclude choices for a fixed candidate
-// prefix define independent shards, each enumerated with its own
-// incrementally maintained wrong-vote distribution. Results are
-// bit-for-bit identical across worker counts.
-func SelectParallelExact(candidates []Juror, budget float64, opts BatchOptions) (Selection, error) {
-	return core.SelectOptParallel(candidates, budget, opts.Workers)
-}
-
-// SelectParallelBudgeted is SelectBudgeted with an engine memo fronting
-// the greedy's JER admission checks. One-shot calls gain little — share
-// an Engine (Engine.SelectBudgeted) across a budget sweep to reuse the
-// cache.
-func SelectParallelBudgeted(candidates []Juror, budget float64, opts BatchOptions) (Selection, error) {
-	return NewEngine(opts).SelectBudgeted(candidates, budget)
 }

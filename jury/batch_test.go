@@ -3,10 +3,11 @@ package jury_test
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"juryselect/internal/core"
-	"juryselect/internal/jer"
 	"juryselect/internal/randx"
 	"juryselect/jury"
 )
@@ -32,7 +33,7 @@ func batchJuries(n, size int, seed int64) [][]jury.Juror {
 func TestEvaluateAllByteIdenticalToSerial(t *testing.T) {
 	juries := batchJuries(300, 11, 5)
 	for _, workers := range []int{1, 2, 7, 16} {
-		res := jury.EvaluateAllOpts(context.Background(), juries, jury.BatchOptions{Workers: workers})
+		res := jury.NewEngine(jury.BatchOptions{Workers: workers}).EvaluateAll(context.Background(), juries)
 		if len(res) != len(juries) {
 			t.Fatalf("workers=%d: %d results for %d juries", workers, len(res), len(juries))
 		}
@@ -67,115 +68,16 @@ func TestEngineCacheAcrossCalls(t *testing.T) {
 	if res := e.EvaluateAll(ctx, juries); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
-	evalsAfterFirst, _ := e.CacheStats()
+	first := e.Stats()
 	if res := e.EvaluateAll(ctx, juries); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
-	evals, hits := e.CacheStats()
-	if evals != evalsAfterFirst {
-		t.Fatalf("second batch recomputed: %d evaluations, want %d", evals, evalsAfterFirst)
+	st := e.Stats()
+	if st.Evaluations != first.Evaluations {
+		t.Fatalf("second batch recomputed: %d evaluations, want %d", st.Evaluations, first.Evaluations)
 	}
-	if hits < int64(len(juries)) {
-		t.Fatalf("only %d cache hits for a fully repeated batch of %d", hits, len(juries))
-	}
-}
-
-// TestSelectParallelAltruisticMatchesFaithful compares against the
-// paper-faithful serial Algorithm 3 with the same evaluator: the parallel
-// variant evaluates identical prefix slices, so values and the selected
-// jury must match exactly.
-func TestSelectParallelAltruisticMatchesFaithful(t *testing.T) {
-	src := randx.New(21)
-	rates := src.ErrorRates(201, 0.35, 0.12)
-	cands := make([]jury.Juror, len(rates))
-	for i := range cands {
-		cands[i] = jury.Juror{ID: string(rune('a'+i%26)) + string(rune('0'+i/26)), ErrorRate: rates[i]}
-	}
-	serial, err := core.SelectAltr(cands, core.AltrOptions{Algorithm: jer.Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 0} {
-		par, err := jury.SelectParallelAltruistic(cands, jury.BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(par.JER) != math.Float64bits(serial.JER) {
-			t.Fatalf("workers=%d: JER %v != faithful %v", workers, par.JER, serial.JER)
-		}
-		if par.Size() != serial.Size() {
-			t.Fatalf("workers=%d: size %d != faithful %d", workers, par.Size(), serial.Size())
-		}
-		if par.Evaluations != (len(cands)+1)/2 {
-			t.Fatalf("workers=%d: %d evaluations, want one per odd prefix", workers, par.Evaluations)
-		}
-	}
-}
-
-// TestSelectParallelExactMatchesSerial compares the sharded enumeration
-// against the public SelectExact on the motivation example and a random
-// pool.
-func TestSelectParallelExactMatchesSerial(t *testing.T) {
-	src := randx.New(33)
-	rates := src.ErrorRates(16, 0.3, 0.1)
-	costs := src.Requirements(16, 0.2, 0.1)
-	cands := make([]jury.Juror, 16)
-	for i := range cands {
-		cands[i] = jury.Juror{ID: string(rune('A' + i)), ErrorRate: rates[i], Cost: costs[i]}
-	}
-	for _, budget := range []float64{0.5, 1, 3} {
-		serial, errS := jury.SelectExact(cands, budget)
-		par, errP := jury.SelectParallelExact(cands, budget, jury.BatchOptions{})
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("budget %g: %v vs %v", budget, errS, errP)
-		}
-		if errS != nil {
-			continue
-		}
-		ids1, ids2 := serial.IDs(), par.IDs()
-		if len(ids1) != len(ids2) {
-			t.Fatalf("budget %g: sizes %d vs %d", budget, len(ids1), len(ids2))
-		}
-		for i := range ids1 {
-			if ids1[i] != ids2[i] {
-				t.Fatalf("budget %g: juries %v vs %v", budget, ids1, ids2)
-			}
-		}
-	}
-}
-
-// TestSelectParallelBudgetedMatchesSerial asserts the engine-cached
-// greedy returns the same jury as the plain SelectBudgeted (memo-served
-// evaluations run in canonical member order, so JER values may drift by
-// float round-off — never more than ~1 ulp), and that a shared engine
-// turns a budget sweep's repeated sub-juries into hits.
-func TestSelectParallelBudgetedMatchesSerial(t *testing.T) {
-	src := randx.New(44)
-	rates := src.ErrorRates(100, 0.3, 0.1)
-	costs := src.Requirements(100, 0.3, 0.2)
-	cands := make([]jury.Juror, 100)
-	for i := range cands {
-		cands[i] = jury.Juror{ID: string(rune('a'+i%26)) + string(rune('0'+i/26)), ErrorRate: rates[i], Cost: costs[i]}
-	}
-	// CacheMinJurySize -1 memoizes every size: the greedy's sub-juries
-	// here start small, and the test verifies memo semantics, not tuning.
-	e := jury.NewEngine(jury.BatchOptions{CacheMinJurySize: -1})
-	for _, budget := range []float64{1, 2, 3} {
-		serial, err := jury.SelectBudgeted(cands, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cached, err := e.SelectBudgeted(cands, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(serial.JER-cached.JER) > 1e-12*serial.JER || serial.Size() != cached.Size() {
-			t.Fatalf("budget %g: %v/%d vs %v/%d", budget,
-				serial.JER, serial.Size(), cached.JER, cached.Size())
-		}
-	}
-	if _, hits := e.CacheStats(); hits == 0 {
-		t.Fatal("budget sweep produced no cache hits; the memo is not being consulted")
+	if st.CacheHits < int64(len(juries)) {
+		t.Fatalf("only %d cache hits for a fully repeated batch of %d", st.CacheHits, len(juries))
 	}
 }
 
@@ -254,8 +156,74 @@ func TestSelectAltruisticSnapshotCancellation(t *testing.T) {
 	}
 }
 
+// TestSelectParallelBudgetedMatchesSerial runs a budget sweep in parallel,
+// one goroutine per budget, on one shared engine, as concurrent pay
+// selects share juryd's. Each memo-fronted greedy returns the jury the
+// plain SelectBudgeted returns (memo-served evaluations run in canonical
+// member order, so JER values may drift by float round-off), and a second
+// parallel sweep returns the first one's bits with its repeated
+// sub-juries served from the memo.
+func TestSelectParallelBudgetedMatchesSerial(t *testing.T) {
+	src := randx.New(44)
+	rates := src.ErrorRates(100, 0.3, 0.1)
+	costs := src.Requirements(100, 0.3, 0.2)
+	cands := make([]jury.Juror, 100)
+	for i := range cands {
+		cands[i] = jury.Juror{ID: string(rune('a'+i%26)) + string(rune('0'+i/26)), ErrorRate: rates[i], Cost: costs[i]}
+	}
+	budgets := []float64{1, 2, 3, 6, 8}
+	eng := jury.NewEngine(jury.BatchOptions{})
+	sweep := func() []jury.Selection {
+		out := make([]jury.Selection, len(budgets))
+		errs := make([]error, len(budgets))
+		var wg sync.WaitGroup
+		for i, budget := range budgets {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out[i], errs[i] = eng.SelectBudgetedContext(context.Background(), cands, budget)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	first := sweep()
+	var largest int
+	for i, budget := range budgets {
+		serial, err := jury.SelectBudgeted(cands, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := first[i]
+		if math.Abs(serial.JER-got.JER) > 1e-12*serial.JER || !slices.Equal(serial.IDs(), got.IDs()) {
+			t.Fatalf("budget %g: %v/%v vs %v/%v", budget, serial.JER, serial.IDs(), got.JER, got.IDs())
+		}
+		largest = max(largest, got.Size())
+	}
+	// Juries below 16 jurors bypass the memo, so the sweep must reach it.
+	if largest < 16 {
+		t.Fatalf("largest jury %d: the sweep never reaches the memo threshold", largest)
+	}
+	hits := eng.Stats().CacheHits
+	for i, got := range sweep() {
+		if math.Float64bits(got.JER) != math.Float64bits(first[i].JER) || !slices.Equal(got.IDs(), first[i].IDs()) {
+			t.Fatalf("budget %g: repeated sweep %v/%v vs %v/%v", budgets[i], got.JER, got.IDs(), first[i].JER, first[i].IDs())
+		}
+	}
+	if eng.Stats().CacheHits == hits {
+		t.Fatal("repeated budget sweep produced no cache hits; the memo is not being consulted")
+	}
+}
+
 // TestSelectBudgetedContextMatchesSerial: the ctx-aware budgeted greedy
-// agrees with the plain solver and honours cancellation.
+// agrees with the plain solver at every budget of a sweep, a shared
+// engine turns the sweep's repeated sub-juries into memo hits at the
+// default threshold, and cancellation is honoured.
 func TestSelectBudgetedContextMatchesSerial(t *testing.T) {
 	src := randx.New(21)
 	cands := make([]jury.Juror, 41)
@@ -263,32 +231,43 @@ func TestSelectBudgetedContextMatchesSerial(t *testing.T) {
 	for i := range cands {
 		cands[i] = jury.Juror{ID: string(rune('A' + i%26)), ErrorRate: rates[i], Cost: 0.05 + 0.1*float64(i%5)}
 	}
-	const budget = 1.2
-	want, err := jury.SelectBudgeted(cands, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := jury.NewEngine(jury.BatchOptions{})
-	got, err := eng.SelectBudgetedContext(context.Background(), cands, budget)
-	if err != nil {
-		t.Fatal(err)
+	var largest int
+	for _, budget := range []float64{1.2, 4, 5, 6} {
+		want, err := jury.SelectBudgeted(cands, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.SelectBudgetedContext(context.Background(), cands, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The engine memo evaluates in canonical order: values may differ
+		// in the last ulp, the selected jury only on sub-round-off ties.
+		if got.Size() != want.Size() || math.Abs(got.JER-want.JER) > 1e-12 {
+			t.Errorf("budget %g: context greedy %g/%d vs serial %g/%d",
+				budget, got.JER, got.Size(), want.JER, want.Size())
+		}
+		largest = max(largest, got.Size())
 	}
-	// The engine memo evaluates in canonical order: values may differ in
-	// the last ulp, the selected jury only on sub-round-off ties.
-	if got.Size() != want.Size() || math.Abs(got.JER-want.JER) > 1e-12 {
-		t.Errorf("context greedy %g/%d vs serial %g/%d", got.JER, got.Size(), want.JER, want.Size())
+	// Juries below 16 jurors bypass the memo, so the sweep must reach it.
+	if largest < 16 {
+		t.Fatalf("largest jury %d: the sweep never reaches the memo threshold", largest)
+	}
+	if hits := eng.Stats().CacheHits; hits == 0 {
+		t.Fatal("budget sweep produced no cache hits; the memo is not being consulted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.SelectBudgetedContext(ctx, cands, budget); err != context.Canceled {
+	if _, err := eng.SelectBudgetedContext(ctx, cands, 1.2); err != context.Canceled {
 		t.Fatalf("cancelled budgeted selection error = %v", err)
 	}
 }
 
-// TestEngineStatsSurface: Stats mirrors CacheStats and settles to zero
-// inflight.
+// TestEngineStatsSurface: Stats counts one evaluation and one hit for a
+// repeated 17-juror jury and settles to zero inflight.
 func TestEngineStatsSurface(t *testing.T) {
-	eng := jury.NewEngine(jury.BatchOptions{CacheMinJurySize: -1})
+	eng := jury.NewEngine(jury.BatchOptions{})
 	rates := []float64{0.1, 0.2, 0.3, 0.25, 0.15, 0.35, 0.12, 0.22, 0.28, 0.31, 0.19, 0.24, 0.26, 0.14, 0.33, 0.29, 0.21}
 	if _, err := eng.JER(rates); err != nil {
 		t.Fatal(err)
@@ -297,10 +276,6 @@ func TestEngineStatsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
-	evals, hits := eng.CacheStats()
-	if st.Evaluations != evals || st.CacheHits != hits {
-		t.Errorf("Stats %+v disagrees with CacheStats %d/%d", st, evals, hits)
-	}
 	if st.Evaluations != 1 || st.CacheHits != 1 {
 		t.Errorf("stats = %+v, want 1 evaluation + 1 hit", st)
 	}
@@ -309,26 +284,30 @@ func TestEngineStatsSurface(t *testing.T) {
 	}
 }
 
-// TestSelectExactContext: same optimum as SelectExact, and cancellation
-// aborts the enumeration with ctx.Err().
+// TestSelectExactContext: the same jury and JER bits as SelectExact at
+// every engine worker count, and cancellation aborts the enumeration with
+// ctx.Err().
 func TestSelectExactContext(t *testing.T) {
 	cands := batchJuries(1, 14, 77)[0]
 	for i := range cands {
 		cands[i].ID = string(rune('A' + i))
 		cands[i].Cost = 0.1 + 0.05*float64(i%4)
 	}
+	want, err := jury.SelectExact(cands, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		eng := jury.NewEngine(jury.BatchOptions{Workers: workers})
+		got, err := eng.SelectExactContext(context.Background(), cands, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.JER) != math.Float64bits(want.JER) || !slices.Equal(got.IDs(), want.IDs()) {
+			t.Errorf("workers=%d: context exact %g/%v vs plain %g/%v", workers, got.JER, got.IDs(), want.JER, want.IDs())
+		}
+	}
 	eng := jury.NewEngine(jury.BatchOptions{})
-	want, err := eng.SelectExact(cands, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.SelectExactContext(context.Background(), cands, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.JER != want.JER || got.Size() != want.Size() {
-		t.Errorf("context exact %g/%d vs plain %g/%d", got.JER, got.Size(), want.JER, want.Size())
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := eng.SelectExactContext(ctx, cands, 1.0); err != context.Canceled {

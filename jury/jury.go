@@ -34,6 +34,7 @@
 package jury
 
 import (
+	"context"
 	"sort"
 
 	"juryselect/internal/core"
@@ -114,11 +115,12 @@ func SelectBudgeted(candidates []Juror, budget float64) (Selection, error) {
 	return core.SelectPay(candidates, core.PayOptions{Budget: budget})
 }
 
-// SelectExact enumerates every allowed jury and returns the true optimum.
-// It is exponential in len(candidates) and rejects sets larger than
-// MaxExactCandidates.
+// SelectExact enumerates every allowed jury and returns the true optimum,
+// sharding the enumeration across runtime.GOMAXPROCS(0) goroutines; the
+// result is bit-for-bit identical on every core count. It is exponential
+// in len(candidates) and rejects sets larger than MaxExactCandidates.
 func SelectExact(candidates []Juror, budget float64) (Selection, error) {
-	return core.SelectOpt(candidates, budget)
+	return core.SelectOpt(context.TODO(), candidates, budget, 0)
 }
 
 // MaxExactCandidates is the largest candidate set SelectExact accepts.

@@ -3,8 +3,10 @@ package jury_test
 import (
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 
+	"juryselect/internal/randx"
 	"juryselect/jury"
 )
 
@@ -115,6 +117,40 @@ func TestSelectExactDominatesGreedy(t *testing.T) {
 	}
 	if exact.JER > greedy.JER+1e-12 {
 		t.Errorf("exact %.6f worse than greedy %.6f", exact.JER, greedy.JER)
+	}
+}
+
+// TestSelectExactJERAccuracy: the JER SelectExact reports is the exact JER
+// of the jury it returns, within 1e-9 relative. The enumeration reaches a
+// leaf through an Append/Pop history whose deconvolution round-off
+// accumulates; restarting every shard from a fresh distribution keeps
+// these cases within 3.3e-10 (the n = 22, budget 8 one is the worst).
+func TestSelectExactJERAccuracy(t *testing.T) {
+	for n := 4; n <= 22; n++ {
+		src := randx.New(int64(300 + n))
+		rates := src.ErrorRates(n, 0.3, 0.15)
+		costs := src.Requirements(n, 0.5, 0.2)
+		cands := make([]jury.Juror, n)
+		for i := range cands {
+			cands[i] = jury.Juror{ID: strconv.Itoa(i), ErrorRate: rates[i], Cost: costs[i]}
+		}
+		for _, budget := range []float64{0.5, 1, 2, 4, 8} {
+			sel, err := jury.SelectExact(cands, budget)
+			if errors.Is(err, jury.ErrNoFeasibleJury) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := jury.JER(sel.Rates())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel := math.Abs(sel.JER-want) / want; rel > 1e-9 {
+				t.Errorf("n=%d budget %g: reported JER %.17g, exact %.17g (relative error %.2g)",
+					n, budget, sel.JER, want, rel)
+			}
+		}
 	}
 }
 
