@@ -101,7 +101,7 @@ func main() {
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the human-readable summary")
 	flag.BoolVar(&cfg.list, "list", false, "list built-in presets and exit")
 	flag.BoolVar(&cfg.insight, "insight", false, "print the oracle-truth JER calibration table (reliability bins and Brier score)")
-	flag.IntVar(&cfg.shedRetries, "shed-retries", 0, "429 retries per select before a step is shed (http mode, 0 = default)")
+	flag.IntVar(&cfg.shedRetries, "shed-retries", 0, "429 retries per select or task create before a step is shed (http mode, 0 = default)")
 	flag.Parse()
 
 	if err := run(context.Background(), cfg, os.Stdout, os.Stderr); err != nil {
@@ -279,7 +279,11 @@ func printSummary(w io.Writer, rep *simul.Report, elapsed time.Duration) {
 	if rep.Mode == simul.ModeHTTP {
 		fmt.Fprintf(w, "shed %d steps (rate %.4f), %d retries absorbed\n", s.TotalShed, s.ShedRate, s.TotalRetries)
 		if lat := rep.Replications[0].Latency; lat != nil {
-			fmt.Fprintf(w, "select latency (rep 0): p50 %s  p95 %s  p99 %s  max %s\n",
+			op := "select"
+			if sc.Lifecycle == simul.LifecycleTask {
+				op = "create"
+			}
+			fmt.Fprintf(w, "%s latency (rep 0): p50 %s  p95 %s  p99 %s  max %s\n", op,
 				time.Duration(lat.P50NS), time.Duration(lat.P95NS), time.Duration(lat.P99NS), time.Duration(lat.MaxNS))
 		}
 	}

@@ -112,7 +112,7 @@ func TestHTTPModeAgainstLiveServer(t *testing.T) {
 // TestTaskModeAgainstLiveServer drives the task preset over HTTP —
 // create → sequential votes/declines → verdict per question — and
 // checks the summary carries the lifecycle accounting, matching the
-// in-process trajectory exactly.
+// in-process trajectory exactly, and labels its latency line as creates.
 func TestTaskModeAgainstLiveServer(t *testing.T) {
 	store, err := tasks.Open(tasks.Config{})
 	if err != nil {
@@ -135,6 +135,10 @@ func TestTaskModeAgainstLiveServer(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "votes/task") {
 		t.Errorf("summary missing task line: %s", stderr)
+	}
+	// The latency histogram holds task creates, and the line says so.
+	if !strings.Contains(stderr, "create latency (rep 0)") || strings.Contains(stderr, "select latency") {
+		t.Errorf("task run's latency line not labelled as creates: %s", stderr)
 	}
 	local, _ := runCLI(t, config{preset: "task-smoke", mode: simul.ModeInProcess, quiet: true})
 	var lrep simul.Report

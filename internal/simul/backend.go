@@ -10,15 +10,15 @@ import (
 	"juryselect/jury"
 )
 
-// selectOutcome is what a selection round-trip yields, whichever backend
-// served it.
-type selectOutcome struct {
-	// IDs and EstRates are the selected jurors and the estimated error
-	// rates the selection was computed over.
-	IDs      []string
-	EstRates []float64
-	// PredictedJER is the JER of the selected jury under the estimates —
-	// what the system believes its failure probability is.
+// selection is the jury one question is put to, whichever backend and
+// lifecycle chose it: a select's jury or a created task's initial
+// invitees, in invitation order.
+type selection struct {
+	// TaskID names the created task (task lifecycle only).
+	TaskID string
+	IDs    []string
+	// PredictedJER is the JER of the jury under the estimates — what the
+	// system believes its failure probability is.
 	PredictedJER float64
 	// Cost is the jury's total payment requirement.
 	Cost float64
@@ -32,35 +32,13 @@ type selectOutcome struct {
 	LatencyNS int64
 }
 
-// errStepShed reports that the service shed the selection request even
-// after the backend's Retry-After backoff budget. The simulator records
-// the step as shed and moves on — overload degrades coverage, never
-// aborts the run.
+// errStepShed reports that the service shed the select or task create
+// even after the backend's Retry-After backoff budget. The simulator
+// records the step as shed and moves on — overload degrades coverage,
+// never aborts the run.
 var errStepShed = errors.New("simul: selection shed by admission control")
 
-// invitee is one invited juror as the task lifecycle sees it: the ID to
-// drive votes with and the estimated rate the posterior weighs.
-type invitee struct {
-	ID   string
-	Rate float64
-}
-
-// taskOutcome is a created decision task.
-type taskOutcome struct {
-	ID string
-	// Invited is the initial jury in invitation order.
-	Invited []invitee
-	// PredictedJER and Cost describe the initial selection.
-	PredictedJER float64
-	Cost         float64
-	// PoolVersion is the snapshot the jury was selected from.
-	PoolVersion uint64
-	// Retried and LatencyNS mirror selectOutcome (HTTP backend only).
-	Retried   int
-	LatencyNS int64
-}
-
-// taskProgress is the task state after one vote or decline.
+// taskProgress is the task state after one answer or batch.
 type taskProgress struct {
 	// Closed reports a terminal status; Decided distinguishes a verdict
 	// from an undecided expiry.
@@ -74,24 +52,23 @@ type taskProgress struct {
 	Declines     int
 	// Invited is the full invitation list in order — it grows when a
 	// decline pulled in a replacement; the caller feeds the new tail
-	// into its vote queue.
-	Invited []invitee
+	// into its queue.
+	Invited []tasks.JurorView
 }
 
-// outcomeFromView flattens a created task's view into the
-// backend-neutral shape.
-func outcomeFromView(v tasks.View) taskOutcome {
-	out := taskOutcome{
-		ID:           v.ID,
-		Invited:      make([]invitee, len(v.Jurors)),
+// selectionFromView reads a created task's initial jury.
+func selectionFromView(v tasks.View) selection {
+	sel := selection{
+		TaskID:       v.ID,
+		IDs:          make([]string, len(v.Jurors)),
 		PredictedJER: v.PredictedJER,
 		PoolVersion:  v.PoolVersion,
 	}
 	for i, j := range v.Jurors {
-		out.Invited[i] = invitee{ID: j.ID, Rate: j.ErrorRate}
-		out.Cost += j.Cost
+		sel.IDs[i] = j.ID
+		sel.Cost += j.Cost
 	}
-	return out
+	return sel
 }
 
 // progressFromView flattens a task view into the backend-neutral shape.
@@ -101,10 +78,7 @@ func progressFromView(v tasks.View) taskProgress {
 		Decided:    v.Status == tasks.StatusDecided,
 		VotesSpent: v.VotesSpent,
 		Declines:   v.Declines,
-		Invited:    make([]invitee, len(v.Jurors)),
-	}
-	for i, j := range v.Jurors {
-		p.Invited[i] = invitee{ID: j.ID, Rate: j.ErrorRate}
+		Invited:    v.Jurors,
 	}
 	if v.Verdict != nil {
 		p.VerdictYes = v.Verdict.Answer
@@ -127,16 +101,14 @@ type backend interface {
 	// Select picks the minimum-JER jury from the named pool under the
 	// scenario's strategy. Returns errStepShed when admission control
 	// rejected the request past the retry budget.
-	Select(ctx context.Context, name string, sc Scenario) (selectOutcome, error)
+	Select(ctx context.Context, name string, sc Scenario) (selection, error)
 	// CreateTask opens a decision task on the named pool (task
 	// lifecycle). Returns errStepShed like Select.
-	CreateTask(ctx context.Context, name string, sc Scenario) (taskOutcome, error)
-	// TaskVote records one juror's vote on an open task.
-	TaskVote(ctx context.Context, id, juror string, voteYes bool) (taskProgress, error)
-	// TaskDecline releases a non-responding juror (the simulator's
-	// deterministic stand-in for a wall-clock timeout), pulling in the
-	// next-best replacement.
-	TaskDecline(ctx context.Context, id, juror string) (taskProgress, error)
+	CreateTask(ctx context.Context, name string, sc Scenario) (selection, error)
+	// TaskAnswer applies one juror's ballot to an open task: a vote, or
+	// a decline (the simulator's deterministic stand-in for a wall-clock
+	// timeout), which pulls in the next-best replacement.
+	TaskAnswer(ctx context.Context, id string, b tasks.Ballot) (taskProgress, error)
 	// TaskVoteBatch applies a whole invitation round in order with the
 	// semantics of tasks.Store.VoteBatch: items after the task closes are
 	// skipped, and the returned progress reflects the task after the last
@@ -150,8 +122,8 @@ type backend interface {
 
 // localBackend runs the service stack in-process: the memory-mode task
 // store and shared JER engine juryd serves from, minus HTTP. Each method
-// is one call into the code the juryd handlers call — tasks.Select, the
-// store's pool writes, Create, Vote, Decline and VoteBatch — plus type
+// makes the calls the juryd handler behind it makes — tasks.Select, the
+// store's pool writes, Create, Vote or Decline, and VoteBatch — plus type
 // conversion, so a scenario replayed over HTTP walks an identical
 // trajectory.
 type localBackend struct {
@@ -181,19 +153,28 @@ func (lb *localBackend) Patch(_ context.Context, name string, ups []pool.JurorUp
 	return err
 }
 
-func (lb *localBackend) Select(ctx context.Context, name string, sc Scenario) (selectOutcome, error) {
+func (lb *localBackend) Select(ctx context.Context, name string, sc Scenario) (selection, error) {
 	p, ok := lb.tasks.Pools().Get(name)
 	if !ok {
-		return selectOutcome{}, fmt.Errorf("simul: pool %q not in store", name)
+		return selection{}, fmt.Errorf("simul: pool %q not in store", name)
 	}
-	sel, err := tasks.Select(ctx, lb.tasks.Engine(), p.Sorted(), sc.Strategy, sc.Budget)
+	js, err := tasks.Select(ctx, lb.tasks.Engine(), p.Sorted(), sc.Strategy, sc.Budget)
 	if err != nil {
-		return selectOutcome{}, err
+		return selection{}, err
 	}
-	return outcomeFromSelection(sel, p.Version), nil
+	sel := selection{
+		IDs:          make([]string, len(js.Jurors)),
+		PredictedJER: js.JER,
+		Cost:         js.Cost,
+		PoolVersion:  p.Version,
+	}
+	for i, j := range js.Jurors {
+		sel.IDs[i] = j.ID
+	}
+	return sel, nil
 }
 
-func (lb *localBackend) CreateTask(ctx context.Context, name string, sc Scenario) (taskOutcome, error) {
+func (lb *localBackend) CreateTask(ctx context.Context, name string, sc Scenario) (selection, error) {
 	view, err := lb.tasks.Create(ctx, tasks.Spec{
 		Pool:             name,
 		Strategy:         sc.Strategy,
@@ -201,21 +182,24 @@ func (lb *localBackend) CreateTask(ctx context.Context, name string, sc Scenario
 		TargetConfidence: sc.TargetConfidence,
 	})
 	if err != nil {
-		return taskOutcome{}, err
+		return selection{}, err
 	}
-	return outcomeFromView(view), nil
+	return selectionFromView(view), nil
 }
 
-func (lb *localBackend) TaskVote(ctx context.Context, id, juror string, voteYes bool) (taskProgress, error) {
-	view, err := lb.tasks.Vote(ctx, id, juror, voteYes)
-	if err != nil {
+func (lb *localBackend) TaskAnswer(ctx context.Context, id string, b tasks.Ballot) (taskProgress, error) {
+	if err := b.Check(); err != nil {
 		return taskProgress{}, err
 	}
-	return progressFromView(view), nil
-}
-
-func (lb *localBackend) TaskDecline(ctx context.Context, id, juror string) (taskProgress, error) {
-	view, err := lb.tasks.Decline(ctx, id, juror)
+	var (
+		view tasks.View
+		err  error
+	)
+	if b.Decline {
+		view, err = lb.tasks.Decline(ctx, id, b.JurorID)
+	} else {
+		view, err = lb.tasks.Vote(ctx, id, b.JurorID, *b.Vote)
+	}
 	if err != nil {
 		return taskProgress{}, err
 	}
@@ -236,20 +220,3 @@ func (lb *localBackend) DeletePool(_ context.Context, name string) error {
 }
 
 func (lb *localBackend) Close() error { return nil }
-
-// outcomeFromSelection flattens a Selection into the backend-neutral
-// outcome shape.
-func outcomeFromSelection(sel jury.Selection, version uint64) selectOutcome {
-	out := selectOutcome{
-		IDs:          make([]string, len(sel.Jurors)),
-		EstRates:     make([]float64, len(sel.Jurors)),
-		PredictedJER: sel.JER,
-		Cost:         sel.Cost,
-		PoolVersion:  version,
-	}
-	for i, j := range sel.Jurors {
-		out.IDs[i] = j.ID
-		out.EstRates[i] = j.ErrorRate
-	}
-	return out
-}

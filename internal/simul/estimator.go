@@ -219,7 +219,7 @@ func (e *estimator) estimatedRatesOf(ids []string) ([]float64, error) {
 
 // selectRandom is the uninformed baseline: a uniformly random odd jury of
 // FixedSize drawn from the current crowd.
-func (e *estimator) selectRandom(w *world, eng *jury.Engine) (selectOutcome, error) {
+func (e *estimator) selectRandom(w *world, eng *jury.Engine) (selection, error) {
 	perm := w.pick.Perm(len(w.jurors))
 	ids := make([]string, e.sc.FixedSize)
 	cost := 0.0
@@ -235,7 +235,7 @@ func (e *estimator) selectRandom(w *world, eng *jury.Engine) (selectOutcome, err
 // run without any estimation machinery: ask the FixedSize most-retweeted
 // users (ties by ID). It ignores both ε estimates and jury-size
 // optimization.
-func (e *estimator) selectDegree(w *world, eng *jury.Engine) (selectOutcome, error) {
+func (e *estimator) selectDegree(w *world, eng *jury.Engine) (selection, error) {
 	idx := make([]int, len(w.jurors))
 	for i := range idx {
 		idx[i] = i
@@ -260,14 +260,14 @@ func (e *estimator) selectDegree(w *world, eng *jury.Engine) (selectOutcome, err
 // baselineOutcome scores a locally selected jury under the current
 // estimates so baselines report the same predicted-JER metric the
 // backend-served strategies do.
-func (e *estimator) baselineOutcome(ids []string, cost float64, eng *jury.Engine) (selectOutcome, error) {
+func (e *estimator) baselineOutcome(ids []string, cost float64, eng *jury.Engine) (selection, error) {
 	rates, err := e.estimatedRatesOf(ids)
 	if err != nil {
-		return selectOutcome{}, err
+		return selection{}, err
 	}
 	predicted, err := eng.JER(rates)
 	if err != nil {
-		return selectOutcome{}, err
+		return selection{}, err
 	}
-	return selectOutcome{IDs: ids, EstRates: rates, PredictedJER: predicted, Cost: cost}, nil
+	return selection{IDs: ids, PredictedJER: predicted, Cost: cost}, nil
 }

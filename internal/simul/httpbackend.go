@@ -18,7 +18,8 @@ import (
 )
 
 // httpBackend drives a live juryd over its wire protocol: pool CRUD for
-// churn and vote folding, POST /v1/select for every question. It is the
+// churn and vote folding, and per question POST /v1/select or, in the
+// task lifecycle, POST /v1/tasks followed by its votes. It is the
 // load-generator half of the closed loop — the same traffic shape a
 // requester service would put on juryd in production.
 //
@@ -135,7 +136,32 @@ func (hb *httpBackend) Patch(ctx context.Context, name string, ups []pool.JurorU
 	return err
 }
 
-func (hb *httpBackend) Select(ctx context.Context, name string, sc Scenario) (selectOutcome, error) {
+// retry issues a select or task create through try until it succeeds,
+// fails with anything but a 429, or is still shed after maxShedRetries
+// Retry-After backoffs (errStepShed). It returns the 429s absorbed and
+// the final attempt's round-trip time.
+func (hb *httpBackend) retry(ctx context.Context, try func() error) (retried int, latencyNS int64, err error) {
+	for attempt := 0; ; attempt++ {
+		start := time.Now()
+		err = try()
+		latencyNS = time.Since(start).Nanoseconds()
+		ra, shed := err.(retryAfterError)
+		if !shed {
+			return retried, latencyNS, err
+		}
+		retried++
+		if attempt >= hb.maxShedRetries {
+			return retried, latencyNS, errStepShed
+		}
+		select {
+		case <-time.After(ra.delay):
+		case <-ctx.Done():
+			return retried, latencyNS, ctx.Err()
+		}
+	}
+}
+
+func (hb *httpBackend) Select(ctx context.Context, name string, sc Scenario) (selection, error) {
 	req := server.SelectRequest{Pool: name}
 	switch sc.Strategy {
 	case StrategyPay:
@@ -148,98 +174,56 @@ func (hb *httpBackend) Select(ctx context.Context, name string, sc Scenario) (se
 	default:
 		req.Model = "altr"
 	}
-	var retried int
-	for attempt := 0; ; attempt++ {
-		var resp server.SelectResponse
-		var err error
-		start := time.Now()
+	var resp server.SelectResponse
+	retried, latency, err := hb.retry(ctx, func() (err error) {
 		if hb.batcher != nil {
 			resp, err = hb.batcher.do(ctx, req)
 		} else {
 			_, err = hb.doJSON(ctx, http.MethodPost, "/v1/select", req, &resp, http.StatusOK)
 		}
-		latency := time.Since(start).Nanoseconds()
-		if err == nil {
-			out := selectOutcome{
-				IDs:          make([]string, len(resp.Selection.Jurors)),
-				EstRates:     make([]float64, len(resp.Selection.Jurors)),
-				PredictedJER: resp.Selection.JER,
-				Cost:         resp.Selection.Cost,
-				PoolVersion:  resp.PoolVersion,
-				Retried:      retried,
-				LatencyNS:    latency,
-			}
-			for i, j := range resp.Selection.Jurors {
-				out.IDs[i] = j.ID
-				out.EstRates[i] = j.ErrorRate
-			}
-			return out, nil
-		}
-		ra, shed := err.(retryAfterError)
-		if !shed {
-			return selectOutcome{}, err
-		}
-		retried++
-		if attempt >= hb.maxShedRetries {
-			return selectOutcome{Retried: retried, LatencyNS: latency}, errStepShed
-		}
-		select {
-		case <-time.After(ra.delay):
-		case <-ctx.Done():
-			return selectOutcome{}, ctx.Err()
-		}
+		return err
+	})
+	if err != nil {
+		return selection{Retried: retried, LatencyNS: latency}, err
 	}
+	sel := selection{
+		IDs:          make([]string, len(resp.Selection.Jurors)),
+		PredictedJER: resp.Selection.JER,
+		Cost:         resp.Selection.Cost,
+		PoolVersion:  resp.PoolVersion,
+		Retried:      retried,
+		LatencyNS:    latency,
+	}
+	for i, j := range resp.Selection.Jurors {
+		sel.IDs[i] = j.ID
+	}
+	return sel, nil
 }
 
-func (hb *httpBackend) CreateTask(ctx context.Context, name string, sc Scenario) (taskOutcome, error) {
+func (hb *httpBackend) CreateTask(ctx context.Context, name string, sc Scenario) (selection, error) {
 	req := server.TaskCreateRequest{
 		Pool:             name,
 		Strategy:         sc.Strategy,
 		Budget:           sc.Budget,
 		TargetConfidence: sc.TargetConfidence,
 	}
-	var retried int
-	for attempt := 0; ; attempt++ {
-		var resp server.TaskResponse
-		start := time.Now()
+	var resp server.TaskResponse
+	retried, latency, err := hb.retry(ctx, func() error {
 		_, err := hb.doJSON(ctx, http.MethodPost, "/v1/tasks", req, &resp, http.StatusCreated)
-		latency := time.Since(start).Nanoseconds()
-		if err == nil {
-			out := outcomeFromView(resp.Task)
-			out.Retried, out.LatencyNS = retried, latency
-			return out, nil
-		}
-		ra, shed := err.(retryAfterError)
-		if !shed {
-			return taskOutcome{}, err
-		}
-		retried++
-		if attempt >= hb.maxShedRetries {
-			return taskOutcome{Retried: retried, LatencyNS: latency}, errStepShed
-		}
-		select {
-		case <-time.After(ra.delay):
-		case <-ctx.Done():
-			return taskOutcome{}, ctx.Err()
-		}
-	}
-}
-
-func (hb *httpBackend) TaskVote(ctx context.Context, id, juror string, voteYes bool) (taskProgress, error) {
-	v := voteYes
-	var resp server.TaskResponse
-	_, err := hb.doJSON(ctx, http.MethodPost, "/v1/tasks/"+id+"/votes",
-		server.TaskVoteRequest{JurorID: juror, Vote: &v}, &resp, http.StatusOK)
+		return err
+	})
 	if err != nil {
-		return taskProgress{}, err
+		return selection{Retried: retried, LatencyNS: latency}, err
 	}
-	return progressFromView(resp.Task), nil
+	sel := selectionFromView(resp.Task)
+	sel.Retried, sel.LatencyNS = retried, latency
+	return sel, nil
 }
 
-func (hb *httpBackend) TaskDecline(ctx context.Context, id, juror string) (taskProgress, error) {
+func (hb *httpBackend) TaskAnswer(ctx context.Context, id string, b tasks.Ballot) (taskProgress, error) {
 	var resp server.TaskResponse
 	_, err := hb.doJSON(ctx, http.MethodPost, "/v1/tasks/"+id+"/votes",
-		server.TaskVoteRequest{JurorID: juror, Decline: true}, &resp, http.StatusOK)
+		b, &resp, http.StatusOK)
 	if err != nil {
 		return taskProgress{}, err
 	}

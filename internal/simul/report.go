@@ -61,7 +61,8 @@ type Window struct {
 	MeanCalibration float64 `json:"mean_calibration"`
 }
 
-// LatencySummary summarises HTTP select round-trip times. Wall-clock
+// LatencySummary summarises the round-trip times of each step's HTTP
+// select, or task create in the task lifecycle. Wall-clock
 // measurements: present only in HTTP mode and outside the deterministic
 // part of the report.
 type LatencySummary struct {

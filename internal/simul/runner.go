@@ -49,9 +49,9 @@ type Options struct {
 	Client *http.Client
 	// Engine overrides the shared JER engine (tests and benchmarks).
 	Engine *jury.Engine
-	// ShedRetries bounds how many 429 responses one select absorbs via
-	// Retry-After backoff before the step is recorded as shed; zero
-	// selects the default (HTTP mode only).
+	// ShedRetries bounds how many 429 responses one select or task
+	// create absorbs via Retry-After backoff before the step is recorded
+	// as shed; zero selects the default (HTTP mode only).
 	ShedRetries int
 	// MaxRetryAfter caps a server-suggested backoff; zero selects the
 	// default (HTTP mode only).

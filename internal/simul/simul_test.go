@@ -3,7 +3,13 @@ package simul
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -43,15 +49,67 @@ func tinyScenarios() []Scenario {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/reports.golden")
+
+const reportsGolden = "testdata/reports.golden"
+
 // TestMetricsBitIdentical is the determinism contract: same scenario +
-// seed ⇒ bit-identical metrics JSON, run over run.
+// seed ⇒ bit-identical metrics JSON, run over run, and equal to the
+// trajectory pinned in testdata/reports.golden (one SHA-256 per traced
+// report), so a change that moves every run the same way still fails.
+// Each tinyScenarios entry runs once, and each task entry again under
+// the batch protocol. -update rewrites the golden file; only a change
+// meant to move the trajectories may do that.
 func TestMetricsBitIdentical(t *testing.T) {
+	type goldenCase struct {
+		name  string
+		sc    Scenario
+		batch bool
+	}
+	var cases []goldenCase
 	for _, sc := range tinyScenarios() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
+		cases = append(cases, goldenCase{sc.Name, sc, false})
+	}
+	for _, sc := range tinyScenarios() {
+		if sc.Lifecycle == LifecycleTask {
+			cases = append(cases, goldenCase{sc.Name + "-batch", sc, true})
+		}
+	}
+	want := map[string]string{}
+	if !*updateGolden {
+		raw, err := os.ReadFile(reportsGolden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			if sum, name, ok := strings.Cut(line, "  "); ok {
+				want[name] = sum
+			}
+		}
+	}
+	got := make([]string, len(cases))
+	t.Cleanup(func() {
+		if !*updateGolden || t.Failed() {
+			return
+		}
+		var b strings.Builder
+		for i, c := range cases {
+			if got[i] == "" {
+				t.Errorf("-update rewrites every hash, but %s did not run", c.name)
+				return
+			}
+			fmt.Fprintf(&b, "%s  %s\n", got[i], c.name)
+		}
+		if err := os.WriteFile(reportsGolden, []byte(b.String()), 0o644); err != nil {
+			t.Error(err)
+		}
+	})
+	for i, c := range cases {
+		i, c := i, c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			run := func() []byte {
-				rep, err := Run(context.Background(), sc, Options{Trace: true})
+				rep, err := Run(context.Background(), c.sc, Options{Trace: true, Batch: c.batch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -64,6 +122,11 @@ func TestMetricsBitIdentical(t *testing.T) {
 			a, b := run(), run()
 			if !bytes.Equal(a, b) {
 				t.Fatalf("metrics JSON differs between identical runs:\n%s\n----\n%s", clip(a), clip(b))
+			}
+			sum := sha256.Sum256(a)
+			got[i] = hex.EncodeToString(sum[:])
+			if !*updateGolden && got[i] != want[c.name] {
+				t.Fatalf("report SHA-256 %s, %s pins %q: the trajectory moved", got[i], reportsGolden, want[c.name])
 			}
 		})
 	}
@@ -395,7 +458,10 @@ func TestMixSeedDecorrelates(t *testing.T) {
 // BenchmarkRun times one whole in-process run of a drifting, churning
 // 40-juror crowd, four replications of 100 steps, and reports simulated
 // steps/s. serial runs the replications on one worker and parallel on
-// one per core; both reports are byte-identical.
+// one per core; both reports are byte-identical. task and task-batch run
+// the same crowd through the task lifecycle at availability 0.8 on one
+// worker, walking each invitation queue one invitee or one round per
+// call.
 func BenchmarkRun(b *testing.B) {
 	sc := Scenario{
 		Name: "bench", Seed: 23, Steps: 100, Population: 40,
@@ -404,18 +470,27 @@ func BenchmarkRun(b *testing.B) {
 		ChurnPerStep: 0.5,
 		Replications: 4,
 	}
+	task := sc
+	task.Lifecycle, task.Availability = LifecycleTask, 0.8
 	for _, bc := range []struct {
 		name    string
+		sc      Scenario
 		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
+		batch   bool
+	}{
+		{"serial", sc, 1, false},
+		{"parallel", sc, 0, false},
+		{"task", task, 1, false},
+		{"task-batch", task, 1, true},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(context.Background(), sc, Options{Workers: bc.workers}); err != nil {
+				if _, err := Run(context.Background(), bc.sc, Options{Workers: bc.workers, Batch: bc.batch}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(sc.Steps*sc.Replications*b.N)/b.Elapsed().Seconds(), "steps/s")
+			b.ReportMetric(float64(bc.sc.Steps*bc.sc.Replications*b.N)/b.Elapsed().Seconds(), "steps/s")
 		})
 	}
 }

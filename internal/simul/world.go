@@ -247,6 +247,26 @@ func (w *world) find(id string) (worldJuror, bool) {
 	return worldJuror{}, false
 }
 
+// respond draws an asked juror's answer: whether they answer at all
+// (the avail stream; after Mahmud et al., the selected are not always
+// the responding) and, if so, their vote from the TRUE rate (the votes
+// stream). The streams are separate, so neither's sequence depends on
+// how the jurors' draws interleave.
+func (w *world) respond(id string, truth bool) (answered, vote bool, err error) {
+	if !w.avail.Bernoulli(w.sc.Availability) {
+		return false, false, nil
+	}
+	j, ok := w.find(id)
+	if !ok {
+		return false, false, fmt.Errorf("simul: juror %q vanished", id)
+	}
+	vote = truth
+	if w.votes.Bernoulli(j.TrueRate) {
+		vote = !truth
+	}
+	return true, vote, nil
+}
+
 // trueRatesOf maps selected juror IDs to their current true error rates.
 func (w *world) trueRatesOf(ids []string) ([]float64, error) {
 	rates := make([]float64, len(ids))
